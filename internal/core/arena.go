@@ -41,31 +41,7 @@ func idxLess(a, b int32, key []float64) bool {
 // partition, with insertion sort below 16 elements.
 func sortIdxByKey(idx []int32, key []float64) {
 	for len(idx) > 16 {
-		mid, hi := len(idx)/2, len(idx)-1
-		if idxLess(idx[mid], idx[0], key) {
-			idx[mid], idx[0] = idx[0], idx[mid]
-		}
-		if idxLess(idx[hi], idx[0], key) {
-			idx[hi], idx[0] = idx[0], idx[hi]
-		}
-		if idxLess(idx[hi], idx[mid], key) {
-			idx[hi], idx[mid] = idx[mid], idx[hi]
-		}
-		pivot := idx[mid]
-		i, j := 0, hi
-		for i <= j {
-			for idxLess(idx[i], pivot, key) {
-				i++
-			}
-			for idxLess(pivot, idx[j], key) {
-				j--
-			}
-			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
-				i++
-				j--
-			}
-		}
+		j, i := partitionIdx(idx, key)
 		if j < len(idx)-i {
 			sortIdxByKey(idx[:j+1], key)
 			idx = idx[i:]
@@ -81,27 +57,88 @@ func sortIdxByKey(idx []int32, key []float64) {
 	}
 }
 
-// kvPair packs one sort record: the IEEE-754 bit pattern of a
-// non-negative float64 key (whose unsigned order equals numeric
-// order) and the candidate index it belongs to.
+// selectIdxByKey rearranges idx so that idx[:m] holds its m smallest
+// entries by (key[idx[i]], idx[i]), in no particular order, for
+// 0 < m < len(idx): quickselect over the quicksort's partition.
+func selectIdxByKey(idx []int32, key []float64, m int) {
+	for len(idx) > 16 {
+		j, i := partitionIdx(idx, key)
+		switch {
+		case m <= j+1:
+			idx = idx[:j+1]
+		case m >= i:
+			idx, m = idx[i:], m-i
+		default:
+			return
+		}
+	}
+	sortIdxByKey(idx, key)
+}
+
+// partitionIdx is a Hoare partition of idx (len > 2) around a
+// median-of-three pivot in (key, index) order. It returns j < i such
+// that idx[:j+1] orders before idx[i:], and anything between them is
+// the pivot in its final place.
+func partitionIdx(idx []int32, key []float64) (j, i int) {
+	mid, hi := len(idx)/2, len(idx)-1
+	if idxLess(idx[mid], idx[0], key) {
+		idx[mid], idx[0] = idx[0], idx[mid]
+	}
+	if idxLess(idx[hi], idx[0], key) {
+		idx[hi], idx[0] = idx[0], idx[hi]
+	}
+	if idxLess(idx[hi], idx[mid], key) {
+		idx[hi], idx[mid] = idx[mid], idx[hi]
+	}
+	pivot := idx[mid]
+	i, j = 0, hi
+	for i <= j {
+		for idxLess(idx[i], pivot, key) {
+			i++
+		}
+		for idxLess(pivot, idx[j], key) {
+			j--
+		}
+		if i <= j {
+			idx[i], idx[j] = idx[j], idx[i]
+			i++
+			j--
+		}
+	}
+	return j, i
+}
+
+// kvPair packs one sort record: a float64 key mapped onto a uint64
+// whose unsigned order equals the key's numeric order, and the
+// candidate index it belongs to.
 type kvPair struct {
 	k uint64
 	i int32
 }
 
+// radixKey maps a float64 onto a uint64 with the same order as the
+// comparison sort's: -0 is folded into +0 (they compare equal), then
+// negative keys have every bit flipped and non-negative keys only the
+// sign bit, the usual order-preserving map of IEEE-754 bit patterns.
+// NaN keys have no order under either sort.
+func radixKey(v float64) uint64 {
+	k := math.Float64bits(v + 0) // -0 + 0 == +0
+	return k ^ (uint64(int64(k)>>63) | 1<<63)
+}
+
 // radixSortIdx sorts idx like sortIdxByKey — ascending by
 // (key[idx[x]], idx[x]) — via a stable byte-wise LSD radix sort over
-// packed records. Stability plus the ascending initial order of idx
+// packed records. Stability plus an ascending initial order of idx
 // yields exactly the index tie-break of the comparison sort, and the
-// full 64-bit key keeps the order bit-exact. Requires non-negative
-// keys (locate times always are) and scratch slices of len(idx).
-// Passes whose byte is constant across all records (common: locate
-// times share exponents) are skipped.
+// full 64-bit key keeps the order bit-exact. Requires idx in
+// ascending order and scratch slices of len(idx). Passes whose byte
+// is constant across all records (common: locate times share
+// exponents) are skipped.
 func radixSortIdx(idx []int32, key []float64, pairs, tmp []kvPair) {
 	n := len(idx)
 	var hist [8][256]int32
 	for x, id := range idx {
-		k := math.Float64bits(key[id])
+		k := radixKey(key[id])
 		pairs[x] = kvPair{k, id}
 		hist[0][k&0xff]++
 		hist[1][k>>8&0xff]++

@@ -32,14 +32,19 @@ func schedBenchModel(b *testing.B) *locate.Model {
 }
 
 // BenchmarkScheduler measures one Schedule call per iteration for the
-// four algorithms the tentpole optimizes, at the two acceptance batch
-// sizes. Steady state should be ≤2 allocs/op (the returned Plan.Order
-// plus at most one arena growth on the very first iterations).
+// four arena-backed algorithms at the two acceptance batch sizes, plus
+// LOSS at 1536, the longest batch of the paper's Fig. 4/6 sweep.
+// Steady state should be ≤2 allocs/op (the returned Plan.Order plus at
+// most one arena growth on the very first iterations).
 func BenchmarkScheduler(b *testing.B) {
 	m := schedBenchModel(b)
 	algs := []Scheduler{NewLOSS(), NewSLTF(), Scan{}, Weave{}}
 	for _, alg := range algs {
-		for _, n := range []int{128, 1024} {
+		sizes := []int{128, 1024}
+		if alg.Name() == "LOSS" {
+			sizes = append(sizes, 1536)
+		}
+		for _, n := range sizes {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {
 				p := randomProblem(b, m, n, 42)
 				b.ReportAllocs()

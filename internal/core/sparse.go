@@ -222,7 +222,8 @@ func (sl SparseLOSS) densePath(p *Problem, cities []sparseCity) ([]sparseCity, e
 	if n > maxLOSSCities {
 		return nil, fmt.Errorf("core: sparse LOSS dense finish has %d cities (max %d)", n, maxLOSSCities)
 	}
-	w := make([]float64, n*n)
+	// The dense matrix layout of lossPath: entry (i, j) at i*k+j-1.
+	w := make([]float64, n*k)
 	for i := 0; i < n; i++ {
 		out := p.Start
 		if i > 0 {
@@ -232,10 +233,11 @@ func (sl SparseLOSS) densePath(p *Problem, cities []sparseCity) ([]sparseCity, e
 			if i == j {
 				continue
 			}
-			w[i*n+j] = p.Cost.LocateTime(out, cities[j-1].in)
+			w[i*k+j-1] = p.Cost.LocateTime(out, cities[j-1].in)
 		}
 	}
-	s := newLossState(n, func(i, j int32) float64 { return w[int(i)*n+int(j)] })
+	s := newLossState(n, nil)
+	s.w = w
 	s.denseCandidates()
 	if got := s.run(k); got != k {
 		return nil, fmt.Errorf("core: sparse LOSS dense finish stuck at %d/%d edges", got, k)
