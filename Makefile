@@ -9,6 +9,8 @@ BENCH6_OUT ?= BENCH_PR6.json
 BENCH6_BASELINE ?= BENCH_PR6_BASELINE.txt
 BENCH13_OUT ?= BENCH_PR13.json
 BENCH13_BASELINE ?= BENCH_PR13_BASELINE.txt
+BENCH14_OUT ?= BENCH_PR14.json
+BENCH14_BASELINE ?= BENCH_PR14_BASELINE.txt
 
 # End-to-end benchmarks for the dispatch-loop perf pass: a full
 # library sweep cell, the online server's steady-state loop, and the
@@ -23,7 +25,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the parallel simulator plus the packages it drives concurrently
@@ -82,6 +84,16 @@ bench-pr13:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH13_BASELINE) < $(BENCH_TXT) > $(BENCH13_OUT)
 	rm -f $(BENCH_TXT)
 
+# Regenerate the committed evidence for the bounded Held–Karp OPT:
+# the scheduler suite (OPT at n=3, 6, 8 and 10) plus the end-to-end
+# benches, with the capture from the exhaustive dynamic program
+# embedded under "baseline". GOMAXPROCS=1 as for bench-pr13.
+bench-pr14:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkScheduler$$' -benchmem ./internal/core | tee $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(E2E_BENCH)' -benchtime 200x -benchmem ./internal/tertiary ./internal/server | tee -a $(BENCH_TXT)
+	$(GO) run ./cmd/benchjson -baseline $(BENCH14_BASELINE) < $(BENCH_TXT) > $(BENCH14_OUT)
+	rm -f $(BENCH_TXT)
+
 # CPU and heap profiles of a representative library sweep cell, for
 # `go tool pprof results/pprof/cpu.out` (see EXPERIMENTS.md §"Profiling
 # the event loop"). Artifacts are gitignored.
@@ -92,13 +104,15 @@ profile:
 		-o results/pprof/tertiary.test ./internal/tertiary
 
 # Short fuzzing passes over the lazy LOSS engine (against its eager
-# reference), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
+# reference), the bounded OPT search (against the exhaustive dynamic
+# program), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
 # wide-event ring, the SLO sliding windows, the staging cache's
 # eviction policies, and the fleet routing tier — the state machines
 # arbitrary inputs can reach. CI runs this on every PR; locally, raise
 # FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLOSSLazyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzOPTBoundedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorReplan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmissionQueue$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryBatcher$$' -fuzztime $(FUZZTIME) ./internal/tertiary/

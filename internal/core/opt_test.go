@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -33,8 +34,8 @@ func TestOPTDominatesEverything(t *testing.T) {
 // is how the paper's OPT was implemented.
 func TestOPTMatchesBruteForce(t *testing.T) {
 	m := testModel(t, 2)
-	for seed := int64(0); seed < 15; seed++ {
-		n := 2 + int(seed)%6 // up to 7: 5040 permutations
+	for seed := int64(0); seed < 16; seed++ {
+		n := 2 + int(seed)%8 // up to 9: 362880 permutations
 		p := randomProblem(t, m, n, seed*31+7)
 		opt, err := NewOPT(10).Schedule(p)
 		if err != nil {
@@ -114,5 +115,34 @@ func TestOPTBatchOf10Rate(t *testing.T) {
 	}
 	if optRate < 80 || optRate > 110 {
 		t.Errorf("OPT rate %.1f IO/h, paper ~93", optRate)
+	}
+}
+
+// When no complete path has a finite cost (every locate +Inf or NaN)
+// OPT returns the requests in input order. The arena is warmed at a
+// different size first, so a backtrack over parent entries left by
+// an earlier call would show up as a non-permutation.
+func TestOPTNoFinitePathKeepsInputOrder(t *testing.T) {
+	m := testModel(t, 1)
+	for _, bad := range []float64{math.Inf(1), math.NaN()} {
+		for _, n := range []int{2, 6, 9} {
+			if _, err := NewOPT(12).Schedule(randomProblem(t, m, n+1, int64(n))); err != nil {
+				t.Fatal(err)
+			}
+			w := make([]float64, (n+1)*n)
+			for i := range w {
+				w[i] = bad
+			}
+			perm := make([]int, n)
+			for i := range perm {
+				perm[i] = n - 1 - i
+			}
+			p := matrixProblem(w, perm, 1)
+			plan, err := NewOPT(12).Schedule(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalOrder(t, fmt.Sprintf("n=%d weights=%v", n, bad), plan.Order, p.Requests)
+		}
 	}
 }

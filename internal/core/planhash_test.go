@@ -54,10 +54,23 @@ func planHashes(t *testing.T) []byte {
 			}
 		}
 	}
-	// Standalone OPT past Auto's n <= 8 dispatch range.
+	// Standalone OPT at the top of Auto's n <= 10 dispatch range
+	// (OptLimit) and past it.
 	for n := 9; n <= 12; n++ {
 		for seed := int64(1); seed <= 3; seed++ {
 			line(NewOPT(12), n, seed, randomProblem(t, m, n, seed*7919+int64(n)))
+		}
+	}
+	// OPT over its whole practical range, and Auto at the top of its
+	// OPT dispatch, on seeds disjoint from the grid above.
+	for n := 4; n <= 12; n++ {
+		for seed := int64(1); seed <= 10; seed++ {
+			line(NewOPT(12), n, seed, randomProblem(t, m, n, seed*104729+int64(n)))
+		}
+	}
+	for _, n := range []int{9, 10} {
+		for seed := int64(1); seed <= 10; seed++ {
+			line(NewAuto(), n, seed, randomProblem(t, m, n, seed*104729+int64(n)))
 		}
 	}
 	return buf.Bytes()
