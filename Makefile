@@ -28,14 +28,14 @@ FUZZTIME ?= 30s
 .PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
-# over the parallel simulator plus the packages it drives concurrently
-# (the drive emulator, the scheduler suite, the online server and its
+# over the sweep runner and the parallel simulator plus the packages
+# it drives concurrently (the drive emulator, the scheduler suite, the online server and its
 # metrics registry, the multi-drive tape library, and the sharded
 # fleet).
 verify: vet
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
+	$(GO) test -race ./internal/grid/... ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
 
 test:
 	$(GO) test ./...
@@ -48,7 +48,7 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
+	$(GO) test -race ./internal/grid/... ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
 
 # Run the performance-critical benchmarks with allocation reporting:
 # the scheduler suite, the locate-model fast path, and the root-level

@@ -3,13 +3,11 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
+	"serpentine/internal/grid"
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
 	"serpentine/internal/rand48"
@@ -219,110 +217,82 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	}
 	cells := make([]Cell, len(specs))
 	regs := make([]*obs.Registry, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				rate := rates[sp.rateIdx]
-				shards := shardCounts[sp.shardIdx]
-				router := routers[sp.routerIdx]
-				// One seed per (rate, shards) coordinate, in
-				// tertiary.Sweep's index positions: stable under
-				// sweep-order and worker-count changes, and aligned
-				// with the single-library sweep for equivalence
-				// tests. The router index is deliberately excluded —
-				// every policy at one coordinate replays the same
-				// stream, tie-break draws and failure history, so the
-				// router column isolates what the policy buys.
-				seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.shardIdx)*521 + 7
-				stream, err := Stream(rate, n, seed, tapeCount, objects, cfg.Locality)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("fleet: sweep arrivals %g/h: %w", rate, err))
-					return
-				}
-				lifecycle := cfg.Lifecycle
-				if lifecycle.Enabled() {
-					lifecycle.Seed = seed + 5
-				}
-				var reg *obs.Registry
-				if cfg.Reg != nil {
-					reg = obs.NewRegistry()
-				}
-				var spans *obs.Tracer
-				if cfg.SpanCap > 0 {
-					spans = obs.NewTracer(cfg.SpanCap)
-				}
-				var events *obs.EventRing
-				if cfg.EventCap > 0 {
-					events = obs.NewEventRing(cfg.EventCap)
-				}
-				res, fm, err := fleets[shards].Run(RunConfig{
-					Drives:      drives,
-					MountSec:    cfg.MountSec,
-					UnmountSec:  cfg.UnmountSec,
-					BatchLimit:  limit,
-					Policy:      cfg.Policy,
-					WindowSec:   cfg.WindowSec,
-					QueueCap:    cfg.QueueCap,
-					Retry:       cfg.Retry,
-					DeadlineSec: cfg.DeadlineSec,
-					Lifecycle:   lifecycle,
-					Cache:       cfg.Cache,
-					Router:      router,
-					Seed:        seed,
-					Reg:         reg,
-					Labels: []obs.Label{
-						obs.L("rate", fmt.Sprintf("%g", rate)),
-						obs.L("shards", strconv.Itoa(shards)),
-						obs.L("router", router.Name()),
-					},
-					Spans:  spans,
-					Events: events,
-				}, stream)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("fleet: sweep cell %g/h %d shards %s: %w", rate, shards, router.Name(), err))
-					return
-				}
-				cell := Cell{RatePerHour: rate, Shards: shards, Router: router.Name(), Metrics: fm}
-				for s := range res {
-					cell.PerShard = append(cell.PerShard, res[s].Metrics)
-					cell.Routed = append(cell.Routed, res[s].Routed)
-				}
-				if spans != nil {
-					cell.Spans = spans.Spans()
-				}
-				if events != nil {
-					cell.Events = events.Events()
-				}
-				cells[i] = cell
-				regs[i] = reg
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	err := grid.Run(cfg.Workers, len(specs), func(i int) error {
+		sp := specs[i]
+		rate := rates[sp.rateIdx]
+		shards := shardCounts[sp.shardIdx]
+		router := routers[sp.routerIdx]
+		// One seed per (rate, shards) coordinate, in tertiary.Sweep's
+		// index positions: stable under sweep-order and worker-count
+		// changes, and aligned with the single-library sweep for
+		// equivalence tests. The router axis is deliberately excluded
+		// — every policy at one coordinate replays the same stream,
+		// tie-break draws and failure history, so the router column
+		// isolates what the policy buys.
+		seed := grid.Seed(cfg.Seed, sp.rateIdx, sp.shardIdx, 0)
+		stream, err := Stream(rate, n, seed, tapeCount, objects, cfg.Locality)
+		if err != nil {
+			return fmt.Errorf("fleet: sweep arrivals %g/h: %w", rate, err)
+		}
+		lifecycle := cfg.Lifecycle
+		if lifecycle.Enabled() {
+			lifecycle.Seed = seed + 5
+		}
+		var reg *obs.Registry
+		if cfg.Reg != nil {
+			reg = obs.NewRegistry()
+		}
+		var spans *obs.Tracer
+		if cfg.SpanCap > 0 {
+			spans = obs.NewTracer(cfg.SpanCap)
+		}
+		var events *obs.EventRing
+		if cfg.EventCap > 0 {
+			events = obs.NewEventRing(cfg.EventCap)
+		}
+		res, fm, err := fleets[shards].Run(RunConfig{
+			Drives:      drives,
+			MountSec:    cfg.MountSec,
+			UnmountSec:  cfg.UnmountSec,
+			BatchLimit:  limit,
+			Policy:      cfg.Policy,
+			WindowSec:   cfg.WindowSec,
+			QueueCap:    cfg.QueueCap,
+			Retry:       cfg.Retry,
+			DeadlineSec: cfg.DeadlineSec,
+			Lifecycle:   lifecycle,
+			Cache:       cfg.Cache,
+			Router:      router,
+			Seed:        seed,
+			Reg:         reg,
+			Labels: []obs.Label{
+				obs.L("rate", fmt.Sprintf("%g", rate)),
+				obs.L("shards", strconv.Itoa(shards)),
+				obs.L("router", router.Name()),
+			},
+			Spans:  spans,
+			Events: events,
+		}, stream)
+		if err != nil {
+			return fmt.Errorf("fleet: sweep cell %g/h %d shards %s: %w", rate, shards, router.Name(), err)
+		}
+		cell := Cell{RatePerHour: rate, Shards: shards, Router: router.Name(), Metrics: fm}
+		for s := range res {
+			cell.PerShard = append(cell.PerShard, res[s].Metrics)
+			cell.Routed = append(cell.Routed, res[s].Routed)
+		}
+		if spans != nil {
+			cell.Spans = spans.Spans()
+		}
+		if events != nil {
+			cell.Events = events.Events()
+		}
+		cells[i] = cell
+		regs[i] = reg
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Merge in spec order so the aggregated dump is independent
@@ -332,11 +302,4 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-func reportErr(errs chan<- error, err error) {
-	select {
-	case errs <- err:
-	default:
-	}
 }

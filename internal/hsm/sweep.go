@@ -3,12 +3,10 @@ package hsm
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/geometry"
+	"serpentine/internal/grid"
 	"serpentine/internal/obs"
 	"serpentine/internal/server"
 	"serpentine/internal/sim"
@@ -175,119 +173,90 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	}
 	cells := make([]Cell, len(specs))
 	regs := make([]*obs.Registry, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				rate := rates[sp.rateIdx]
-				// One seed per rate, in tertiary.Sweep's index
-				// positions with single-element inner axes: every
-				// cache size and policy replays the same workload, and
-				// the size-0 cells share streams with the bare library
-				// sweep.
-				seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + 7
-				stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("hsm: sweep arrivals %g/h: %w", rate, err))
-					return
-				}
-				reg := obs.NewRegistry()
-				var spans *obs.Tracer
-				if cfg.SpanCap > 0 {
-					spans = obs.NewTracer(cfg.SpanCap)
-				}
-				labels := []obs.Label{
-					obs.L("rate", fmt.Sprintf("%g", rate)),
-					obs.L("drives", strconv.Itoa(drives)),
-					obs.L("batch", strconv.Itoa(limit)),
-				}
-				if sp.size > 0 {
-					labels = append(labels,
-						obs.L("cache", strconv.FormatInt(sp.size, 10)),
-						obs.L("policy", sp.policy))
-				}
-				lib := base.Clone(tertiary.Config{
-					Profile:    profile,
-					Tapes:      serials,
-					Drives:     drives,
-					MountSec:   cfg.MountSec,
-					UnmountSec: cfg.UnmountSec,
-					BatchLimit: limit,
-					Scheduler:  nil,
-					Policy:     cfg.Policy,
-					WindowSec:  cfg.WindowSec,
-					QueueCap:   cfg.QueueCap,
-					Retry:      cfg.Retry,
-					Reg:        reg,
-					Spans:      spans,
-					Labels:     labels,
-				})
-				var tierCfg Config
-				if sp.size > 0 {
-					tierCfg = Config{
-						CapacityBytes: sp.size,
-						Policy:        sp.policy,
-						Disk:          cfg.Disk,
-						Prefetch:      cfg.Prefetch,
-					}
-				}
-				tier, err := NewTier(lib, tierCfg)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err))
-					return
-				}
-				comps, m, err := tier.Run(stream)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err))
-					return
-				}
-				cell := Cell{RatePerHour: rate, CacheBytes: sp.size, Policy: sp.policy, Metrics: m}
-				lats := make([]float64, len(comps))
-				var sum float64
-				for j, c := range comps {
-					lats[j] = c.Latency()
-					sum += lats[j]
-					if lats[j] > cell.MaxSojourn {
-						cell.MaxSojourn = lats[j]
-					}
-				}
-				if len(lats) > 0 {
-					cell.MeanSojourn = sum / float64(len(lats))
-				}
-				cell.P99Sojourn = stats.PercentileOrZero(lats, 99)
-				if spans != nil {
-					cell.Spans = spans.Spans()
-					cell.Completions = comps
-				}
-				cells[i] = cell
-				regs[i] = reg
+	err = grid.Run(cfg.Workers, len(specs), func(i int) error {
+		sp := specs[i]
+		rate := rates[sp.rateIdx]
+		// One seed per rate, in tertiary.Sweep's index positions with
+		// the size and policy axes excluded: every cache size and
+		// policy replays the same workload, and the size-0 cells share
+		// streams with the bare library sweep.
+		seed := grid.Seed(cfg.Seed, sp.rateIdx, 0, 0)
+		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects)
+		if err != nil {
+			return fmt.Errorf("hsm: sweep arrivals %g/h: %w", rate, err)
+		}
+		reg := obs.NewRegistry()
+		var spans *obs.Tracer
+		if cfg.SpanCap > 0 {
+			spans = obs.NewTracer(cfg.SpanCap)
+		}
+		labels := []obs.Label{
+			obs.L("rate", fmt.Sprintf("%g", rate)),
+			obs.L("drives", strconv.Itoa(drives)),
+			obs.L("batch", strconv.Itoa(limit)),
+		}
+		if sp.size > 0 {
+			labels = append(labels,
+				obs.L("cache", strconv.FormatInt(sp.size, 10)),
+				obs.L("policy", sp.policy))
+		}
+		lib := base.Clone(tertiary.Config{
+			Profile:    profile,
+			Tapes:      serials,
+			Drives:     drives,
+			MountSec:   cfg.MountSec,
+			UnmountSec: cfg.UnmountSec,
+			BatchLimit: limit,
+			Scheduler:  nil,
+			Policy:     cfg.Policy,
+			WindowSec:  cfg.WindowSec,
+			QueueCap:   cfg.QueueCap,
+			Retry:      cfg.Retry,
+			Reg:        reg,
+			Spans:      spans,
+			Labels:     labels,
+		})
+		var tierCfg Config
+		if sp.size > 0 {
+			tierCfg = Config{
+				CapacityBytes: sp.size,
+				Policy:        sp.policy,
+				Disk:          cfg.Disk,
+				Prefetch:      cfg.Prefetch,
 			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+		}
+		tier, err := NewTier(lib, tierCfg)
+		if err != nil {
+			return fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err)
+		}
+		comps, m, err := tier.Run(stream)
+		if err != nil {
+			return fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err)
+		}
+		cell := Cell{RatePerHour: rate, CacheBytes: sp.size, Policy: sp.policy, Metrics: m}
+		lats := make([]float64, len(comps))
+		var sum float64
+		for j, c := range comps {
+			lats[j] = c.Latency()
+			sum += lats[j]
+			if lats[j] > cell.MaxSojourn {
+				cell.MaxSojourn = lats[j]
+			}
+		}
+		if len(lats) > 0 {
+			cell.MeanSojourn = sum / float64(len(lats))
+		}
+		cell.P99Sojourn = stats.PercentileOrZero(lats, 99)
+		if spans != nil {
+			cell.Spans = spans.Spans()
+			cell.Completions = comps
+		}
+		cells[i] = cell
+		regs[i] = reg
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Merge in spec order so the aggregated dump is independent of
@@ -297,13 +266,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-func reportErr(errs chan<- error, err error) {
-	select {
-	case errs <- err:
-	default:
-	}
 }
 
 // sizeLabel renders a cache capacity for tables: "off" for 0,

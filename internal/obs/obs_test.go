@@ -159,22 +159,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestTraceRing(t *testing.T) {
-	tr := NewTrace(3)
-	for i := 0; i < 5; i++ {
-		tr.Add(TraceEvent{ClockSec: float64(i), Op: "locate", Segment: i})
-	}
-	evs := tr.Events()
-	if len(evs) != 3 || tr.Total() != 5 || tr.Dropped() != 2 {
-		t.Fatalf("ring len=%d total=%d dropped=%d, want 3/5/2", len(evs), tr.Total(), tr.Dropped())
-	}
-	for i, ev := range evs {
-		if ev.Segment != i+2 {
-			t.Fatalf("event %d is segment %d, want %d (oldest-first)", i, ev.Segment, i+2)
-		}
-	}
-}
-
 func TestWritePromEscapesLabelValues(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("events_total", L("path", `C:\tapes\"vault"`+"\nline2")).Inc()

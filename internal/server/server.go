@@ -94,9 +94,6 @@ type Config struct {
 	// Labels are added to every metric series the run emits; the
 	// sweeps pass the cell coordinates here.
 	Labels []obs.Label
-	// TraceCap, when positive, attaches a bounded trace of the most
-	// recent drive operations to the registry.
-	TraceCap int
 	// Spans, when non-nil, records the run's lifecycle as hierarchical
 	// virtual-time spans: the run, each batch, each request from
 	// arrival to completion with its queue wait, the executor's
@@ -360,13 +357,9 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 	}
 
 	// Observability: every drive operation feeds per-op counters and
-	// latency histograms, plus the bounded trace when asked for and a
-	// leaf span under the executing batch. The drive's clock excludes
-	// accounted idle, so s.idle maps it onto the run's virtual time.
-	tr := reg.Trace()
-	if cfg.TraceCap > 0 {
-		tr = reg.AttachTrace(cfg.TraceCap)
-	}
+	// latency histograms, plus a leaf span under the executing batch.
+	// The drive's clock excludes accounted idle, so s.idle maps it
+	// onto the run's virtual time.
 	drv.AttachTrace(func(ev obs.TraceEvent) {
 		if oi := drive.OpIndex(ev.Op); oi >= 0 {
 			c := s.opsC[oi]
@@ -387,9 +380,6 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 		}
 		if ev.Err != "" {
 			s.counter("drive_errors_total", obs.L("class", ev.Err)).Inc()
-		}
-		if tr != nil {
-			tr.Add(ev)
 		}
 		if s.trace != nil {
 			sp := s.trace.Start(ev.Op, s.curBatch, ev.ClockSec+s.idle)

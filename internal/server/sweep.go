@@ -3,12 +3,10 @@ package server
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
+	"serpentine/internal/grid"
 	"serpentine/internal/obs"
 	"serpentine/internal/sim"
 	"serpentine/internal/workload"
@@ -118,82 +116,55 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 	}
 	cells := make([]SweepCell, len(specs))
 	regs := make([]*obs.Registry, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				rate := rates[sp.rateIdx]
-				policy := policies[sp.polIdx]
-				sched := scheds[sp.algIdx]
-				// One seed per cell coordinate: stable under sweep-order
-				// and worker-count changes.
-				seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.polIdx)*521 + int64(sp.algIdx)*131 + 7
-				gen := workload.NewUniform(segmentSpace, seed+1)
-				arrivals, err := PoissonStream(rate/3600, n, seed, gen)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("server: sweep arrivals %g/h: %w", rate, err))
-					return
-				}
-				faults := cfg.Faults
-				if faults.Enabled() {
-					faults.Seed = seed + 3
-				}
-				reg := obs.NewRegistry()
-				run := Run
-				if cfg.Analytical {
-					run = AnalyticalRun
-				}
-				res, err := run(Config{
-					Serial:    cfg.Serial,
-					Scheduler: sched,
-					Policy:    policy,
-					WindowSec: cfg.WindowSec,
-					QueueCap:  cfg.QueueCap,
-					MaxBatch:  cfg.MaxBatch,
-					ReadLen:   cfg.ReadLen,
-					Retry:     cfg.Retry,
-					Faults:    faults,
-					Reg:       reg,
-					Spans:     cfg.Spans,
-					Labels: []obs.Label{
-						obs.L("rate", fmt.Sprintf("%g", rate)),
-						obs.L("policy", policy.String()),
-						obs.L("alg", sched.Name()),
-					},
-				}, arrivals)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("server: sweep cell %g/h %s %s: %w", rate, policy, sched.Name(), err))
-					return
-				}
-				cells[i] = SweepCell{RatePerHour: rate, Policy: policy, Alg: sched.Name(), Result: res}
-				regs[i] = reg
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	err := grid.Run(cfg.Workers, len(specs), func(i int) error {
+		sp := specs[i]
+		rate := rates[sp.rateIdx]
+		policy := policies[sp.polIdx]
+		sched := scheds[sp.algIdx]
+		// One seed per cell coordinate: stable under sweep-order and
+		// worker-count changes.
+		seed := grid.Seed(cfg.Seed, sp.rateIdx, sp.polIdx, sp.algIdx)
+		gen := workload.NewUniform(segmentSpace, seed+1)
+		arrivals, err := PoissonStream(rate/3600, n, seed, gen)
+		if err != nil {
+			return fmt.Errorf("server: sweep arrivals %g/h: %w", rate, err)
+		}
+		faults := cfg.Faults
+		if faults.Enabled() {
+			faults.Seed = seed + 3
+		}
+		reg := obs.NewRegistry()
+		run := Run
+		if cfg.Analytical {
+			run = AnalyticalRun
+		}
+		res, err := run(Config{
+			Serial:    cfg.Serial,
+			Scheduler: sched,
+			Policy:    policy,
+			WindowSec: cfg.WindowSec,
+			QueueCap:  cfg.QueueCap,
+			MaxBatch:  cfg.MaxBatch,
+			ReadLen:   cfg.ReadLen,
+			Retry:     cfg.Retry,
+			Faults:    faults,
+			Reg:       reg,
+			Spans:     cfg.Spans,
+			Labels: []obs.Label{
+				obs.L("rate", fmt.Sprintf("%g", rate)),
+				obs.L("policy", policy.String()),
+				obs.L("alg", sched.Name()),
+			},
+		}, arrivals)
+		if err != nil {
+			return fmt.Errorf("server: sweep cell %g/h %s %s: %w", rate, policy, sched.Name(), err)
+		}
+		cells[i] = SweepCell{RatePerHour: rate, Policy: policy, Alg: sched.Name(), Result: res}
+		regs[i] = reg
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Merge in spec order so the aggregated dump is independent
@@ -212,13 +183,6 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 // constant, and Run re-validates every segment against the real
 // model.
 const segmentSpace = 622058
-
-func reportErr(errs chan<- error, err error) {
-	select {
-	case errs <- err:
-	default:
-	}
-}
 
 // WriteOnline prints the sweep: one block per arrival rate, one row
 // per (policy, scheduler), with sojourn-time percentiles, mean

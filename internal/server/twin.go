@@ -23,7 +23,7 @@ import (
 // ignored). On fault-free runs the error is the model's interpolation
 // error — about 1% mean, ≤5% across the paper's Fig. 6/7 operating
 // points (enforced by TestAnalyticalTwinAccuracy). Metrics, traces and
-// spans are not emitted: cfg.Reg, cfg.TraceCap and cfg.Spans are
+// spans are not emitted: cfg.Reg and cfg.Spans are
 // ignored. Result.Reg is nil.
 func AnalyticalRun(cfg Config, arrivals []Request) (*Result, error) {
 	serial := cfg.Serial

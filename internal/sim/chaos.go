@@ -3,13 +3,12 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/core"
 	"serpentine/internal/drive"
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
+	"serpentine/internal/grid"
 	"serpentine/internal/locate"
 	"serpentine/internal/obs"
 )
@@ -119,58 +118,32 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 		}
 	}
 	cells := make([]ChaosCell, len(specs))
-	workers := (&Config{Workers: cfg.Workers}).effectiveWorkers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				faults := base.Scale(rates[sp.rateIdx])
-				// One injector seed per cell coordinate: stable under
-				// sweep-order and worker-count changes.
-				faults.Seed = cfg.Seed*1000003 + int64(sp.algIdx)*8191 + int64(sp.rateIdx)*131 + 7
-				res, err := BatchChain(ChainConfig{
-					Model:     model,
-					Scheduler: sp.sched,
-					BatchSize: batch,
-					Batches:   batches,
-					Warmup:    warmup,
-					ReadLen:   cfg.ReadLen,
-					Seed:      cfg.Seed,
-					Drive:     drive.New(tape),
-					Faults:    faults,
-					Policy:    cfg.Policy,
-				})
-				if err != nil {
-					select {
-					case errs <- fmt.Errorf("sim: chaos %s rate %g: %w", sp.sched.Name(), rates[sp.rateIdx], err):
-					default:
-					}
-					return
-				}
-				cells[i] = ChaosCell{Alg: sp.sched.Name(), Rate: rates[sp.rateIdx], Result: res}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	err = grid.Run(cfg.Workers, len(specs), func(i int) error {
+		sp := specs[i]
+		faults := base.Scale(rates[sp.rateIdx])
+		// One injector seed per cell coordinate: stable under
+		// sweep-order and worker-count changes.
+		faults.Seed = grid.Seed(cfg.Seed, sp.algIdx, 0, sp.rateIdx)
+		res, err := BatchChain(ChainConfig{
+			Model:     model,
+			Scheduler: sp.sched,
+			BatchSize: batch,
+			Batches:   batches,
+			Warmup:    warmup,
+			ReadLen:   cfg.ReadLen,
+			Seed:      cfg.Seed,
+			Drive:     drive.New(tape),
+			Faults:    faults,
+			Policy:    cfg.Policy,
+		})
+		if err != nil {
+			return fmt.Errorf("sim: chaos %s rate %g: %w", sp.sched.Name(), rates[sp.rateIdx], err)
+		}
+		cells[i] = ChaosCell{Alg: sp.sched.Name(), Rate: rates[sp.rateIdx], Result: res}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Record in spec order so the dump is independent of which

@@ -249,6 +249,10 @@ func runLength(cfg Config, gen func(int64) workload.Generator, n, trials, optMax
 		lr.Alg[s.Name()] = &AlgResult{}
 	}
 
+	// Trials do not go through grid.Run: a length runs up to 100,000
+	// of them, and each worker reduces its trials into its own
+	// accumulators and merges once, instead of keeping one result per
+	// trial for a spec-order merge.
 	var (
 		mu   sync.Mutex
 		wg   sync.WaitGroup
@@ -296,6 +300,14 @@ func runLength(cfg Config, gen func(int64) workload.Generator, n, trials, optMax
 	return lr, nil
 }
 
+// trialSeed derives the request-set seed of one (length, trial) pair:
+// distinct and deterministic per pair, so the experiment is
+// reproducible regardless of worker count. Run and the validation
+// experiments draw the same request sets from it.
+func trialSeed(base int64, n, trial int) int64 {
+	return base*1000003 + int64(n)*1000003607 + int64(trial)
+}
+
 // skipAtLength reports whether scheduler s is excluded at schedule
 // length n (only the exponential OPT is, beyond optMax, as in the
 // paper).
@@ -310,10 +322,7 @@ func skipAtLength(s core.Scheduler, n, optMax int) bool {
 // the Figure 6 CPU-per-schedule metric excludes request generation,
 // verification and estimation.
 func runTrial(cfg Config, gen func(int64) workload.Generator, n, trial int, active []core.Scheduler, local []AlgResult, p *core.Problem) error {
-	// A distinct, deterministic seed per (length, trial) pair keeps
-	// the experiment reproducible regardless of worker count.
-	seed := cfg.Seed*1000003 + int64(n)*1000003607 + int64(trial)
-	g := gen(seed)
+	g := gen(trialSeed(cfg.Seed, n, trial))
 	set := g.Batch(n + 1)
 	start := set[0]
 	if cfg.Start == BOTStart {

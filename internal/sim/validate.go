@@ -79,8 +79,7 @@ func Validate(cfg ValidationConfig) ([]ValidationPoint, error) {
 	var points []ValidationPoint
 	for _, n := range lengths {
 		for trial := 0; trial < trials; trial++ {
-			seed := cfg.Seed*1000003 + int64(n)*1000003607 + int64(trial)
-			reqs := workload.NewUniform(total, seed).Batch(n)
+			reqs := workload.NewUniform(total, trialSeed(cfg.Seed, n, trial)).Batch(n)
 			p := &core.Problem{
 				Start:    cfg.Drive.Position(),
 				Requests: reqs,
@@ -209,8 +208,7 @@ func PerturbStudy(cfg PerturbConfig) ([]PerturbPoint, error) {
 		accs := make([]stats.Accumulator, len(errorsE))
 		nt := trials(n)
 		for trial := 0; trial < nt; trial++ {
-			seed := cfg.Seed*1000003 + int64(n)*1000003607 + int64(trial)
-			set := workload.NewUniform(total, seed).Batch(n + 1)
+			set := workload.NewUniform(total, trialSeed(cfg.Seed, n, trial)).Batch(n + 1)
 			start := set[0]
 			if cfg.Start == BOTStart {
 				start = 0

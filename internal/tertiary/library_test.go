@@ -357,12 +357,11 @@ func TestReplanOnArrivalServesOneAtATime(t *testing.T) {
 	}
 }
 
-// The registry sees what the metrics report, and the drive trace
-// captures operations.
+// The registry sees what the metrics report, and the drive hook counts
+// operations per drive.
 func TestObservabilityCounters(t *testing.T) {
 	cfg := smallCfg(1)
 	cfg.QueueCap = 6
-	cfg.TraceCap = 64
 	reg := obs.NewRegistry()
 	cfg.Reg = reg
 	cat := smallCatalog(t, cfg, 10)
@@ -390,8 +389,8 @@ func TestObservabilityCounters(t *testing.T) {
 	if got := reg.Counter("mounts_total", obs.L("tape", "101")).Value(); got != int64(m.Mounts) {
 		t.Fatalf("mounts_total{tape=101} %d, metrics %d", got, m.Mounts)
 	}
-	if tr := reg.Trace(); tr == nil || len(tr.Events()) == 0 {
-		t.Fatal("drive trace captured nothing")
+	if got := reg.Counter("drive_ops_total", obs.L("op", "locate"), obs.L("drive", "0")).Value(); got <= 0 {
+		t.Fatalf("drive_ops_total{op=locate,drive=0} = %d, want > 0", got)
 	}
 	if got := reg.Gauge("makespan_seconds").Value(); got != m.Makespan {
 		t.Fatalf("makespan gauge %g, metrics %g", got, m.Makespan)

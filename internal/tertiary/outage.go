@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
+	"serpentine/internal/grid"
 )
 
 // OutageConfig describes the availability experiment: one synthetic
@@ -218,81 +216,53 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 		}
 	}
 	cells := make([]OutageCell, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				mttf := mttfs[sp.mttfIdx]
-				mttr := mttrs[sp.mttrIdx]
-				r := replicas[sp.repIdx]
-				// The seed deliberately excludes the replica index:
-				// all R cells at one (MTTF, MTTR) coordinate replay
-				// the same arrivals and the same component-failure
-				// history.
-				seed := cfg.Seed*1000003 + int64(sp.mttfIdx)*8191 + int64(sp.mttrIdx)*521 + 7
-				stream, err := sweepStream(rate, n, seed, tapeCount, objects)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: outage arrivals: %w", err))
-					return
-				}
-				lc := fault.LifecycleConfig{
-					DriveMTTFSec:      mttf,
-					RobotStallRate:    cfg.RobotStallRate,
-					CartridgeLossRate: cfg.CartridgeLossRate,
-					BadSpotRate:       cfg.BadSpotRate,
-					Seed:              seed + 5,
-				}
-				if mttf > 0 {
-					lc.DriveMTTRSec = mttr
-				}
-				lib := base.Clone(Config{
-					Profile:     profile,
-					Tapes:       serials,
-					Drives:      drives,
-					BatchLimit:  limit,
-					Lifecycle:   lc,
-					Placement:   placements[r],
-					DeadlineSec: cfg.DeadlineSec,
-				})
-				comps, m, err := lib.Run(stream)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: outage cell mttf=%g mttr=%g R=%d: %w", mttf, mttr, r, err))
-					return
-				}
-				cell := OutageCell{
-					MTTFSec: mttf, MTTRSec: mttr, Replicas: r,
-					Metrics: m, Offered: len(stream),
-					Availability: float64(m.Served) / float64(len(stream)),
-				}
-				cell.P50Sec, cell.P99Sec = sojournPercentiles(comps)
-				cells[i] = cell
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	err = grid.Run(cfg.Workers, len(specs), func(i int) error {
+		sp := specs[i]
+		mttf := mttfs[sp.mttfIdx]
+		mttr := mttrs[sp.mttrIdx]
+		r := replicas[sp.repIdx]
+		// The seed deliberately excludes the replica index: all R
+		// cells at one (MTTF, MTTR) coordinate replay the same
+		// arrivals and the same component-failure history.
+		seed := grid.Seed(cfg.Seed, sp.mttfIdx, sp.mttrIdx, 0)
+		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		if err != nil {
+			return fmt.Errorf("tertiary: outage arrivals: %w", err)
+		}
+		lc := fault.LifecycleConfig{
+			DriveMTTFSec:      mttf,
+			RobotStallRate:    cfg.RobotStallRate,
+			CartridgeLossRate: cfg.CartridgeLossRate,
+			BadSpotRate:       cfg.BadSpotRate,
+			Seed:              seed + 5,
+		}
+		if mttf > 0 {
+			lc.DriveMTTRSec = mttr
+		}
+		lib := base.Clone(Config{
+			Profile:     profile,
+			Tapes:       serials,
+			Drives:      drives,
+			BatchLimit:  limit,
+			Lifecycle:   lc,
+			Placement:   placements[r],
+			DeadlineSec: cfg.DeadlineSec,
+		})
+		comps, m, err := lib.Run(stream)
+		if err != nil {
+			return fmt.Errorf("tertiary: outage cell mttf=%g mttr=%g R=%d: %w", mttf, mttr, r, err)
+		}
+		cell := OutageCell{
+			MTTFSec: mttf, MTTRSec: mttr, Replicas: r,
+			Metrics: m, Offered: len(stream),
+			Availability: float64(m.Served) / float64(len(stream)),
+		}
+		cell.P50Sec, cell.P99Sec = sojournPercentiles(comps)
+		cells[i] = cell
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	return cells, nil
 }

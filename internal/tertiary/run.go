@@ -94,7 +94,6 @@ type runState struct {
 	boundary bool
 	finished bool
 	reg      *obs.Registry
-	tr       *obs.Trace
 	trace    *obs.TraceHandle
 	root     *obs.SpanHandle
 	done     []Completion
@@ -314,11 +313,6 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		for i := range s.drives {
 			s.drives[i].outCounted = -1
 		}
-	}
-	if l.cfg.TraceCap > 0 {
-		s.tr = reg.AttachTrace(l.cfg.TraceCap)
-	} else {
-		s.tr = reg.Trace()
 	}
 	if l.cfg.SpanTrace != nil {
 		s.trace = l.cfg.SpanTrace
@@ -828,13 +822,12 @@ func (s *runState) exchange(d *driveState, serial int64, now float64) (rewind, w
 }
 
 // driveTraceFn builds the drive's trace hook: every operation feeds
-// the per-op counters and histograms, the bounded trace ring when one
-// is attached, and a leaf span under the drive's executing batch.
-// Tracing never perturbs drive timing. The hook is built once per
-// drive and re-attached on every exchange; its metric handles are
-// cached in flat arrays, so with spans and the ring disabled the per
-// operation cost is two handle increments — no key rendering, no map
-// lookups, no allocation.
+// the per-op counters and histograms and a leaf span under the
+// drive's executing batch. Tracing never perturbs drive timing. The
+// hook is built once per drive and re-attached on every exchange; its
+// metric handles are cached in flat arrays, so with spans disabled
+// the per operation cost is two handle increments — no key rendering,
+// no map lookups, no allocation.
 func (s *runState) driveTraceFn(d *driveState) drive.TraceFunc {
 	return func(ev obs.TraceEvent) {
 		if oi := drive.OpIndex(ev.Op); oi >= 0 {
@@ -856,9 +849,6 @@ func (s *runState) driveTraceFn(d *driveState) drive.TraceFunc {
 		}
 		if ev.Err != "" {
 			s.counter("drive_errors_total", obs.L("class", ev.Err), d.dl).Inc()
-		}
-		if s.tr != nil {
-			s.tr.Add(ev)
 		}
 		if s.trace != nil {
 			sp := s.trace.Start(ev.Op, d.curBatch, d.base+ev.ClockSec)

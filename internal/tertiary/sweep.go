@@ -3,14 +3,12 @@ package tertiary
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
+	"serpentine/internal/grid"
 	"serpentine/internal/obs"
 	"serpentine/internal/server"
 	"serpentine/internal/sim"
@@ -160,99 +158,72 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	}
 	cells := make([]Cell, len(specs))
 	regs := make([]*obs.Registry, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				rate := rates[sp.rateIdx]
-				drives := driveCounts[sp.driveIdx]
-				limit := limits[sp.limitIdx]
-				// One seed per cell coordinate: stable under
-				// sweep-order and worker-count changes.
-				seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.driveIdx)*521 + int64(sp.limitIdx)*131 + 7
-				stream, err := sweepStream(rate, n, seed, tapeCount, objects)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: sweep arrivals %g/h: %w", rate, err))
-					return
-				}
-				faults := cfg.Faults
-				if faults.Enabled() {
-					faults.Seed = seed + 3
-				}
-				lifecycle := cfg.Lifecycle
-				if lifecycle.Enabled() {
-					lifecycle.Seed = seed + 5
-				}
-				reg := obs.NewRegistry()
-				var spans *obs.Tracer
-				if cfg.SpanCap > 0 {
-					spans = obs.NewTracer(cfg.SpanCap)
-				}
-				lib := base.Clone(Config{
-					Profile:    profile,
-					Tapes:      serials,
-					Drives:     drives,
-					MountSec:   cfg.MountSec,
-					UnmountSec: cfg.UnmountSec,
-					BatchLimit: limit,
-					Scheduler:  cfg.Scheduler,
-					Policy:     cfg.Policy,
-					WindowSec:  cfg.WindowSec,
-					QueueCap:   cfg.QueueCap,
-					Retry:      cfg.Retry,
-					Faults:     faults,
-					Lifecycle:  lifecycle,
-					Reg:        reg,
-					Spans:      spans,
-					Labels: []obs.Label{
-						obs.L("rate", fmt.Sprintf("%g", rate)),
-						obs.L("drives", strconv.Itoa(drives)),
-						obs.L("batch", strconv.Itoa(limit)),
-					},
-				})
-				run := lib.Run
-				if cfg.Analytical {
-					run = lib.Estimate
-				}
-				comps, m, err := run(stream)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: sweep cell %g/h %dd limit %d: %w", rate, drives, limit, err))
-					return
-				}
-				cell := Cell{RatePerHour: rate, Drives: drives, BatchLimit: limit, Metrics: m}
-				if spans != nil {
-					cell.Spans = spans.Spans()
-					cell.Completions = comps
-				}
-				cells[i] = cell
-				regs[i] = reg
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	err = grid.Run(cfg.Workers, len(specs), func(i int) error {
+		sp := specs[i]
+		rate := rates[sp.rateIdx]
+		drives := driveCounts[sp.driveIdx]
+		limit := limits[sp.limitIdx]
+		// One seed per cell coordinate: stable under sweep-order and
+		// worker-count changes.
+		seed := grid.Seed(cfg.Seed, sp.rateIdx, sp.driveIdx, sp.limitIdx)
+		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		if err != nil {
+			return fmt.Errorf("tertiary: sweep arrivals %g/h: %w", rate, err)
+		}
+		faults := cfg.Faults
+		if faults.Enabled() {
+			faults.Seed = seed + 3
+		}
+		lifecycle := cfg.Lifecycle
+		if lifecycle.Enabled() {
+			lifecycle.Seed = seed + 5
+		}
+		reg := obs.NewRegistry()
+		var spans *obs.Tracer
+		if cfg.SpanCap > 0 {
+			spans = obs.NewTracer(cfg.SpanCap)
+		}
+		lib := base.Clone(Config{
+			Profile:    profile,
+			Tapes:      serials,
+			Drives:     drives,
+			MountSec:   cfg.MountSec,
+			UnmountSec: cfg.UnmountSec,
+			BatchLimit: limit,
+			Scheduler:  cfg.Scheduler,
+			Policy:     cfg.Policy,
+			WindowSec:  cfg.WindowSec,
+			QueueCap:   cfg.QueueCap,
+			Retry:      cfg.Retry,
+			Faults:     faults,
+			Lifecycle:  lifecycle,
+			Reg:        reg,
+			Spans:      spans,
+			Labels: []obs.Label{
+				obs.L("rate", fmt.Sprintf("%g", rate)),
+				obs.L("drives", strconv.Itoa(drives)),
+				obs.L("batch", strconv.Itoa(limit)),
+			},
+		})
+		run := lib.Run
+		if cfg.Analytical {
+			run = lib.Estimate
+		}
+		comps, m, err := run(stream)
+		if err != nil {
+			return fmt.Errorf("tertiary: sweep cell %g/h %dd limit %d: %w", rate, drives, limit, err)
+		}
+		cell := Cell{RatePerHour: rate, Drives: drives, BatchLimit: limit, Metrics: m}
+		if spans != nil {
+			cell.Spans = spans.Spans()
+			cell.Completions = comps
+		}
+		cells[i] = cell
+		regs[i] = reg
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Merge in spec order so the aggregated dump is independent
@@ -356,13 +327,6 @@ func sweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int)
 
 func sweepObjectID(tape, obj int) string {
 	return "t" + strconv.Itoa(tape) + "/o" + strconv.Itoa(obj)
-}
-
-func reportErr(errs chan<- error, err error) {
-	select {
-	case errs <- err:
-	default:
-	}
 }
 
 // WriteLibrary prints the sweep: one block per arrival rate, one row

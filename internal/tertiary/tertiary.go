@@ -286,9 +286,6 @@ type Config struct {
 	// Labels are added to every metric series the run emits; the
 	// sweep passes the cell coordinates here.
 	Labels []obs.Label
-	// TraceCap, when positive, attaches a bounded trace of the most
-	// recent drive operations to the registry.
-	TraceCap int
 	// Spans, when non-nil, records the run as hierarchical
 	// virtual-time spans: the run, per-drive batches on their own
 	// lanes, robot waits and exchanges, the executor's recovery

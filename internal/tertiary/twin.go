@@ -21,9 +21,9 @@ import (
 // emulated mechanism: the per-cartridge timing personality the model
 // interpolates over, head-pass wear accounting (HeadPasses stays 0),
 // and fault recovery — the twin is fault-free and ignores cfg.Faults,
-// cfg.Reg, cfg.TraceCap and cfg.Spans. On fault-free runs the error
-// is the model's interpolation error: about 1% mean latency error,
-// ≤5% across the paper's Fig. 6/7 operating points (enforced by
+// cfg.Reg and cfg.Spans. On fault-free runs the error is the model's
+// interpolation error: about 1% mean latency error, ≤5% across the
+// paper's Fig. 6/7 operating points (enforced by
 // TestAnalyticalTwinAccuracy).
 func (l *Library) Estimate(requests []Request) ([]Completion, Metrics, error) {
 	arrivals := make([]pending, 0, len(requests))

@@ -6,6 +6,9 @@
 # comparing against the committed files.
 #
 #   results       every table `make results` regenerates
+#   chaos         the fault-rate sweep (results/chaos.txt)
+#   online        the online-server sweep (results/online.txt)
+#   library       the tape-library sweep (results/library.txt)
 #   trace         span evidence (results/trace.json, attribution.txt)
 #   availability  the lifecycle-fault sweep (results/availability.txt)
 #   fleet         the sharded-cluster sweep (results/fleet.txt)
@@ -21,6 +24,14 @@ case "${1:-}" in
 results)
 	make results
 	git diff --exit-code results/
+	;;
+chaos | online | library)
+	cmd=$1
+	[ "$1" = online ] && cmd=serve
+	go run "./cmd/$cmd" -workers 1 >"$tmp/$1-1.txt"
+	go run "./cmd/$cmd" -workers 8 >"$tmp/$1-8.txt"
+	cmp "$tmp/$1-1.txt" "$tmp/$1-8.txt"
+	cmp "$tmp/$1-1.txt" "results/$1.txt"
 	;;
 trace)
 	go run ./cmd/trace -workers 1 -trace "$tmp/trace-1.json" -attrib "$tmp/attrib-1.txt"
@@ -57,7 +68,7 @@ slo)
 	cmp "$tmp/slo.txt" results/slo.txt
 	;;
 *)
-	echo "usage: $0 {results|trace|availability|fleet|cache|slo}" >&2
+	echo "usage: $0 {results|chaos|online|library|trace|availability|fleet|cache|slo}" >&2
 	exit 2
 	;;
 esac
