@@ -11,12 +11,21 @@ BENCH13_OUT ?= BENCH_PR13.json
 BENCH13_BASELINE ?= BENCH_PR13_BASELINE.txt
 BENCH14_OUT ?= BENCH_PR14.json
 BENCH14_BASELINE ?= BENCH_PR14_BASELINE.txt
+BENCH16_OUT ?= BENCH_PR16.json
+BENCH16_BASELINE ?= BENCH_PR16_BASELINE.txt
 
 # End-to-end benchmarks for the dispatch-loop perf pass: a full
 # library sweep cell, the online server's steady-state loop, and the
 # bare event-heap cycle. 200 fixed iterations amortize sync.Pool
 # warmup so the numbers reflect steady state, not cold pools.
 E2E_BENCH := BenchmarkLibrarySweepCell$$|BenchmarkServerSteadyState|BenchmarkEventLoopDispatch
+
+# The layer ladder above the library: a fleet sweep cell (1-shard
+# pass-through vs 8-shard affinity), a staging-tier sweep cell (size 0
+# vs 32 MB), and wide-event emission (nil vs armed ring, with and
+# without a health tracker). Each op is a whole run of a few thousand
+# requests, so a fixed 20 iterations per sample suffices.
+LADDER_BENCH := BenchmarkFleetSweepCell|BenchmarkTierSweepCell|BenchmarkEventEmission
 
 # Pinned analysis-tool versions: `go run pkg@version` fetches and runs
 # without touching go.mod, so the simulator itself stays dependency-free.
@@ -25,7 +34,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr16 profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the sweep runner and the parallel simulator plus the packages
@@ -94,6 +103,18 @@ bench-pr14:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH14_BASELINE) < $(BENCH_TXT) > $(BENCH14_OUT)
 	rm -f $(BENCH_TXT)
 
+# Regenerate the committed evidence for the flat fleet path: the
+# scheduler suite and end-to-end benches (trajectory continuity) plus
+# the fleet, tier and emission ladder, with the capture from the
+# parent revision embedded under "baseline". GOMAXPROCS=1 as for
+# bench-pr13.
+bench-pr16:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkScheduler$$' -benchmem ./internal/core | tee $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(E2E_BENCH)' -benchtime 200x -benchmem ./internal/tertiary ./internal/server | tee -a $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee -a $(BENCH_TXT)
+	$(GO) run ./cmd/benchjson -baseline $(BENCH16_BASELINE) < $(BENCH_TXT) > $(BENCH16_OUT)
+	rm -f $(BENCH_TXT)
+
 # CPU and heap profiles of a representative library sweep cell, for
 # `go tool pprof results/pprof/cpu.out` (see EXPERIMENTS.md §"Profiling
 # the event loop"). Artifacts are gitignored.
@@ -107,8 +128,9 @@ profile:
 # reference), the bounded OPT search (against the exhaustive dynamic
 # program), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
 # wide-event ring, the SLO sliding windows, the staging cache's
-# eviction policies, and the fleet routing tier — the state machines
-# arbitrary inputs can reach. CI runs this on every PR; locally, raise
+# eviction policies, the fleet routing tier, and the fleet's event fold
+# and health feed (against their copy-and-sort oracles) — the state
+# machines arbitrary inputs can reach. CI runs this on every PR; locally, raise
 # FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLOSSLazyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
@@ -123,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindow$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEviction$$' -fuzztime $(FUZZTIME) ./internal/hsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRouting$$' -fuzztime $(FUZZTIME) ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetFoldEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 
 # Static analysis beyond vet, with pinned tool versions. Needs network
 # on first run to fetch the tools (CI caches them).

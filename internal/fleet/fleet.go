@@ -20,7 +20,7 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"serpentine/internal/fault"
@@ -57,18 +57,23 @@ type StoreConfig struct {
 	Replicas int
 }
 
-// copyGroup is one shard's copies of an object: the shard index and
-// the cartridge serials holding the copies there, in copy order. The
-// first group of an object's directory entry is the shard holding
-// copy 0 — the primary shard.
+// copyGroup is one shard's copies of an object: the shard index, the
+// object's cache slot there (its index in the shard library's
+// Objects(), which the staging tier indexes residency by), and the
+// cartridge serials holding the copies, in copy order. The first group
+// of an object's directory entry is the shard holding copy 0 — the
+// primary shard.
 type copyGroup struct {
 	shard   int
+	slot    int
 	serials []int64
 }
 
 // Fleet is a built cluster: per-shard base libraries sharing their
 // read-only stores, per-shard replica placements, and the routing
-// directory mapping every object to the shards holding its copies. A
+// directory mapping every object to the shards holding its copies,
+// indexed by the object's (tape, object) position — routing parses a
+// request's ID back into that index and indexes everything after it. A
 // Fleet is immutable after New; Run clones per-shard libraries for
 // each run, so one Fleet serves concurrent runs (the sweep's cells).
 type Fleet struct {
@@ -76,7 +81,7 @@ type Fleet struct {
 	bases      []*tertiary.Library
 	placements []*tertiary.Placement
 	tapes      [][]int64
-	dir        map[string][]copyGroup
+	dir        [][]copyGroup // by objectIndex
 }
 
 // New builds the fleet store: generates every cartridge, deals them
@@ -131,7 +136,7 @@ func New(cfg StoreConfig) (*Fleet, error) {
 		bases:      make([]*tertiary.Library, cfg.Shards),
 		placements: make([]*tertiary.Placement, cfg.Shards),
 		tapes:      make([][]int64, cfg.Shards),
-		dir:        make(map[string][]copyGroup, cfg.TapeCount*cfg.Objects),
+		dir:        make([][]copyGroup, 0, cfg.TapeCount*cfg.Objects),
 	}
 	serial := func(t int) int64 { return int64(3000 + t) }
 	for t := 0; t < cfg.TapeCount; t++ {
@@ -195,7 +200,7 @@ func New(cfg StoreConfig) (*Fleet, error) {
 					}
 				}
 			}
-			f.dir[id] = groups
+			f.dir = append(f.dir, groups) // at index t*Objects + o
 		}
 	}
 
@@ -209,6 +214,15 @@ func New(cfg StoreConfig) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: shard %d store: %w", s, err)
 		}
 		f.bases[s] = base
+		for slot, o := range base.Objects() {
+			oi, _ := f.objectIndex(o.ID)
+			groups := f.dir[oi]
+			for j := range groups {
+				if groups[j].shard == s {
+					groups[j].slot = slot
+				}
+			}
+		}
 	}
 	return f, nil
 }
@@ -220,6 +234,42 @@ func (f *Fleet) Shards() int { return len(f.bases) }
 // fleet's catalog is identical to tertiary.Sweep's.
 func objectID(tape, obj int) string {
 	return "t" + strconv.Itoa(tape) + "/o" + strconv.Itoa(obj)
+}
+
+// objectIndex inverts objectID onto the directory: the index of the
+// object the ID names, t·Objects + o, and false for any string
+// objectID does not produce for this store — a malformed ID, a
+// non-canonical number (sign, leading zero) or a position outside the
+// store. Every directory entry is named by objectID, so this is exactly
+// the directory lookup, without hashing the string.
+func (f *Fleet) objectIndex(id string) (int, bool) {
+	if len(id) < 4 || id[0] != 't' {
+		return 0, false
+	}
+	tape, rest, ok := leadingInt(id[1:])
+	if !ok || len(rest) < 3 || rest[0] != '/' || rest[1] != 'o' {
+		return 0, false
+	}
+	obj, rest, ok := leadingInt(rest[2:])
+	if !ok || rest != "" || tape >= f.cfg.TapeCount || obj >= f.cfg.Objects {
+		return 0, false
+	}
+	return tape*f.cfg.Objects + obj, true
+}
+
+// leadingInt parses the canonical decimal (strconv.Itoa's form for a
+// non-negative int: no sign, no leading zero) at the front of s and
+// returns the rest. At most 9 digits, which cannot overflow.
+func leadingInt(s string) (int, string, bool) {
+	n, i := 0, 0
+	for i < len(s) && i < 10 && '0' <= s[i] && s[i] <= '9' {
+		n = n*10 + int(s[i]-'0')
+		i++
+	}
+	if i == 0 || i > 9 || (s[0] == '0' && i > 1) {
+		return 0, s, false
+	}
+	return n, s[i:], true
 }
 
 // RunConfig describes one fleet run: the per-shard serving
@@ -338,9 +388,11 @@ type ShardResult struct {
 	CacheMisses int
 }
 
-// decision is one routing outcome.
+// decision is one routing outcome: the shard and the object's cache
+// slot there.
 type decision struct {
 	shard      int
+	slot       int
 	affinity   bool
 	cross      bool
 	unroutable bool
@@ -376,14 +428,55 @@ func eventRingAt(rings []*obs.EventRing, s int) *obs.EventRing {
 // those whose terminal time the arrival clock has passed. Every event
 // harvested later is emitted later and terminates no earlier, so the
 // released sequence is nondecreasing in time — exactly what the
-// tracker's rolling windows require.
+// tracker's rolling windows require. The heap holds compact feedKeys
+// read off the rings in place, and the tracker keys are resolved once
+// per shard and drive.
 type healthFeed struct {
 	tracker   *obs.HealthTracker
 	rings     []*obs.EventRing
 	harvested []int64
-	heap      []obs.Event
-	shardKeys []string
-	driveKeys map[int]string
+	heap      []feedKey
+	shardKeys []*obs.HealthKey
+	driveKeys [][]*obs.HealthKey // by shard, then drive; filled on first use
+}
+
+// eventKey is a shard event's place in the merged order: DoneSec,
+// then shard, then per-shard seq, with ±0 comparing equal. (Shard, Seq)
+// is unique — each shard ring numbers its events densely — so the
+// order is total, and any comparison sort or heap over these keys
+// releases events in one determined sequence.
+type eventKey struct {
+	done  float64
+	seq   int64
+	shard int32
+}
+
+func keyOf(ev *obs.Event) eventKey {
+	return eventKey{done: ev.DoneSec, seq: ev.Seq, shard: int32(ev.Shard)}
+}
+
+func (a eventKey) compare(b eventKey) int {
+	switch {
+	case a.done < b.done:
+		return -1
+	case b.done < a.done:
+		return 1
+	case a.shard != b.shard:
+		return int(a.shard - b.shard)
+	case a.seq < b.seq:
+		return -1
+	case b.seq < a.seq:
+		return 1
+	}
+	return 0
+}
+
+// feedKey is what the feed keeps of one event: its order and the
+// outcome the tracker scores.
+type feedKey struct {
+	eventKey
+	drive int32
+	good  bool
 }
 
 func newHealthFeed(tracker *obs.HealthTracker, rings []*obs.EventRing) *healthFeed {
@@ -391,31 +484,35 @@ func newHealthFeed(tracker *obs.HealthTracker, rings []*obs.EventRing) *healthFe
 		tracker:   tracker,
 		rings:     rings,
 		harvested: make([]int64, len(rings)),
-		shardKeys: make([]string, len(rings)),
-		driveKeys: make(map[int]string),
+		shardKeys: make([]*obs.HealthKey, len(rings)),
+		driveKeys: make([][]*obs.HealthKey, len(rings)),
 	}
 	for s := range rings {
-		hf.shardKeys[s] = "shard=" + strconv.Itoa(s)
+		hf.shardKeys[s] = tracker.Key(shardKey(s))
 	}
 	return hf
 }
+
+func shardKey(shard int) string { return "shard=" + strconv.Itoa(shard) }
 
 // score is the shard's current health for Candidate.Health.
 func (hf *healthFeed) score(shard int) float64 {
 	if hf == nil {
 		return 1
 	}
-	return hf.tracker.Score(hf.shardKeys[shard])
+	return hf.shardKeys[shard].Score()
 }
 
-func (hf *healthFeed) driveKey(shard, drive int) string {
-	id := shard<<16 | drive
-	k, ok := hf.driveKeys[id]
-	if !ok {
-		k = hf.shardKeys[shard] + "/drive=" + strconv.Itoa(drive)
-		hf.driveKeys[id] = k
+func (hf *healthFeed) driveKey(shard, drive int) *obs.HealthKey {
+	keys := hf.driveKeys[shard]
+	for len(keys) <= drive {
+		keys = append(keys, nil)
 	}
-	return k
+	if keys[drive] == nil {
+		keys[drive] = hf.tracker.Key(shardKey(shard) + "/drive=" + strconv.Itoa(drive))
+	}
+	hf.driveKeys[shard] = keys
+	return keys[drive]
 }
 
 // pump harvests each ring's new tail and scores every buffered event
@@ -425,68 +522,90 @@ func (hf *healthFeed) pump(now float64) {
 		return
 	}
 	for s, r := range hf.rings {
-		tail := r.Tail(hf.harvested[s])
-		hf.harvested[s] += int64(len(tail))
-		for _, ev := range tail {
-			hf.push(ev)
-		}
+		hf.harvested[s] = r.Visit(hf.harvested[s], func(ev *obs.Event) {
+			hf.push(feedKey{
+				eventKey: keyOf(ev),
+				drive:    int32(ev.Drive),
+				good:     ev.Outcome == obs.OutcomeServed,
+			})
+		})
 	}
-	for len(hf.heap) > 0 && hf.heap[0].DoneSec <= now {
-		ev := hf.pop()
-		good := ev.Outcome == obs.OutcomeServed
-		hf.tracker.Observe(hf.shardKeys[ev.Shard], ev.DoneSec, good)
-		if ev.Drive >= 0 {
-			hf.tracker.Observe(hf.driveKey(ev.Shard, ev.Drive), ev.DoneSec, good)
+	for len(hf.heap) > 0 && hf.heap[0].done <= now {
+		k := hf.pop()
+		hf.shardKeys[k.shard].Observe(k.done, k.good)
+		if k.drive >= 0 {
+			hf.driveKey(int(k.shard), int(k.drive)).Observe(k.done, k.good)
 		}
 	}
 }
 
-func eventBefore(a, b obs.Event) bool {
-	if a.DoneSec != b.DoneSec {
-		return a.DoneSec < b.DoneSec
-	}
-	if a.Shard != b.Shard {
-		return a.Shard < b.Shard
-	}
-	return a.Seq < b.Seq
-}
-
-func (hf *healthFeed) push(ev obs.Event) {
-	hf.heap = append(hf.heap, ev)
-	i := len(hf.heap) - 1
-	for i > 0 {
+func (hf *healthFeed) push(k feedKey) {
+	hf.heap = append(hf.heap, k)
+	h := hf.heap
+	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !eventBefore(hf.heap[i], hf.heap[parent]) {
+		if h[i].compare(h[parent].eventKey) >= 0 {
 			break
 		}
-		hf.heap[i], hf.heap[parent] = hf.heap[parent], hf.heap[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-func (hf *healthFeed) pop() obs.Event {
-	top := hf.heap[0]
-	n := len(hf.heap) - 1
-	hf.heap[0] = hf.heap[n]
-	hf.heap[n] = obs.Event{} // clear the vacated tail slot
-	hf.heap = hf.heap[:n]
-	i := 0
-	for {
+func (hf *healthFeed) pop() feedKey {
+	h := hf.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && eventBefore(hf.heap[l], hf.heap[small]) {
+		if l < n && h[l].compare(h[small].eventKey) < 0 {
 			small = l
 		}
-		if r < n && eventBefore(hf.heap[r], hf.heap[small]) {
+		if r < n && h[r].compare(h[small].eventKey) < 0 {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		hf.heap[i], hf.heap[small] = hf.heap[small], hf.heap[i]
+		h[i], h[small] = h[small], h[i]
 		i = small
 	}
+	hf.heap = h
 	return top
+}
+
+// foldKey locates one shard event in place for the fold's sort.
+type foldKey struct {
+	eventKey
+	ev *obs.Event
+}
+
+// foldEvents appends every event of the per-shard rings to dst in
+// eventKey order, with labels attached to each: the post-run fold into
+// RunConfig.Events. It sorts compact keys pointing into the rings
+// rather than the events themselves.
+func foldEvents(dst *obs.EventRing, rings []*obs.EventRing, labels []obs.Label) {
+	n := 0
+	for _, r := range rings {
+		n += int(r.Total())
+	}
+	keys := make([]foldKey, 0, n)
+	for _, r := range rings {
+		r.Visit(0, func(ev *obs.Event) {
+			keys = append(keys, foldKey{eventKey: keyOf(ev), ev: ev})
+		})
+	}
+	slices.SortFunc(keys, func(a, b foldKey) int { return a.compare(b.eventKey) })
+	for _, k := range keys {
+		ev := *k.ev
+		if len(labels) > 0 {
+			ev.Labels = append([]obs.Label(nil), labels...)
+		}
+		dst.Add(ev)
+	}
 }
 
 // Run serves the stream through the routing tier: every shard's event
@@ -528,17 +647,16 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 	}
 	// Wide events feed two consumers: the caller's merged ring (the
 	// post-run fold) and the live health plane. Either one arms the
-	// per-shard rings; each ring is big enough that nothing drops, so
-	// the fold and the feed both see every terminal outcome.
+	// per-shard rings; each ring may retain the whole stream, so
+	// nothing drops and the fold and the feed both see every terminal
+	// outcome. Storage starts at twice a shard's even share, which
+	// routing skew rarely outgrows, instead of the whole stream per
+	// shard.
 	var rings []*obs.EventRing
 	if cfg.Events != nil || cfg.Health != nil {
 		rings = make([]*obs.EventRing, len(f.bases))
-		cap := len(stream)
-		if cap < 1 {
-			cap = 1
-		}
 		for s := range rings {
-			rings[s] = obs.NewEventRing(cap)
+			rings[s] = obs.NewGrowingEventRing(len(stream), 2*len(stream)/len(f.bases))
 		}
 	}
 	var hf *healthFeed
@@ -591,6 +709,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		runners[s] = tier.Runner()
 	}
 
+	rt := &routing{policy: router, seed: cfg.Seed, runners: runners, tiers: tiers, hf: hf}
 	res := make([]ShardResult, len(f.bases))
 	m := Metrics{Offered: len(stream)}
 	for i := 0; i < len(stream); {
@@ -609,7 +728,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		// arrivals before it dispatches at that instant, exactly as a
 		// monolithic Run would.
 		for ; i < len(stream) && stream[i].Arrival == at; i++ {
-			d, err := f.route(router, cfg.Seed, i, stream[i], runners, tiers, hf)
+			d, err := f.route(rt, i, stream[i])
 			if err != nil {
 				return nil, Metrics{}, err
 			}
@@ -622,7 +741,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			if d.unroutable {
 				m.Unroutable++
 			}
-			if err := tiers[d.shard].OfferRouted(stream[i], d.routeName()); err != nil {
+			if err := tiers[d.shard].OfferRouted(stream[i], d.slot, d.routeName()); err != nil {
 				return nil, Metrics{}, fmt.Errorf("fleet: shard %d: %w", d.shard, err)
 			}
 			res[d.shard].Routed++
@@ -676,17 +795,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		// log is a pure function of the run, identical at any worker
 		// count. Per-shard Seqs survive the fold (the caller's ring only
 		// stamps zero Seqs), so (Shard, Seq) still names the source slot.
-		var all []obs.Event
-		for _, r := range rings {
-			all = append(all, r.Events()...)
-		}
-		sort.Slice(all, func(i, j int) bool { return eventBefore(all[i], all[j]) })
-		for _, ev := range all {
-			if len(cfg.Labels) > 0 {
-				ev.Labels = append([]obs.Label(nil), cfg.Labels...)
-			}
-			cfg.Events.Add(ev)
-		}
+		foldEvents(cfg.Events, rings, cfg.Labels)
 	}
 	if cfg.Reg != nil {
 		for s, reg := range regs {
@@ -708,18 +817,32 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 	return res, m, nil
 }
 
+// routing is one run's routing tier: the policy, the probes it reads,
+// and candidate and score buffers reused across requests.
+type routing struct {
+	policy  Router
+	seed    int64
+	runners []*tertiary.Runner
+	tiers   []*hsm.Tier
+	hf      *healthFeed
+	cands   []Candidate
+	groups  []int // cands[i]'s index in the object's directory entry
+	scores  []float64
+}
+
 // route scores the shards holding a live copy of the request's object
 // and picks the best, breaking score ties by a pure function of
 // (seed, request ordinal).
-func (f *Fleet) route(router Router, seed int64, ordinal int, req tertiary.Request, runners []*tertiary.Runner, tiers []*hsm.Tier, hf *healthFeed) (decision, error) {
-	groups := f.dir[req.ObjectID]
-	if len(groups) == 0 {
+func (f *Fleet) route(rt *routing, ordinal int, req tertiary.Request) (decision, error) {
+	oi, ok := f.objectIndex(req.ObjectID)
+	if !ok {
 		return decision{}, fmt.Errorf("fleet: request for unknown object %q", req.ObjectID)
 	}
-	cands := make([]Candidate, 0, len(groups))
+	groups := f.dir[oi]
+	cands, gidx := rt.cands[:0], rt.groups[:0]
 	primaryAlive := false
 	for gi, g := range groups {
-		r := runners[g.shard]
+		r := rt.runners[g.shard]
 		alive, mounted := false, false
 		for _, serial := range g.serials {
 			if r.CartridgeLost(serial) {
@@ -741,21 +864,24 @@ func (f *Fleet) route(router Router, seed int64, ordinal int, req tertiary.Reque
 			QueueDepth: r.QueueDepth(),
 			Headroom:   r.Headroom(),
 			Mounted:    mounted,
-			Cached:     tiers[g.shard].Cached(req.ObjectID),
+			Cached:     rt.tiers[g.shard].Cached(g.slot),
 			Primary:    gi == 0,
-			Health:     hf.score(g.shard),
+			Health:     rt.hf.score(g.shard),
 		})
+		gidx = append(gidx, gi)
 	}
+	rt.cands, rt.groups = cands, gidx
 	if len(cands) == 0 {
 		// Every copy is lost. Dispatch to the primary shard anyway:
 		// the shard fails the request in its own accounting, so
 		// Served+Failed+Rejected+Shed still partitions the offered
 		// stream.
-		return decision{shard: groups[0].shard, unroutable: true}, nil
+		return decision{shard: groups[0].shard, slot: groups[0].slot, unroutable: true}, nil
 	}
-	scores := make([]float64, len(cands))
-	router.Score(ordinal, len(runners), cands, scores)
-	idx, ok := pickBest(scores, seed, ordinal)
+	scores := append(rt.scores[:0], make([]float64, len(cands))...)
+	rt.scores = scores
+	rt.policy.Score(ordinal, len(rt.runners), cands, scores)
+	idx, ok := pickBest(scores, rt.seed, ordinal)
 	if !ok {
 		// Every candidate shard scored -Inf: all of them have zero
 		// headroom (every drive down). Routing "arbitrarily" here would
@@ -763,36 +889,46 @@ func (f *Fleet) route(router Router, seed int64, ordinal int, req tertiary.Reque
 		// treat it like the all-copies-lost case instead: dispatch to
 		// the primary shard, whose own breaker sheds or serves it, and
 		// the partition stays exact.
-		return decision{shard: groups[0].shard, unroutable: true}, nil
+		return decision{shard: groups[0].shard, slot: groups[0].slot, unroutable: true}, nil
 	}
 	pick := cands[idx]
+	g := groups[gidx[idx]]
 	return decision{
-		shard:    pick.Shard,
+		shard:    g.shard,
+		slot:     g.slot,
 		affinity: pick.Mounted,
 		cross:    !pick.Primary && !primaryAlive,
 	}, nil
 }
 
 // pickBest selects the index of the best-scored candidate, resolving
-// exact score ties by tieBreak(seed, ordinal). ok is false when even
-// the best score is -Inf — every candidate shard has zero live
-// capacity — and the caller must fall back to the unroutable path
-// rather than let the tie-break choose among equally dead shards.
+// exact score ties by tieBreak(seed, ordinal) over the tied indices in
+// index order. A NaN score ranks as -Inf: it never wins and never
+// ties a real score. ok is false when even the best score is -Inf —
+// every candidate shard has zero live capacity — and the caller must
+// fall back to the unroutable path rather than let the tie-break
+// choose among equally dead shards.
 func pickBest(scores []float64, seed int64, ordinal int) (int, bool) {
-	ties := []int{0}
-	best := scores[0]
-	for j := 1; j < len(scores); j++ {
+	best, ties := math.Inf(-1), 0
+	for _, s := range scores {
 		switch {
-		case scores[j] > best:
-			best = scores[j]
-			ties = ties[:1]
-			ties[0] = j
-		case scores[j] == best:
-			ties = append(ties, j)
+		case s > best:
+			best, ties = s, 1
+		case s == best:
+			ties++
 		}
 	}
 	if math.IsInf(best, -1) {
 		return 0, false
 	}
-	return ties[tieBreak(seed, ordinal, len(ties))], true
+	k := tieBreak(seed, ordinal, ties)
+	for j, s := range scores {
+		if s == best {
+			if k == 0 {
+				return j, true
+			}
+			k--
+		}
+	}
+	panic("fleet: pickBest lost a tied score")
 }

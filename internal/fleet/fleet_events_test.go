@@ -258,32 +258,33 @@ func (r *healthRecorder) Score(ordinal, shards int, cands []Candidate, scores []
 }
 
 // TestHealthFeedHeapOrder pins the min-heap the feed releases events
-// through: pops come out in (DoneSec, Shard, Seq) order and the
-// vacated tail slot is cleared.
+// through: pops come out in (DoneSec, Shard, Seq) order, with ±0
+// comparing equal so shard and seq decide between them.
 func TestHealthFeedHeapOrder(t *testing.T) {
 	hf := &healthFeed{}
-	in := []obs.Event{
-		{DoneSec: 5, Shard: 1, Seq: 1, Object: "a"},
-		{DoneSec: 3, Shard: 0, Seq: 2, Object: "b"},
-		{DoneSec: 5, Shard: 0, Seq: 9, Object: "c"},
-		{DoneSec: 3, Shard: 0, Seq: 1, Object: "d"},
-		{DoneSec: 5, Shard: 0, Seq: 2, Object: "e"},
+	negZero := math.Copysign(0, -1)
+	in := []eventKey{
+		{done: 5, shard: 1, seq: 1},
+		{done: 3, shard: 0, seq: 2},
+		{done: 5, shard: 0, seq: 9},
+		{done: 3, shard: 0, seq: 1},
+		{done: 5, shard: 0, seq: 2},
+		{done: 0, shard: 1, seq: 7},
+		{done: negZero, shard: 1, seq: 3},
+		{done: negZero, shard: 2, seq: 1},
 	}
-	for _, ev := range in {
-		hf.push(ev)
+	for _, k := range in {
+		hf.push(feedKey{eventKey: k})
 	}
-	want := []string{"d", "b", "e", "c", "a"}
-	for i, name := range want {
-		ev := hf.pop()
-		if ev.Object != name {
-			t.Fatalf("pop %d = %q, want %q", i, ev.Object, name)
+	want := [][2]int64{{1, 3}, {1, 7}, {2, 1}, {0, 1}, {0, 2}, {0, 2}, {0, 9}, {1, 1}}
+	for i, w := range want {
+		k := hf.pop()
+		if int64(k.shard) != w[0] || k.seq != w[1] {
+			t.Fatalf("pop %d = (shard %d, seq %d), want (%d, %d)", i, k.shard, k.seq, w[0], w[1])
 		}
-		tail := hf.heap[len(hf.heap):cap(hf.heap)]
-		for j, s := range tail {
-			if s.Object != "" {
-				t.Fatalf("after pop %d, vacated slot %d still pins %q", i, j, s.Object)
-			}
-		}
+	}
+	if len(hf.heap) != 0 {
+		t.Fatalf("%d keys left after popping all", len(hf.heap))
 	}
 }
 

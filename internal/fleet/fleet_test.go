@@ -386,3 +386,31 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		t.Error("metrics dumps differ between 1 and 8 workers")
 	}
 }
+
+// TestObjectIndex pins the directory lookup routing uses: every ID
+// objectID mints for the store resolves to its (tape, object)
+// position, and any other string — malformed, non-canonical or out of
+// range — is unknown, exactly as a map keyed by the minted IDs would
+// answer.
+func TestObjectIndex(t *testing.T) {
+	fl, err := New(StoreConfig{Shards: 2, TapeCount: 12, Objects: 11, ObjectSegments: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tape := 0; tape < 12; tape++ {
+		for obj := 0; obj < 11; obj++ {
+			if i, ok := fl.objectIndex(objectID(tape, obj)); !ok || i != tape*11+obj {
+				t.Fatalf("objectIndex(%q) = (%d, %v), want (%d, true)", objectID(tape, obj), i, ok, tape*11+obj)
+			}
+		}
+	}
+	for _, id := range []string{
+		"", "t", "t1", "t1/", "t1/o", "t1/o2x", "x1/o2", "t1-o2", "t1/p2", "T1/o2",
+		"t01/o2", "t1/o02", "t-1/o2", "t+1/o2", "t1/o-2", "t 1/o2", "t1/o 2",
+		"t12/o0", "t0/o11", "t1/o1234567890", "t99999999999/o0", "t1/o2/o3",
+	} {
+		if i, ok := fl.objectIndex(id); ok {
+			t.Errorf("objectIndex(%q) = %d, want unknown", id, i)
+		}
+	}
+}

@@ -194,3 +194,36 @@ func TestPickBestAllDead(t *testing.T) {
 		}
 	}
 }
+
+// TestPickBestNaN pins that a NaN score ranks as -Inf wherever it
+// sits: it never wins, never joins a tie, and a slate of NaN and -Inf
+// alone is unroutable. A NaN at index 0 used to win outright, since no
+// comparison beats NaN.
+func TestPickBestNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(-1)
+	for _, c := range []struct {
+		name   string
+		scores []float64
+		want   int
+		ok     bool
+	}{
+		{"NaN first", []float64{nan, -5}, 1, true},
+		{"NaN last", []float64{-5, nan}, 0, true},
+		{"NaN between", []float64{-9, nan, -1}, 2, true},
+		{"NaN first beats nothing", []float64{nan, -7, -3, -7}, 2, true},
+		{"all NaN", []float64{nan, nan}, 0, false},
+		{"NaN and -Inf", []float64{nan, inf, nan}, 0, false},
+	} {
+		idx, ok := pickBest(c.scores, 1, 0)
+		if ok != c.ok || (ok && idx != c.want) {
+			t.Errorf("%s: pickBest(%v) = (%d, %v), want (%d, %v)", c.name, c.scores, idx, ok, c.want, c.ok)
+		}
+	}
+	// A NaN never joins a tie: the tie-break picks among the two -2s.
+	for ordinal := 0; ordinal < 32; ordinal++ {
+		idx, ok := pickBest([]float64{nan, -2, nan, -2}, 7, ordinal)
+		if want := 1 + 2*tieBreak(7, ordinal, 2); !ok || idx != want {
+			t.Fatalf("ordinal %d: pickBest = (%d, %v), want (%d, true)", ordinal, idx, ok, want)
+		}
+	}
+}

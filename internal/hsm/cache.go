@@ -2,15 +2,20 @@ package hsm
 
 import "sort"
 
-// Cache is the bounded-bytes staging store: a map of resident object
-// extents with one eviction policy deciding who pays when capacity
-// runs out. It is pure bookkeeping — no clocks, no I/O — so the tier
-// above can price hits and evictions however its transfer model says.
-// Like the rest of the serving layer it belongs to one goroutine.
+// Cache is the bounded-bytes staging store: the resident object
+// extents, indexed by slot, with one eviction policy deciding who pays
+// when capacity runs out. A slot is a small dense integer the caller
+// assigns each object once (the tier uses the object's position in its
+// catalog's layout order), so the per-request residency probe and hit
+// are a slice index, not a string-keyed lookup. It is pure bookkeeping
+// — no clocks, no I/O — so the tier above can price hits and evictions
+// however its transfer model says. Like the rest of the serving layer
+// it belongs to one goroutine.
 type Cache struct {
 	capacity int64
 	resident int64
-	entries  map[string]*Entry
+	entries  []*Entry // by slot; nil when not resident
+	n        int      // resident entries
 	policy   Policy
 	seq      int64
 
@@ -24,34 +29,40 @@ type Cache struct {
 // capacity must be positive (a size-0 cache is "no cache" — the tier
 // never constructs one).
 func NewCache(capacityBytes int64, policy Policy) *Cache {
-	return &Cache{
-		capacity: capacityBytes,
-		entries:  make(map[string]*Entry),
-		policy:   policy,
-	}
+	return &Cache{capacity: capacityBytes, policy: policy}
 }
 
 // Resident returns the bytes currently cached.
 func (c *Cache) Resident() int64 { return c.resident }
 
 // Len returns the resident entry count.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.n }
 
 // Capacity returns the byte bound.
 func (c *Cache) Capacity() int64 { return c.capacity }
 
+// Fits reports whether free capacity already holds bytes — the
+// admission test InstallIfRoom applies, exposed so a caller can skip
+// pricing an entry that would not be admitted anyway.
+func (c *Cache) Fits(bytes int64) bool { return c.resident+bytes <= c.capacity }
+
+// entry returns the slot's resident entry, nil when absent.
+func (c *Cache) entry(slot int) *Entry {
+	if slot < 0 || slot >= len(c.entries) {
+		return nil
+	}
+	return c.entries[slot]
+}
+
 // Contains reports residency without touching recency state — the
 // routing tier's probe.
-func (c *Cache) Contains(id string) bool {
-	_, ok := c.entries[id]
-	return ok
-}
+func (c *Cache) Contains(slot int) bool { return c.entry(slot) != nil }
 
 // Touch records a hit: returns whether the entry is resident, and if
 // so refreshes the policy's recency state.
-func (c *Cache) Touch(id string) bool {
-	e, ok := c.entries[id]
-	if !ok {
+func (c *Cache) Touch(slot int) bool {
+	e := c.entry(slot)
+	if e == nil {
 		return false
 	}
 	c.policy.Touch(e)
@@ -62,35 +73,39 @@ func (c *Cache) Touch(id string) bool {
 // already-resident object is touched instead (the install refreshes
 // it). Objects larger than the whole cache are not admitted. Returns
 // whether a new entry was installed.
-func (c *Cache) Install(id string, bytes int64, cost float64) bool {
-	if c.Touch(id) {
+func (c *Cache) Install(slot int, id string, bytes int64, cost float64) bool {
+	if c.Touch(slot) {
 		return false
 	}
 	if bytes > c.capacity {
 		return false
 	}
-	for c.resident+bytes > c.capacity {
+	for !c.Fits(bytes) {
 		c.evictOne()
 	}
-	c.add(id, bytes, cost)
+	c.add(slot, id, bytes, cost)
 	return true
 }
 
 // InstallIfRoom admits the object only when free capacity already
 // holds it — the prefetch path: opportunistic installs never evict
 // demand-resident data. Returns whether a new entry was installed.
-func (c *Cache) InstallIfRoom(id string, bytes int64, cost float64) bool {
-	if c.Contains(id) || c.resident+bytes > c.capacity {
+func (c *Cache) InstallIfRoom(slot int, id string, bytes int64, cost float64) bool {
+	if c.Contains(slot) || !c.Fits(bytes) {
 		return false
 	}
-	c.add(id, bytes, cost)
+	c.add(slot, id, bytes, cost)
 	return true
 }
 
-func (c *Cache) add(id string, bytes int64, cost float64) {
+func (c *Cache) add(slot int, id string, bytes int64, cost float64) {
+	if slot >= len(c.entries) {
+		c.entries = append(c.entries, make([]*Entry, slot+1-len(c.entries))...)
+	}
 	c.seq++
-	e := &Entry{ID: id, Bytes: bytes, Cost: cost, Seq: c.seq}
-	c.entries[id] = e
+	e := &Entry{ID: id, Bytes: bytes, Cost: cost, Seq: c.seq, slot: slot}
+	c.entries[slot] = e
+	c.n++
 	c.resident += bytes
 	c.policy.Install(e)
 }
@@ -99,9 +114,9 @@ func (c *Cache) add(id string, bytes int64, cost float64) {
 // or flushing at end of run — will cost a writeback of the entry's
 // modeled tape-write time (its Cost). Returns whether the entry was
 // resident.
-func (c *Cache) MarkDirty(id string) bool {
-	e, ok := c.entries[id]
-	if !ok {
+func (c *Cache) MarkDirty(slot int) bool {
+	e := c.entry(slot)
+	if e == nil {
 		return false
 	}
 	e.Dirty = true
@@ -117,7 +132,8 @@ func (c *Cache) evictOne() {
 		c.flushSec += e.Cost
 	}
 	c.policy.Remove(e)
-	delete(c.entries, e.ID)
+	c.entries[e.slot] = nil
+	c.n--
 	c.resident -= e.Bytes
 	c.evictions++
 	c.bytesEvicted += e.Bytes
@@ -130,7 +146,7 @@ func (c *Cache) evictOne() {
 func (c *Cache) FlushDirty() int {
 	var dirty []*Entry
 	for _, e := range c.entries {
-		if e.Dirty {
+		if e != nil && e.Dirty {
 			dirty = append(dirty, e)
 		}
 	}

@@ -25,7 +25,7 @@ func FuzzCacheEviction(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := NewCache(int64(capacity), pol)
+			c := newNamedCache(int64(capacity), pol)
 			installed := 0
 			lookups, hits := 0, 0
 			for _, op := range ops {

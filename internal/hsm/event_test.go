@@ -1,7 +1,6 @@
 package hsm
 
 import (
-	"container/heap"
 	"math"
 	"testing"
 
@@ -11,18 +10,21 @@ import (
 
 // TestInstallHeapPopClearsTail pins the stale-tail retention fix:
 // popping an install must zero the vacated backing slot so the heap
-// never pins popped id strings.
+// never pins popped object IDs. Pops come out in (at, seq) order.
 func TestInstallHeapPopClearsTail(t *testing.T) {
 	h := &installHeap{}
-	for i, id := range []string{"a", "b", "c", "d"} {
-		heap.Push(h, install{at: float64(i), seq: int64(i), id: id})
+	for i, id := range []string{"c", "a", "d", "b"} {
+		at := float64(i % 2) // c and d at 0, a and b at 1
+		h.push(install{at: at, seq: int64(4 - i), obj: tertiary.Object{ID: id}})
 	}
-	for range 4 {
-		heap.Pop(h)
+	for _, want := range []string{"d", "c", "b", "a"} {
+		if got := h.pop(); got.obj.ID != want {
+			t.Fatalf("pop = %q, want %q", got.obj.ID, want)
+		}
 		tail := (*h)[len(*h):cap(*h)]
 		for j, s := range tail {
-			if s.id != "" {
-				t.Fatalf("vacated slot %d still pins install %q", j, s.id)
+			if s.obj.ID != "" {
+				t.Fatalf("vacated slot %d still pins install %q", j, s.obj.ID)
 			}
 		}
 	}
@@ -48,13 +50,13 @@ func TestTierHitEvents(t *testing.T) {
 	if err := tier.AdvanceTo(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.OfferRouted(stream[0], "routed"); err != nil {
+	if err := tier.OfferRouted(stream[0], tier.slot(stream[0].ObjectID), "routed"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tier.AdvanceTo(50000); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.OfferRouted(stream[1], "affinity"); err != nil {
+	if err := tier.OfferRouted(stream[1], tier.slot(stream[1].ObjectID), "affinity"); err != nil {
 		t.Fatal(err)
 	}
 	if _, m, err := tier.Finish(); err != nil {

@@ -1,13 +1,11 @@
 package hsm
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Entry is one cached object as the eviction policies see it. The
-// cache owns the entry; policies read the fields and keep their own
-// bookkeeping keyed by ID.
+// cache owns the entry; policies read the fields, and the built-in
+// ones keep their bookkeeping on the entry itself (intrusive list links
+// and a reference bit), so no policy operation looks anything up.
 type Entry struct {
 	// ID names the cached object (the catalog object ID).
 	ID string
@@ -16,7 +14,9 @@ type Entry struct {
 	// Cost is the modeled re-fetch cost in virtual seconds — the
 	// library twin's locate+transfer price for reading the object off
 	// tape again (tertiary.Library.RefetchSec). The cost-aware policy
-	// evicts the cheapest-to-refetch entry first.
+	// evicts the cheapest-to-refetch entry first, and a dirty entry's
+	// writeback is charged it. A tier whose cache reads neither (LRU or
+	// clock without write-back) records 0 instead of pricing it.
 	Cost float64
 	// Seq is the entry's install sequence number, the deterministic
 	// tie-break every policy falls back to.
@@ -24,7 +24,30 @@ type Entry struct {
 	// Dirty marks write-back data not yet flushed to tape; evicting a
 	// dirty entry costs a writeback.
 	Dirty bool
+
+	slot       int    // the cache slot holding the entry
+	prev, next *Entry // the built-in policy's list links
+	ref        bool   // clock's reference bit
 }
+
+// linkAfter inserts e into a circular list right after at.
+func linkAfter(e, at *Entry) {
+	e.prev, e.next = at, at.next
+	at.next.prev = e
+	at.next = e
+}
+
+// unlink removes e from its circular list.
+func unlink(e *Entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// entryList is a circular list of entries around a sentinel: root.next
+// is the front, root.prev the back.
+type entryList struct{ root Entry }
+
+func (l *entryList) init() { l.root.next, l.root.prev = &l.root, &l.root }
 
 // Policy decides which resident entry an over-capacity cache evicts
 // next. Implementations are stateful (they track recency or scan
@@ -61,84 +84,70 @@ func NewPolicy(name string) (Policy, error) {
 
 // lru evicts the least recently used entry: a doubly-linked recency
 // list with the most recent entry at the front.
-type lru struct {
-	order *list.List // of *Entry, front = most recent
-	nodes map[string]*list.Element
-}
+type lru struct{ order entryList }
 
 func newLRU() *lru {
-	return &lru{order: list.New(), nodes: make(map[string]*list.Element)}
+	p := &lru{}
+	p.order.init()
+	return p
 }
 
 func (p *lru) Name() string { return "lru" }
 
-func (p *lru) Install(e *Entry) { p.nodes[e.ID] = p.order.PushFront(e) }
+func (p *lru) Install(e *Entry) { linkAfter(e, &p.order.root) }
 
-func (p *lru) Touch(e *Entry) { p.order.MoveToFront(p.nodes[e.ID]) }
-
-func (p *lru) Victim() *Entry { return p.order.Back().Value.(*Entry) }
-
-func (p *lru) Remove(e *Entry) {
-	p.order.Remove(p.nodes[e.ID])
-	delete(p.nodes, e.ID)
+func (p *lru) Touch(e *Entry) {
+	unlink(e)
+	linkAfter(e, &p.order.root)
 }
 
-// clockNode is one page frame on the clock's circular list.
-type clockNode struct {
-	e          *Entry
-	ref        bool
-	next, prev *clockNode
-}
+func (p *lru) Victim() *Entry { return p.order.root.prev }
+
+func (p *lru) Remove(e *Entry) { unlink(e) }
 
 // clock is the classic second-chance ring: entries sit on a circle, a
 // hand sweeps it clearing reference bits, and the first entry found
 // with its bit already clear is the victim. A touched entry survives
 // one extra sweep — the "second chance".
 type clock struct {
-	hand  *clockNode
-	nodes map[string]*clockNode
+	hand *Entry
 }
 
-func newClock() *clock { return &clock{nodes: make(map[string]*clockNode)} }
+func newClock() *clock { return &clock{} }
 
 func (p *clock) Name() string { return "clock" }
 
 // Install places the entry immediately behind the hand — the last
 // frame the current sweep will examine — with its bit clear.
 func (p *clock) Install(e *Entry) {
-	n := &clockNode{e: e}
 	if p.hand == nil {
-		n.next, n.prev = n, n
-		p.hand = n
-	} else {
-		prev := p.hand.prev
-		prev.next, n.prev = n, prev
-		n.next, p.hand.prev = p.hand, n
+		e.next, e.prev = e, e
+		p.hand = e
+		return
 	}
-	p.nodes[e.ID] = n
+	linkAfter(e, p.hand.prev)
 }
 
-func (p *clock) Touch(e *Entry) { p.nodes[e.ID].ref = true }
+func (p *clock) Touch(e *Entry) { e.ref = true }
 
 func (p *clock) Victim() *Entry {
 	for p.hand.ref {
 		p.hand.ref = false
 		p.hand = p.hand.next
 	}
-	return p.hand.e
+	return p.hand
 }
 
 func (p *clock) Remove(e *Entry) {
-	n := p.nodes[e.ID]
-	delete(p.nodes, e.ID)
-	if n.next == n {
+	if e.next == e {
 		p.hand = nil
+		e.next, e.prev = nil, nil
 		return
 	}
-	if p.hand == n {
-		p.hand = n.next
+	if p.hand == e {
+		p.hand = e.next
 	}
-	n.prev.next, n.next.prev = n.next, n.prev
+	unlink(e)
 }
 
 // costAware evicts the entry that is cheapest to fetch back from tape
@@ -147,25 +156,23 @@ func (p *clock) Remove(e *Entry) {
 // Victim selection is a linear scan over an install-ordered list —
 // caches hold at most a few thousand extents, and determinism beats
 // heap bookkeeping here.
-type costAware struct {
-	order *list.List // of *Entry, install order
-	nodes map[string]*list.Element
-}
+type costAware struct{ order entryList }
 
 func newCostAware() *costAware {
-	return &costAware{order: list.New(), nodes: make(map[string]*list.Element)}
+	p := &costAware{}
+	p.order.init()
+	return p
 }
 
 func (p *costAware) Name() string { return "cost" }
 
-func (p *costAware) Install(e *Entry) { p.nodes[e.ID] = p.order.PushBack(e) }
+func (p *costAware) Install(e *Entry) { linkAfter(e, p.order.root.prev) }
 
 func (p *costAware) Touch(*Entry) {}
 
 func (p *costAware) Victim() *Entry {
 	var best *Entry
-	for el := p.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*Entry)
+	for e := p.order.root.next; e != &p.order.root; e = e.next {
 		if best == nil || e.Cost < best.Cost || (e.Cost == best.Cost && e.Seq < best.Seq) {
 			best = e
 		}
@@ -173,7 +180,4 @@ func (p *costAware) Victim() *Entry {
 	return best
 }
 
-func (p *costAware) Remove(e *Entry) {
-	p.order.Remove(p.nodes[e.ID])
-	delete(p.nodes, e.ID)
-}
+func (p *costAware) Remove(e *Entry) { unlink(e) }

@@ -2,16 +2,49 @@ package hsm
 
 import "testing"
 
+// namedCache drives a Cache by object name, interning each name to
+// the next free slot on first use the way the tier maps catalog IDs to
+// their layout positions.
+type namedCache struct {
+	*Cache
+	slots map[string]int
+}
+
+func newNamedCache(capacity int64, p Policy) *namedCache {
+	return &namedCache{Cache: NewCache(capacity, p), slots: map[string]int{}}
+}
+
+func (c *namedCache) slot(id string) int {
+	s, ok := c.slots[id]
+	if !ok {
+		s = len(c.slots)
+		c.slots[id] = s
+	}
+	return s
+}
+
+func (c *namedCache) Contains(id string) bool { return c.Cache.Contains(c.slot(id)) }
+func (c *namedCache) Touch(id string) bool    { return c.Cache.Touch(c.slot(id)) }
+func (c *namedCache) MarkDirty(id string) bool {
+	return c.Cache.MarkDirty(c.slot(id))
+}
+func (c *namedCache) Install(id string, bytes int64, cost float64) bool {
+	return c.Cache.Install(c.slot(id), id, bytes, cost)
+}
+func (c *namedCache) InstallIfRoom(id string, bytes int64, cost float64) bool {
+	return c.Cache.InstallIfRoom(c.slot(id), id, bytes, cost)
+}
+
 // fill builds a cache under the named policy and installs the ids in
 // order. Each entry costs its index in seconds unless costs are
 // supplied.
-func fill(t *testing.T, policy string, capacity int64, ids []string, bytes int64, costs ...float64) *Cache {
+func fill(t *testing.T, policy string, capacity int64, ids []string, bytes int64, costs ...float64) *namedCache {
 	t.Helper()
 	p, err := NewPolicy(policy)
 	if err != nil {
 		t.Fatalf("NewPolicy(%q): %v", policy, err)
 	}
-	c := NewCache(capacity, p)
+	c := newNamedCache(capacity, p)
 	for i, id := range ids {
 		cost := float64(i)
 		if i < len(costs) {

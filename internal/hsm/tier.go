@@ -19,9 +19,9 @@
 package hsm
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"serpentine/internal/core"
@@ -131,37 +131,65 @@ func (m Metrics) HitRate() float64 {
 // install is one pending cache fill: a fetch completion whose data
 // lands in the cache at its Done time.
 type install struct {
-	at  float64
-	seq int64
-	id  string
-	obj tertiary.Object
+	at   float64
+	seq  int64
+	slot int
+	obj  tertiary.Object
 }
 
-// installHeap orders pending installs by (at, seq): arrival of the
-// data, record order breaking ties — fully deterministic.
+// installHeap is a binary min-heap of pending installs on (at, seq):
+// arrival of the data, record order breaking ties — fully
+// deterministic, since no two installs share a seq.
 type installHeap []install
 
-func (h installHeap) Len() int { return len(h) }
-func (h installHeap) Less(i, j int) bool {
+func (h installHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h installHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *installHeap) Push(x any)   { *h = append(*h, x.(install)) }
 
-// Pop clears the vacated tail slot before shrinking: the backing
-// array would otherwise pin the popped install's id string and object
-// until overwritten — the same stale-tail retention class the
-// admission queue's compaction once had.
-func (h *installHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = install{}
-	*h = old[:n-1]
-	return x
+func (h *installHeap) push(in install) {
+	*h = append(*h, in)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes the earliest install. It clears the vacated tail slot
+// before shrinking: the backing array would otherwise pin the popped
+// install's object until overwritten — the same stale-tail retention
+// class the admission queue's compaction once had.
+func (h *installHeap) pop() install {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = install{}
+	q = q[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && q.less(l, small) {
+			small = l
+		}
+		if r < n && q.less(r, small) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		q[i], q[small] = q[small], q[i]
+		i = small
+	}
+	*h = q
+	return top
 }
 
 // Tier is a staging cache wrapped around one library's incremental
@@ -178,8 +206,15 @@ type Tier struct {
 
 	cache    *Cache
 	segBytes int64
-	byID     map[string]tertiary.Object
-	byTape   map[int64][]tertiary.Object // layout order per cartridge
+	// priced is whether anything reads an entry's re-fetch cost: the
+	// cost-aware policy's victim choice, or write-back's flush charge.
+	// Otherwise installs skip RefetchSec and record cost 0.
+	priced bool
+	// objs is the catalog in layout order (Library.Objects): an
+	// object's index there is its cache slot, and a cartridge's objects
+	// are one contiguous run of it, the run prefetch walks.
+	objs  []tertiary.Object
+	slots map[string]int
 
 	installs  installHeap
 	harvested int
@@ -247,6 +282,8 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 		t.thresh = core.DefaultCoalesceThreshold
 	}
 	t.cache = NewCache(cfg.CapacityBytes, pol)
+	_, costAware := pol.(*costAware)
+	t.priced = costAware || cfg.WriteBack
 
 	lc := lib.Config()
 	t.segBytes = lc.Profile.SegmentBytes
@@ -280,12 +317,10 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	t.residentG = reg.Gauge("cache_bytes_resident", lc.Labels...)
 	t.hitHist = reg.Histogram("cache_hit_seconds", lc.Labels...)
 
-	objs := lib.Objects()
-	t.byID = make(map[string]tertiary.Object, len(objs))
-	t.byTape = make(map[int64][]tertiary.Object)
-	for _, o := range objs {
-		t.byID[o.ID] = o
-		t.byTape[o.Tape] = append(t.byTape[o.Tape], o)
+	t.objs = lib.Objects()
+	t.slots = make(map[string]int, len(t.objs))
+	for i, o := range t.objs {
+		t.slots[o.ID] = i
 	}
 
 	r, err := lib.StartRun()
@@ -301,11 +336,20 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 // same runner the tier drives.
 func (t *Tier) Runner() *tertiary.Runner { return t.runner }
 
-// Cached reports residency as of the tier's last advance, without
-// touching recency state — the router's hit/miss probe. Always false
+// Cached reports residency of the object in slot — its index in the
+// library's Objects() — as of the tier's last advance, without
+// touching recency state: the router's hit/miss probe. Always false
 // for a disabled tier.
-func (t *Tier) Cached(id string) bool {
-	return t.cache != nil && t.cache.Contains(id)
+func (t *Tier) Cached(slot int) bool {
+	return t.cache != nil && t.cache.Contains(slot)
+}
+
+// slot returns the object's cache slot, -1 for an uncataloged ID.
+func (t *Tier) slot(id string) int {
+	if i, ok := t.slots[id]; ok {
+		return i
+	}
+	return -1
 }
 
 // objBytes is the extent's size under the library's profile.
@@ -337,28 +381,32 @@ func (t *Tier) AdvanceTo(ts float64) error {
 // been recorded, so the applied set is exact.
 func (t *Tier) absorb(now float64) {
 	done := t.runner.Completed()
-	for _, c := range done[t.harvested:] {
+	for i := t.harvested; i < len(done); i++ {
+		c := &done[i]
 		t.seq++
-		heap.Push(&t.installs, install{at: c.Done, seq: t.seq, id: c.ObjectID, obj: c.Object})
+		t.installs.push(install{at: c.Done, seq: t.seq, slot: t.slot(c.ObjectID), obj: c.Object})
 	}
 	t.harvested = len(done)
 	for len(t.installs) > 0 && t.installs[0].at <= now {
-		in := heap.Pop(&t.installs).(install)
-		t.apply(in)
+		t.apply(t.installs.pop())
 	}
 }
 
 // apply lands one fetched extent in the cache and, when configured,
-// prefetches the rest of its coalesced run.
+// prefetches the rest of its coalesced run. A resident extent is only
+// refreshed, so its re-fetch price is never computed.
 func (t *Tier) apply(in install) {
-	cost := t.lib.RefetchSec(in.obj)
-	if t.cache.Install(in.id, t.objBytes(in.obj), cost) {
+	if in.slot < 0 {
+		return // not in this library's catalog: nothing to stage
+	}
+	if !t.cache.Touch(in.slot) &&
+		t.cache.Install(in.slot, t.objs[in.slot].ID, t.objBytes(in.obj), t.refetchSec(in.obj)) {
 		t.m.Installs++
 		t.installC.Inc()
 	}
 	t.syncCacheCounters()
 	if t.cfg.Prefetch {
-		t.prefetch(in.obj)
+		t.prefetch(in.slot, in.obj)
 	}
 }
 
@@ -369,28 +417,40 @@ func (t *Tier) apply(in install) {
 // This is the paper's coalescing analysis inverted — the segments the
 // library would have merged into one motion are the segments worth
 // keeping once the motion was paid for.
-func (t *Tier) prefetch(o tertiary.Object) {
-	objs := t.byTape[o.Tape]
-	idx := sort.Search(len(objs), func(i int) bool {
-		if objs[i].Start != o.Start {
-			return objs[i].Start >= o.Start
+//
+// An extent is priced only once free capacity is known to hold it:
+// most run neighbours are resident already or do not fit.
+func (t *Tier) prefetch(slot int, o tertiary.Object) {
+	idx := slot
+	if c := t.objs[slot]; c.Tape != o.Tape || c.Start != o.Start || c.ID != o.ID {
+		// The fetched extent is not the catalog copy (a replica read):
+		// look it up in layout order as (Tape, Start, ID).
+		idx = sort.Search(len(t.objs), func(i int) bool {
+			c := t.objs[i]
+			if c.Tape != o.Tape {
+				return c.Tape > o.Tape
+			}
+			if c.Start != o.Start {
+				return c.Start >= o.Start
+			}
+			return c.ID >= o.ID
+		})
+		if idx >= len(t.objs) || t.objs[idx].Tape != o.Tape || t.objs[idx].ID != o.ID {
+			return // a replica extent not in this catalog's layout
 		}
-		return objs[i].ID >= o.ID
-	})
-	if idx >= len(objs) || objs[idx].ID != o.ID {
-		return // a replica extent not in this catalog's layout
 	}
 	segs := o.Segments
 	if segs <= 0 {
 		segs = 1
 	}
 	runEnd := o.Start + segs
-	for j := idx + 1; j < len(objs); j++ {
-		next := objs[j]
+	for j := idx + 1; j < len(t.objs) && t.objs[j].Tape == o.Tape; j++ {
+		next := t.objs[j]
 		if next.Start-runEnd >= t.thresh {
 			return
 		}
-		if t.cache.InstallIfRoom(next.ID, t.objBytes(next), t.lib.RefetchSec(next)) {
+		if b := t.objBytes(next); !t.cache.Contains(j) && t.cache.Fits(b) {
+			t.cache.InstallIfRoom(j, next.ID, b, t.refetchSec(next))
 			t.m.PrefetchInstalls++
 			t.prefetchC.Inc()
 		}
@@ -398,6 +458,15 @@ func (t *Tier) prefetch(o tertiary.Object) {
 			runEnd = end
 		}
 	}
+}
+
+// refetchSec is the entry cost an install records: the library's
+// modeled re-fetch time when the cache reads costs (see priced), else 0.
+func (t *Tier) refetchSec(o tertiary.Object) float64 {
+	if !t.priced {
+		return 0
+	}
+	return t.lib.RefetchSec(o)
 }
 
 // syncCacheCounters folds the cache's eviction/write-back counters
@@ -423,14 +492,15 @@ func (t *Tier) syncCacheCounters() {
 // misses consume the library's queue capacity. Offers must be
 // nondecreasing in arrival time, like the Runner's.
 func (t *Tier) Offer(req tertiary.Request) error {
-	return t.OfferRouted(req, "")
+	return t.OfferRouted(req, t.slot(req.ObjectID), "")
 }
 
-// OfferRouted is Offer carrying the routing tier's decision for the
-// request: pure annotation, stamped onto the request's wide event
-// (by the tier for a hit, by the library for a miss) and nothing
-// else.
-func (t *Tier) OfferRouted(req tertiary.Request, route string) error {
+// OfferRouted is Offer for a caller that has already resolved the
+// object's slot (its index in the library's Objects(), -1 when
+// uncataloged), carrying the routing tier's decision for the request:
+// pure annotation, stamped onto the request's wide event (by the tier
+// for a hit, by the library for a miss) and nothing else.
+func (t *Tier) OfferRouted(req tertiary.Request, slot int, route string) error {
 	if t.cache == nil {
 		return t.runner.OfferRouted(req, route)
 	}
@@ -445,8 +515,8 @@ func (t *Tier) OfferRouted(req tertiary.Request, route string) error {
 	}
 	t.last = req.Arrival
 	t.absorb(req.Arrival)
-	if t.cache.Touch(req.ObjectID) {
-		t.hit(req, route)
+	if t.cache.Touch(slot) {
+		t.hit(req, t.objs[slot], route)
 		return nil
 	}
 	t.m.Misses++
@@ -455,8 +525,7 @@ func (t *Tier) OfferRouted(req tertiary.Request, route string) error {
 }
 
 // hit completes the request off the staging disk.
-func (t *Tier) hit(req tertiary.Request, route string) {
-	obj := t.byID[req.ObjectID]
+func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 	transfer := float64(t.objBytes(obj)) / t.disk.BytesPerSec
 	svc := t.disk.LatencySec + transfer
 	done := req.Arrival + svc
@@ -515,10 +584,11 @@ func (t *Tier) Write(id string, at float64) (float64, error) {
 	if t.finished {
 		return 0, fmt.Errorf("hsm: write after Finish")
 	}
-	obj, ok := t.byID[id]
-	if !ok {
+	slot := t.slot(id)
+	if slot < 0 {
 		return 0, fmt.Errorf("hsm: write of unknown object %q", id)
 	}
+	obj := t.objs[slot]
 	if math.IsNaN(at) || math.IsInf(at, 0) || at < t.last {
 		return 0, fmt.Errorf("hsm: write at %g behind the clock (last offer %g)", at, t.last)
 	}
@@ -526,8 +596,8 @@ func (t *Tier) Write(id string, at float64) (float64, error) {
 	t.absorb(at)
 	t.m.Writes++
 	cost := t.lib.RefetchSec(obj)
-	t.cache.Install(id, t.objBytes(obj), cost)
-	if !t.cache.MarkDirty(id) {
+	t.cache.Install(slot, id, t.objBytes(obj), cost)
+	if !t.cache.MarkDirty(slot) {
 		// Too large to stage: write through to tape immediately.
 		t.wtWritebacks++
 		t.wtFlushSec += cost
@@ -539,8 +609,9 @@ func (t *Tier) Write(id string, at float64) (float64, error) {
 
 // Finish drains the wrapped loop, applies every remaining install,
 // flushes dirty entries, and returns the merged completions — library
-// fetches and cache hits together, stably sorted by completion time —
-// with the tier metrics. For a disabled tier this is exactly the
+// fetches and cache hits together in completion-time order, a hit
+// ahead of a fetch completing at the same instant — with the tier
+// metrics. For a disabled tier this is exactly the
 // Runner's Finish.
 func (t *Tier) Finish() ([]tertiary.Completion, Metrics, error) {
 	if t.cache == nil {
@@ -570,10 +641,7 @@ func (t *Tier) Finish() ([]tertiary.Completion, Metrics, error) {
 	if t.lastDone > t.m.Makespan {
 		t.m.Makespan = t.lastDone
 	}
-	all := make([]tertiary.Completion, 0, len(t.hits)+len(comps))
-	all = append(all, t.hits...)
-	all = append(all, comps...)
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Done < all[j].Done })
+	all := mergeByDone(t.hits, comps)
 	if t.root != nil {
 		t.root.AttrInt("hits", t.m.Hits).
 			AttrInt("misses", t.m.Misses).
@@ -581,6 +649,42 @@ func (t *Tier) Finish() ([]tertiary.Completion, Metrics, error) {
 			End(t.m.Makespan)
 	}
 	return all, t.m, nil
+}
+
+// byDone orders completions by completion time.
+func byDone(a, b tertiary.Completion) int {
+	switch {
+	case a.Done < b.Done:
+		return -1
+	case b.Done < a.Done:
+		return 1
+	}
+	return 0
+}
+
+// mergeByDone returns hits and fetches in one list ordered by Done,
+// exactly as a stable sort of hits followed by fetches would: on equal
+// Done, hits come first and each list keeps its own order. fetches
+// arrive stably sorted from the Runner; hits are in offer order, which
+// is already Done order whenever every hit prices the same, so they
+// are stably sorted only when they are not.
+func mergeByDone(hits, fetches []tertiary.Completion) []tertiary.Completion {
+	if !slices.IsSortedFunc(hits, byDone) {
+		slices.SortStableFunc(hits, byDone)
+	}
+	all := make([]tertiary.Completion, 0, len(hits)+len(fetches))
+	i, j := 0, 0
+	for i < len(hits) && j < len(fetches) {
+		if fetches[j].Done < hits[i].Done {
+			all = append(all, fetches[j])
+			j++
+		} else {
+			all = append(all, hits[i])
+			i++
+		}
+	}
+	all = append(all, hits[i:]...)
+	return append(all, fetches[j:]...)
 }
 
 // Run serves a whole stream through the tier, the way Library.Run

@@ -259,13 +259,13 @@ func TestTierPrefetch(t *testing.T) {
 	if m.PrefetchInstalls == 0 {
 		t.Fatal("no prefetch installs despite free capacity and a coalesced run ahead")
 	}
-	if !tier.Cached("t0/o100") || !tier.Cached("t0/o101") {
+	if !tier.Cached(tier.slot("t0/o100")) || !tier.Cached(tier.slot("t0/o101")) {
 		t.Error("fetched extent or its successor not resident after prefetch")
 	}
-	if tier.Cached("t0/o99") {
+	if tier.Cached(tier.slot("t0/o99")) {
 		t.Error("prefetch ran backwards: t0/o99 resident")
 	}
-	if tier.Cached("t1/o100") {
+	if tier.Cached(tier.slot("t1/o100")) {
 		t.Error("prefetch crossed cartridges: t1/o100 resident")
 	}
 	if m.Evictions != 0 {
@@ -314,7 +314,7 @@ func TestTierWriteBack(t *testing.T) {
 	if math.Abs(done-wantDone) > 1e-12 {
 		t.Errorf("write completed at %g, want %g", done, wantDone)
 	}
-	if !tier.Cached("t0/o1") {
+	if !tier.Cached(tier.slot("t0/o1")) {
 		t.Fatal("written object not resident")
 	}
 	_, m, err := tier.Finish()
@@ -340,7 +340,7 @@ func TestTierWriteBack(t *testing.T) {
 	if _, err := small.Write("t0/o1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if small.Cached("t0/o1") {
+	if small.Cached(small.slot("t0/o1")) {
 		t.Error("oversized write staged instead of writing through")
 	}
 	_, sm, err := small.Finish()

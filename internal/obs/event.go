@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // The wide-event layer is the per-request half of the observability
@@ -110,18 +111,34 @@ func (e Event) AttributionSum() float64 {
 type EventRing struct {
 	mu      sync.Mutex
 	ring    []Event
+	limit   int // retention bound; ring grows by append up to it
 	next    int
-	total   int64
+	total   atomic.Int64 // written under mu; read without it by Total and Visit's fast path
 	dropped int64
 }
 
 // NewEventRing returns a ring retaining the most recent cap events
-// (minimum 1).
+// (minimum 1), with all cap slots allocated up front: the right shape
+// for a caller that knows how many events are coming, since Add then
+// never reallocates.
 func NewEventRing(cap int) *EventRing {
 	if cap < 1 {
 		cap = 1
 	}
-	return &EventRing{ring: make([]Event, 0, cap)}
+	return &EventRing{ring: make([]Event, 0, cap), limit: cap}
+}
+
+// NewGrowingEventRing returns a ring with the same retention bound as
+// NewEventRing(cap) that allocates only hint slots up front (clamped
+// to [0, cap]) and grows by append past them: for a bound that is a
+// safe ceiling rather than an expected count, such as a fleet shard's
+// share of a stream sized by the whole stream, with hint its expected
+// share.
+func NewGrowingEventRing(cap, hint int) *EventRing {
+	if cap < 1 {
+		cap = 1
+	}
+	return &EventRing{ring: make([]Event, 0, min(max(hint, 0), cap)), limit: cap}
 }
 
 // Add records one event, evicting the oldest when full. If the event
@@ -133,11 +150,11 @@ func (r *EventRing) Add(ev Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
+	total := r.total.Add(1)
 	if ev.Seq == 0 {
-		ev.Seq = r.total
+		ev.Seq = total
 	}
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.limit {
 		r.ring = append(r.ring, ev)
 		return
 	}
@@ -159,30 +176,34 @@ func (r *EventRing) Events() []Event {
 	return out
 }
 
-// Tail returns the retained events whose emission index (0-based
-// position in the total stream) is at least from, oldest first. It
-// lets an incremental consumer harvest only what arrived since its
-// last call; events evicted before the consumer caught up are simply
-// gone (check Dropped).
-func (r *EventRing) Tail(from int64) []Event {
-	if r == nil {
-		return nil
+// Visit calls fn, oldest first, on every retained event whose emission
+// index (0-based position in the total stream) is at least from, and
+// returns the emission index one past the newest event — the from of
+// the next call, so an incremental consumer harvests only what arrived
+// since its last one. Events evicted before the consumer caught up are
+// simply gone (check Dropped).
+//
+// fn reads the events in place: the pointer aliases the ring's own
+// storage, must not be written through, and stays valid only until the
+// next Add or Reset. Visit holds the ring's lock while fn runs, so fn
+// must not call back into the ring.
+func (r *EventRing) Visit(from int64, fn func(*Event)) int64 {
+	if r == nil || r.total.Load() == from {
+		return from // nothing new: skip the lock
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	first := r.total - int64(len(r.ring)) // emission index of the oldest retained event
-	skip := from - first
-	if skip < 0 {
-		skip = 0
-	}
-	if skip >= int64(len(r.ring)) {
-		return nil
-	}
-	out := make([]Event, 0, int64(len(r.ring))-skip)
+	total := r.total.Load()
+	first := total - int64(len(r.ring)) // emission index of the oldest retained event
+	skip := max(from-first, 0)
 	for i := skip; i < int64(len(r.ring)); i++ {
-		out = append(out, r.ring[(r.next+int(i))%len(r.ring)])
+		j := r.next + int(i)
+		if j >= len(r.ring) {
+			j -= len(r.ring)
+		}
+		fn(&r.ring[j])
 	}
-	return out
+	return total
 }
 
 // Total returns how many events were ever added; Dropped how many of
@@ -191,9 +212,7 @@ func (r *EventRing) Total() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.total.Load()
 }
 
 // Dropped returns the number of evicted events.
@@ -219,7 +238,7 @@ func (r *EventRing) Reset() {
 	clear(r.ring[:cap(r.ring)])
 	r.ring = r.ring[:0]
 	r.next = 0
-	r.total = 0
+	r.total.Store(0)
 	r.dropped = 0
 }
 

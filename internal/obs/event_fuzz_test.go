@@ -5,7 +5,7 @@ import "testing"
 // FuzzWideEventRing drives the bounded event ring with an arbitrary
 // op-sequence and checks conservation: events in == retained +
 // evicted, retention never exceeds the cap, eviction is strictly
-// oldest-first, and Tail is consistent with Events.
+// oldest-first, and Visit is consistent with Events.
 func FuzzWideEventRing(f *testing.F) {
 	f.Add(1, []byte{0})
 	f.Add(4, []byte{0, 1, 2, 3, 4, 250, 0, 7})
@@ -46,10 +46,16 @@ func FuzzWideEventRing(f *testing.F) {
 					t.Fatalf("kept seqs %d then %d: not oldest-first", kept[j-1].Seq, kept[j].Seq)
 				}
 			}
-			// Tail(0) must return exactly the retained events.
-			tail := r.Tail(0)
-			if len(tail) != len(kept) {
-				t.Fatalf("Tail(0) %d events, Events %d", len(tail), len(kept))
+			// Visit(0) must see exactly the retained events, in order.
+			seen := 0
+			next := r.Visit(0, func(ev *Event) {
+				if seen < len(kept) && ev.Seq != kept[seen].Seq {
+					t.Fatalf("Visit(0) event %d has seq %d, Events %d", seen, ev.Seq, kept[seen].Seq)
+				}
+				seen++
+			})
+			if seen != len(kept) || next != r.Total() {
+				t.Fatalf("Visit(0) %d events next %d, Events %d total %d", seen, next, len(kept), r.Total())
 			}
 		}
 	})

@@ -49,23 +49,58 @@ func TestEventRingPreservesNonzeroSeq(t *testing.T) {
 	}
 }
 
-func TestEventRingTail(t *testing.T) {
+// visitAll collects what Visit(from) hands its callback, by value.
+func visitAll(r *EventRing, from int64) ([]Event, int64) {
+	var out []Event
+	next := r.Visit(from, func(ev *Event) { out = append(out, *ev) })
+	return out, next
+}
+
+func TestEventRingVisit(t *testing.T) {
 	r := NewEventRing(4)
 	for i := 1; i <= 6; i++ {
 		r.Add(Event{DoneSec: float64(i)})
 	}
 	// Emission indices 0..5; retained are 2..5.
-	if got := r.Tail(6); len(got) != 0 {
-		t.Fatalf("tail past the end returned %d events", len(got))
+	if got, next := visitAll(r, 6); len(got) != 0 || next != 6 {
+		t.Fatalf("visit past the end returned %d events, next %d", len(got), next)
 	}
-	got := r.Tail(4)
-	if len(got) != 2 || got[0].DoneSec != 5 || got[1].DoneSec != 6 {
-		t.Fatalf("Tail(4) = %+v, want events at t=5,6", got)
+	got, next := visitAll(r, 4)
+	if len(got) != 2 || got[0].DoneSec != 5 || got[1].DoneSec != 6 || next != 6 {
+		t.Fatalf("Visit(4) = %+v next %d, want events at t=5,6 and next 6", got, next)
 	}
 	// Asking for more than is retained yields only what remains.
-	got = r.Tail(0)
+	got, _ = visitAll(r, 0)
 	if len(got) != 4 || got[0].DoneSec != 3 {
-		t.Fatalf("Tail(0) = %d events starting %g, want 4 starting t=3", len(got), got[0].DoneSec)
+		t.Fatalf("Visit(0) = %d events starting %g, want 4 starting t=3", len(got), got[0].DoneSec)
+	}
+	// An incremental consumer resumes where the last visit stopped.
+	r.Add(Event{DoneSec: 7})
+	if got, next = visitAll(r, next); len(got) != 1 || got[0].DoneSec != 7 || next != 7 {
+		t.Fatalf("resumed visit = %+v next %d, want the t=7 event and next 7", got, next)
+	}
+}
+
+// TestGrowingEventRingMatchesPreallocated pins that a growing ring is
+// the preallocated ring with lazy storage: same retention, eviction,
+// sequence numbers and counters for any add count around the bound,
+// whatever its up-front hint.
+func TestGrowingEventRingMatchesPreallocated(t *testing.T) {
+	for _, c := range []struct{ n, hint, slots int }{
+		{0, 0, 0}, {1, 0, 0}, {3, 2, 2}, {4, -1, 0}, {5, 2, 2}, {9, 99, 4},
+	} {
+		n := c.n
+		a, b := NewEventRing(4), NewGrowingEventRing(4, c.hint)
+		if cap(b.ring) != c.slots {
+			t.Fatalf("hint %d preallocated %d slots, want %d", c.hint, cap(b.ring), c.slots)
+		}
+		for i := 0; i < n; i++ {
+			a.Add(Event{DoneSec: float64(i)})
+			b.Add(Event{DoneSec: float64(i)})
+		}
+		if !reflect.DeepEqual(a.Events(), b.Events()) || a.Total() != b.Total() || a.Dropped() != b.Dropped() {
+			t.Fatalf("after %d adds: preallocated %+v, growing %+v", n, a.Events(), b.Events())
+		}
 	}
 }
 
@@ -149,7 +184,7 @@ func TestNilEventRingNoOps(t *testing.T) {
 	var r *EventRing
 	r.Add(Event{})
 	r.Reset()
-	if r.Events() != nil || r.Tail(0) != nil || r.Total() != 0 || r.Dropped() != 0 {
+	if r.Events() != nil || r.Visit(3, func(*Event) { t.Fatal("nil ring visited an event") }) != 3 || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil ring is not a no-op")
 	}
 }

@@ -17,9 +17,11 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Label is one name=value dimension of a metric.
@@ -171,14 +173,15 @@ func relabelKey(key string, extra []Label) string {
 	return metricKey(name, append(labels, extra...))
 }
 
-// Counter is a monotonically increasing count.
+// Counter is a monotonically increasing count. Inc and Add are single
+// atomic operations: the hot paths bump counters on every request, and
+// a lock per bump was a measurable share of a library run.
 type Counter struct {
-	mu sync.Mutex
-	v  int64
+	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add increases the counter by n; negative n is ignored (counters are
 // monotone by contract).
@@ -186,53 +189,44 @@ func (c *Counter) Add(n int64) {
 	if n <= 0 {
 		return
 	}
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
+	c.v.Add(n)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous value (queue depth, clock seconds).
+// Gauge is an instantaneous value (queue depth, clock seconds), held
+// as the bits of a float64 so every update is lock-free: Set is one
+// store, Add and Max compare-and-swap until their update lands.
 type Gauge struct {
-	mu sync.Mutex
-	v  float64
+	bits atomic.Uint64
 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add shifts the gauge by d.
 func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
-	g.mu.Unlock()
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
+	}
 }
 
 // Max raises the gauge to v if v is larger (high-water marks).
 func (g *Gauge) Max(v float64) {
-	g.mu.Lock()
-	if v > g.v {
-		g.v = v
+	for {
+		old := g.bits.Load()
+		if !(v > math.Float64frombits(old)) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
 	}
-	g.mu.Unlock()
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Registry holds a process's metrics by canonical series identity.
 // The zero value is not usable; call NewRegistry.

@@ -36,6 +36,45 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestCounterGaugeConcurrent hammers one counter and one gauge from
+// several goroutines: no update is lost (every increment and every
+// exactly representable gauge step lands), negative counter adds stay
+// ignored, and Max keeps the true high-water mark. Run under -race it
+// also checks the lock-free updates are data-race free.
+func TestCounterGaugeConcurrent(t *testing.T) {
+	var c Counter
+	var g, hw Gauge
+	hw.Set(math.Inf(-1))
+	const workers, per = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.Inc()
+				c.Add(-3)
+				g.Add(0.5)
+				hw.Max(float64(w*per + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := c.Value(); got != workers*per {
+		t.Fatalf("counter = %d, want %d", got, workers*per)
+	}
+	if got := g.Value(); got != workers*per*0.5 {
+		t.Fatalf("gauge = %g, want %g", got, float64(workers*per)*0.5)
+	}
+	if got := hw.Value(); got != workers*per-1 {
+		t.Fatalf("high-water = %g, want %d", got, workers*per-1)
+	}
+	hw.Max(math.NaN()) // never raises: NaN compares below everything
+	if got := hw.Value(); got != workers*per-1 {
+		t.Fatalf("Max(NaN) moved the high-water to %g", got)
+	}
+}
+
 func TestMetricKeyLabelOrderInsensitive(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x", L("b", "2"), L("a", "1"))

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -218,6 +220,58 @@ func TestHealthTrackerScore(t *testing.T) {
 	nilTracker.Advance(1)
 	if nilTracker.Score("x") != 1 || nilTracker.Keys() != nil {
 		t.Fatal("nil tracker is not a no-op")
+	}
+}
+
+// TestHealthKeyMatchesKeyed drives one tracker through HealthKey
+// handles and a twin through the keyed methods with the same outcome
+// sequence, interleaving clock moves, and checks every score agrees —
+// including a handle taken before its key exists, a key observed only
+// through the keyed path, and scores read back after Advance expires
+// samples (the handle's cached score must not go stale).
+func TestHealthKeyMatchesKeyed(t *testing.T) {
+	a, b := NewHealthTracker(10, 50), NewHealthTracker(10, 50)
+	ka, kb := a.Key("shard=0"), a.Key("shard=1")
+	if ka.Score() != 1 || len(a.Keys()) != 0 {
+		t.Fatal("an unobserved handle must score 1 and register nothing")
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, c := range []struct {
+			k   *HealthKey
+			key string
+		}{{ka, "shard=0"}, {kb, "shard=1"}} {
+			if got, want := c.k.Score(), b.Score(c.key); got != want {
+				t.Fatalf("%s: %s handle %g, keyed %g", step, c.key, got, want)
+			}
+		}
+	}
+	for i, ev := range []struct {
+		at    float64
+		shard int
+		good  bool
+	}{{1, 0, true}, {2, 0, false}, {3, 1, false}, {9, 1, true}, {14, 0, true}, {30, 1, true}, {61, 0, false}} {
+		if ev.shard == 0 {
+			ka.Observe(ev.at, ev.good)
+			b.Observe("shard=0", ev.at, ev.good)
+		} else {
+			// Shard 1 is fed through the keyed path on both trackers:
+			// the handle must find windows it did not create.
+			a.Observe("shard=1", ev.at, ev.good)
+			b.Observe("shard=1", ev.at, ev.good)
+		}
+		check("observe " + strconv.Itoa(i))
+		a.Advance(ev.at + 5)
+		b.Advance(ev.at + 5)
+		check("advance " + strconv.Itoa(i))
+	}
+	if !reflect.DeepEqual(a.Scores(), b.Scores()) {
+		t.Fatalf("scores %v, keyed twin %v", a.Scores(), b.Scores())
+	}
+	var nilKey *HealthKey = (*HealthTracker)(nil).Key("x")
+	nilKey.Observe(1, false)
+	if nilKey.Score() != 1 {
+		t.Fatal("nil handle is not a no-op")
 	}
 }
 
