@@ -73,6 +73,19 @@ func planHashes(t *testing.T) []byte {
 			line(NewAuto(), n, seed, randomProblem(t, m, n, seed*104729+int64(n)))
 		}
 	}
+	// LOSS, LOSS-C and Auto over the small batches the library and the
+	// paper-batch loop hand to LOSS, up to and across the one-word
+	// (64-city) boundary of the dense engine: n = 63 requests is 64
+	// cities with the head, n = 64 is 65.
+	small := []Scheduler{NewLOSS(), NewLOSSCoalesced(DefaultCoalesceThreshold), NewAuto()}
+	for _, n := range []int{11, 12, 13, 14, 15, 16, 20, 40, 62, 63, 64} {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := randomProblem(t, m, n, seed*1299709+int64(n))
+			for _, alg := range small {
+				line(alg, n, seed, p)
+			}
+		}
+	}
 	return buf.Bytes()
 }
 
