@@ -13,6 +13,8 @@ BENCH14_OUT ?= BENCH_PR14.json
 BENCH14_BASELINE ?= BENCH_PR14_BASELINE.txt
 BENCH16_OUT ?= BENCH_PR16.json
 BENCH16_BASELINE ?= BENCH_PR16_BASELINE.txt
+BENCH17_OUT ?= BENCH_PR17.json
+BENCH17_BASELINE ?= BENCH_PR17_BASELINE.txt
 
 # End-to-end benchmarks for the dispatch-loop perf pass: a full
 # library sweep cell, the online server's steady-state loop, and the
@@ -34,7 +36,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr16 profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr16 bench-pr17 profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the sweep runner and the parallel simulator plus the packages
@@ -115,6 +117,19 @@ bench-pr16:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH16_BASELINE) < $(BENCH_TXT) > $(BENCH16_OUT)
 	rm -f $(BENCH_TXT)
 
+# Regenerate the committed evidence for the flat small-batch LOSS
+# engine: the scheduler suite (LOSS at n=16 and 40), the end-to-end
+# benches and the layer ladder (trajectory continuity), plus Auto over
+# the batch mix of one library run, with the capture from the parent
+# revision embedded under "baseline". GOMAXPROCS=1 as for bench-pr13.
+bench-pr17:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkScheduler$$' -benchmem ./internal/core | tee $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(E2E_BENCH)' -benchtime 200x -benchmem ./internal/tertiary ./internal/server | tee -a $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkAutoLibraryMix' -count 5 -benchmem ./internal/tertiary | tee -a $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee -a $(BENCH_TXT)
+	$(GO) run ./cmd/benchjson -baseline $(BENCH17_BASELINE) < $(BENCH_TXT) > $(BENCH17_OUT)
+	rm -f $(BENCH_TXT)
+
 # CPU and heap profiles of a representative library sweep cell, for
 # `go tool pprof results/pprof/cpu.out` (see EXPERIMENTS.md §"Profiling
 # the event loop"). Artifacts are gitignored.
@@ -124,8 +139,8 @@ profile:
 		-cpuprofile results/pprof/cpu.out -memprofile results/pprof/heap.out \
 		-o results/pprof/tertiary.test ./internal/tertiary
 
-# Short fuzzing passes over the lazy LOSS engine (against its eager
-# reference), the bounded OPT search (against the exhaustive dynamic
+# Short fuzzing passes over the flat and lazy LOSS engines (against
+# their eager reference), the bounded OPT search (against the exhaustive dynamic
 # program), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
 # wide-event ring, the SLO sliding windows, the staging cache's
 # eviction policies, the fleet routing tier, and the fleet's event fold

@@ -22,7 +22,8 @@ func NewAuto() Auto { return Auto{OptLimit: 10} }
 // Name returns "AUTO".
 func (Auto) Name() string { return "AUTO" }
 
-// Schedule dispatches to OPT, LOSS or READ.
+// Schedule dispatches to OPT, LOSS or READ. The problem is validated
+// once, here; the dispatch targets run unvalidated.
 func (a Auto) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
@@ -31,8 +32,9 @@ func (a Auto) Schedule(p *Problem) (Plan, error) {
 	if limit <= 0 {
 		limit = 10
 	}
-	if len(p.Requests) <= limit {
-		return NewOPT(limit).Schedule(p)
+	// Dispatch on the limit OPT actually accepts: NewOPT caps it.
+	if opt := NewOPT(limit); len(p.Requests) <= opt.Limit() {
+		return opt.schedule(p)
 	}
 	// Beyond ~2048 requests the dense quadratic matrix stops paying
 	// for itself (and the whole-tape pass is close anyway): coalesce
@@ -40,9 +42,9 @@ func (a Auto) Schedule(p *Problem) (Plan, error) {
 	var lossPlan Plan
 	var err error
 	if len(p.Requests) <= 2048 {
-		lossPlan, err = NewLOSS().Schedule(p)
+		lossPlan, err = NewLOSS().schedule(p)
 	} else {
-		lossPlan, err = NewLOSSCoalesced(DefaultCoalesceThreshold).Schedule(p)
+		lossPlan, err = NewLOSSCoalesced(DefaultCoalesceThreshold).schedule(p)
 	}
 	if err != nil {
 		return Plan{}, err
@@ -50,5 +52,5 @@ func (a Auto) Schedule(p *Problem) (Plan, error) {
 	if lossPlan.Estimate(p).Total() <= p.Cost.FullReadTime() {
 		return lossPlan, nil
 	}
-	return Read{}.Schedule(p)
+	return Read{}.schedule(p), nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -103,5 +104,24 @@ func TestAutoOptLimitConfigurable(t *testing.T) {
 	}
 	if math.Abs(plan.Estimate(p).Total()-opt.Estimate(p).Total()) > 1e-9 {
 		t.Fatal("Auto{OptLimit:12} should be OPT at n=12")
+	}
+}
+
+// NewOPT caps its limit at 24, so Auto must dispatch on the capped
+// limit: a 25-request batch under OptLimit 30 goes to LOSS instead of
+// failing as too large for OPT.
+func TestAutoOptLimitAboveCap(t *testing.T) {
+	m := testModel(t, 1)
+	p := randomProblem(t, m, 25, 8)
+	plan, err := Auto{OptLimit: 30}.Schedule(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := NewLOSS().Schedule(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(plan.Order, loss.Order) {
+		t.Fatalf("Auto{OptLimit: 30} at n=25 = %v, want the LOSS plan %v", plan.Order, loss.Order)
 	}
 }

@@ -21,11 +21,16 @@ import (
 // that city's short edge avoids ever being forced onto its much
 // longer alternative.
 //
-// The cost is the O(n²) fill of the locate-time matrix, one O(n²)
-// pass over it that keeps each candidate list's shortest edges, and
-// selection work proportional to the entries the greedy reads: a list
-// is sorted only as deep as it is read, and each round rescores only
-// the cities its edge invalidated before a linear argmax over the
+// The cost is the O(n²) fill of the locate-time matrix plus the
+// greedy's selection work, done by one of two engines that make
+// identical choices, split at one machine word of cities. Up to 64
+// cities (63 requests plus the head), flatLoss keeps availability in
+// two bitmasks and rescores an invalidated city side by one linear
+// scan of its valid mask. Above that, the lazy lossState keeps each
+// candidate list's shortest edges from one O(n²) pass over the
+// matrix and does work proportional to the entries the greedy reads:
+// a list is sorted only as deep as it is read. Both rescore only the
+// city sides an edge invalidated before a linear argmax over the
 // cached losses. The paper notes that coalescing nearby segments into
 // a single representative (NewLOSSCoalesced) shrinks the problem
 // significantly. On the DLT4000, LOSS delivers 124 random I/Os per
@@ -59,6 +64,7 @@ const maxLOSSCities = 8192
 // lossArena is the reusable working state of one dense LOSS run; see
 // arena.go for the pooling rationale.
 type lossArena struct {
+	flat  flatLoss
 	state lossState
 	segs  []int // request copy backing the group subslices
 	grp   []group
@@ -76,6 +82,11 @@ func (l LOSS) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
+	return l.schedule(p)
+}
+
+// schedule is Schedule on a problem the caller has validated.
+func (l LOSS) schedule(p *Problem) (Plan, error) {
 	if len(p.Requests) == 0 {
 		return Plan{}, nil
 	}
@@ -101,7 +112,7 @@ func (l LOSS) Schedule(p *Problem) (Plan, error) {
 		// sparse-graph variant, which solves the same instance in
 		// linear memory (the groups rebuild from p.Requests).
 		lossPool.Put(a)
-		return SparseLOSS{Threshold: l.threshold}.Schedule(p)
+		return SparseLOSS{Threshold: l.threshold}.schedule(p)
 	}
 	order, err := lossPath(p, groups, a)
 	if err != nil {
@@ -674,15 +685,27 @@ func lossPath(p *Problem, groups []group, a *lossArena) ([]group, error) {
 	}
 	a.w = grown(a.w, n*k)
 	locate.FillCostMatrix(p.Cost, a.w, a.srcs, a.dsts)
-	s := &a.state
-	s.reset(n)
-	s.w = a.w
-	s.denseCandidates()
-	if got := s.run(k); got != k {
+	// Up to one machine word of cities the flat engine, whose
+	// availability masks are single uint64s, makes the lazy engine's
+	// choices with less machinery.
+	var next []int32
+	var got int
+	if n <= flatLOSSCities {
+		got = a.flat.run(a.w, n)
+		next = a.flat.next[:n]
+	} else {
+		s := &a.state
+		s.reset(n)
+		s.w = a.w
+		s.denseCandidates()
+		got = s.run(k)
+		next = s.next
+	}
+	if got != k {
 		return nil, fmt.Errorf("core: LOSS stuck with %d/%d edges chosen", got, k)
 	}
 	a.order = a.order[:0]
-	for c := s.next[0]; c >= 0; c = s.next[c] {
+	for c := next[0]; c >= 0; c = next[c] {
 		a.order = append(a.order, groups[c-1])
 	}
 	if len(a.order) != k {

@@ -213,6 +213,24 @@ func lazyNext(n int, weight func(i, j int32) float64) ([]int32, int) {
 	return s.next[:n], got
 }
 
+// flatNext runs the single-word engine over a complete digraph of at
+// most flatLOSSCities cities, copying the weights into the strided
+// matrix lossPath fills.
+func flatNext(n int, weight func(i, j int32) float64) ([]int32, int) {
+	k := n - 1
+	w := make([]float64, n*k)
+	for i := 0; i < n; i++ {
+		for j := 1; j < n; j++ {
+			if j != i {
+				w[i*k+j-1] = weight(int32(i), int32(j))
+			}
+		}
+	}
+	var f flatLoss
+	got := f.run(w, n)
+	return f.next[:n], got
+}
+
 // refNext runs the eager reference over the same digraph.
 func refNext(n int, weight func(i, j int32) float64) ([]int32, int) {
 	r := newRefLoss(n, weight)
@@ -233,20 +251,25 @@ func equalNext(t *testing.T, what string, got, want []int32, gotEdges, wantEdges
 	}
 }
 
-// FuzzLOSSLazyEquivalence checks the lazy, incremental engine against
-// the eager reference edge for edge. Weights are small integers, so
-// exact ties are common and the (weight, index) tie-break decides;
-// bytes with the high bit set negate their weight, which also yields
-// -0. A span of 0 or 16 makes every weight ±0, which drives every
+// FuzzLOSSLazyEquivalence checks the lazy, incremental engine and the
+// single-word flat engine against the eager reference edge for edge.
+// n spans 2..64 cities, the flat engine's whole range. Weights are
+// small integers, so exact ties are common and the (weight, index)
+// tie-break decides; bytes with the high bit set negate their weight,
+// which also yields -0, and bytes whose low seven bits are all set
+// weigh +Inf, so ties at +Inf and the +Inf - +Inf NaN loss occur. A
+// span of 0 or 16 makes every finite weight ±0, which drives every
 // list past its prefix into extend.
 func FuzzLOSSLazyEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{})                                  // n=2
 	f.Add(uint8(1), uint8(3), []byte{5, 1, 200, 7})                      // n=3
-	f.Add(uint8(18), uint8(0), []byte{1})                                // n=20, all equal
+	f.Add(uint8(18), uint8(0), []byte{1})                                // n=20, ±0 but for two +Inf
 	f.Add(uint8(62), uint8(0), []byte{})                                 // n=64, all equal
 	f.Add(uint8(62), uint8(2), []byte{0, 1, 1, 0, 128, 1, 0, 0, 129, 1}) // n=64, 0/1 with -0
 	f.Add(uint8(40), uint8(7), []byte("lazy incremental loss must match the eager oracle"))
 	f.Add(uint8(62), uint8(255), []byte{3, 141, 59, 26, 5, 35, 89, 79, 32, 38, 46, 26, 43, 38, 32, 79, 50, 28, 84, 197})
+	f.Add(uint8(95), uint8(37), []byte("8"))                         // n=34, out-sides with a +Inf second
+	f.Add(uint8(62), uint8(2), []byte{48, 120, 67, 39, 0, 0, 90, 1}) // n=64, sides whose every candidate is +Inf
 	f.Fuzz(func(t *testing.T, nb, span uint8, data []byte) {
 		n := 2 + int(nb)%63
 		mod := 1 + int(span)%16
@@ -257,7 +280,9 @@ func FuzzLOSSLazyEquivalence(f *testing.F) {
 			}
 			b := data[x%len(data)] ^ byte(x/len(data))
 			v := float64(int(b&0x7f) % mod)
-			if b&0x80 != 0 {
+			if b&0x7f == 0x7f {
+				v = math.Inf(1)
+			} else if b&0x80 != 0 {
 				v = -v
 			}
 			w[x] = v
@@ -265,15 +290,18 @@ func FuzzLOSSLazyEquivalence(f *testing.F) {
 		weight := func(i, j int32) float64 { return w[int(i)*n+int(j)] }
 		want, wantEdges := refNext(n, weight)
 		got, gotEdges := lazyNext(n, weight)
-		equalNext(t, fmt.Sprintf("n=%d mod=%d", n, mod), got, want, gotEdges, wantEdges)
+		equalNext(t, fmt.Sprintf("lazy n=%d mod=%d", n, mod), got, want, gotEdges, wantEdges)
+		got, gotEdges = flatNext(n, weight)
+		equalNext(t, fmt.Sprintf("flat n=%d mod=%d", n, mod), got, want, gotEdges, wantEdges)
 	})
 }
 
 // On real locate-time matrices, including lists long enough for the
-// radix sort, both engines choose the same edges.
+// radix sort, the engines choose the same edges as the reference: the
+// lazy one at every size, the flat one up to its 64 cities.
 func TestLOSSLazyMatchesReferenceOnLocateTimes(t *testing.T) {
 	m := testModel(t, 1)
-	for _, n := range []int{2, 17, 96, 257, 700} {
+	for _, n := range []int{2, 11, 16, 17, 40, 63, 96, 257, 700} {
 		p := randomProblem(t, m, n, int64(n)*31+5)
 		srcs := append([]int{p.Start}, make([]int, n)...)
 		dsts := make([]int, n)
@@ -286,7 +314,11 @@ func TestLOSSLazyMatchesReferenceOnLocateTimes(t *testing.T) {
 		weight := func(i, j int32) float64 { return w[int(i)*n+int(j)-1] }
 		want, wantEdges := refNext(n+1, weight)
 		got, gotEdges := lazyNext(n+1, weight)
-		equalNext(t, fmt.Sprintf("n=%d", n), got, want, gotEdges, wantEdges)
+		equalNext(t, fmt.Sprintf("lazy n=%d", n), got, want, gotEdges, wantEdges)
+		if n+1 <= flatLOSSCities {
+			got, gotEdges = flatNext(n+1, weight)
+			equalNext(t, fmt.Sprintf("flat n=%d", n), got, want, gotEdges, wantEdges)
+		}
 	}
 }
 

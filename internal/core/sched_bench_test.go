@@ -33,8 +33,9 @@ func schedBenchModel(b *testing.B) *locate.Model {
 
 // BenchmarkScheduler measures one Schedule call per iteration for the
 // four arena-backed algorithms at the two acceptance batch sizes, plus
-// LOSS at 1536, the longest batch of the paper's Fig. 4/6 sweep, and
-// OPT over the small batches Auto hands it (n <= 10).
+// LOSS at 1536, the longest batch of the paper's Fig. 4/6 sweep, LOSS
+// at 16 and 40, the small batches the library and the paper-batch
+// loop hand it, and OPT over the small batches Auto hands it (n <= 10).
 // Steady state should be ≤2 allocs/op (the returned Plan.Order plus at
 // most one arena growth on the very first iterations).
 func BenchmarkScheduler(b *testing.B) {
@@ -44,7 +45,7 @@ func BenchmarkScheduler(b *testing.B) {
 		sizes := []int{128, 1024}
 		switch alg.Name() {
 		case "LOSS":
-			sizes = append(sizes, 1536)
+			sizes = []int{16, 40, 128, 1024, 1536}
 		case "OPT":
 			sizes = []int{3, 6, 8, 10}
 		}

@@ -15,11 +15,16 @@ func (Read) Name() string { return "READ" }
 
 // Schedule returns a whole-tape plan; the pass encounters the
 // requests in ascending segment order.
-func (Read) Schedule(p *Problem) (Plan, error) {
+func (r Read) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return Plan{Order: sortedCopy(p.Requests), WholeTape: true}, nil
+	return r.schedule(p), nil
+}
+
+// schedule is Schedule on a problem the caller has validated.
+func (Read) schedule(p *Problem) Plan {
+	return Plan{Order: sortedCopy(p.Requests), WholeTape: true}
 }
 
 // FIFO is the paper's FIFO algorithm: perform the locates and reads

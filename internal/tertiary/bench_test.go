@@ -3,6 +3,7 @@ package tertiary
 import (
 	"testing"
 
+	"serpentine/internal/core"
 	"serpentine/internal/geometry"
 )
 
@@ -107,4 +108,58 @@ func BenchmarkEventLoopDispatch(b *testing.B) {
 		ev := events.popMin()
 		events.push(driveEvent{at: ev.at + 40 + float64(ev.drive), drive: ev.drive})
 	}
+}
+
+// problemRecorder schedules with Auto and keeps a copy of every
+// Problem it is handed.
+type problemRecorder struct {
+	problems []core.Problem
+}
+
+func (r *problemRecorder) Name() string { return "AUTO" }
+
+func (r *problemRecorder) Schedule(p *core.Problem) (core.Plan, error) {
+	q := *p
+	q.Requests = append([]int(nil), p.Requests...)
+	r.problems = append(r.problems, q)
+	return core.NewAuto().Schedule(p)
+}
+
+// BenchmarkAutoLibraryMix replays the batches one library run really
+// schedules through core.NewAuto(): the SweepStore library with 2
+// drives and batch limit 16 under a 150/h stream, where about half of
+// the batches go to OPT (n <= 10) and half to LOSS (n = 11..16). One
+// op schedules the whole recorded mix once; ns/batch is the mean cost
+// of one Schedule call over it.
+func BenchmarkAutoLibraryMix(b *testing.B) {
+	base, err := SweepStore(geometry.DLT4000(), 4, 512, 32, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &problemRecorder{}
+	lib := base.Clone(Config{
+		Profile:    geometry.DLT4000(),
+		Tapes:      base.Tapes(),
+		Drives:     2,
+		BatchLimit: 16,
+		Scheduler:  rec,
+	})
+	stream, err := SweepStream(150, 8000, 12345, 4, 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := lib.Run(stream); err != nil {
+		b.Fatal(err)
+	}
+	auto := core.NewAuto()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range rec.problems {
+			if _, err := auto.Schedule(&rec.problems[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.problems)), "ns/batch")
 }
