@@ -11,8 +11,6 @@ BENCH13_OUT ?= BENCH_PR13.json
 BENCH13_BASELINE ?= BENCH_PR13_BASELINE.txt
 BENCH14_OUT ?= BENCH_PR14.json
 BENCH14_BASELINE ?= BENCH_PR14_BASELINE.txt
-BENCH16_OUT ?= BENCH_PR16.json
-BENCH16_BASELINE ?= BENCH_PR16_BASELINE.txt
 BENCH17_OUT ?= BENCH_PR17.json
 BENCH17_BASELINE ?= BENCH_PR17_BASELINE.txt
 
@@ -36,7 +34,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr16 bench-pr17 profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the sweep runner and the parallel simulator plus the packages
@@ -105,26 +103,18 @@ bench-pr14:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH14_BASELINE) < $(BENCH_TXT) > $(BENCH14_OUT)
 	rm -f $(BENCH_TXT)
 
-# Regenerate the committed evidence for the flat fleet path: the
-# scheduler suite and end-to-end benches (trajectory continuity) plus
-# the fleet, tier and emission ladder, with the capture from the
-# parent revision embedded under "baseline". GOMAXPROCS=1 as for
-# bench-pr13.
-bench-pr16:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkScheduler$$' -benchmem ./internal/core | tee $(BENCH_TXT)
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(E2E_BENCH)' -benchtime 200x -benchmem ./internal/tertiary ./internal/server | tee -a $(BENCH_TXT)
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee -a $(BENCH_TXT)
-	$(GO) run ./cmd/benchjson -baseline $(BENCH16_BASELINE) < $(BENCH_TXT) > $(BENCH16_OUT)
-	rm -f $(BENCH_TXT)
-
 # Regenerate the committed evidence for the flat small-batch LOSS
 # engine: the scheduler suite (LOSS at n=16 and 40), the end-to-end
-# benches and the layer ladder (trajectory continuity), plus Auto over
-# the batch mix of one library run, with the capture from the parent
-# revision embedded under "baseline". GOMAXPROCS=1 as for bench-pr13.
+# benches and the fleet, tier and emission ladder, plus Auto over the
+# batch mix of one library run, with the capture from the parent
+# revision embedded under "baseline". This is the maintained capture
+# recipe; BENCH_PR16.json (the flat fleet path) is a frozen capture
+# that the CI gate keeps as a floor. Every benchmark runs -count 5, as
+# in CI, so the gate's best-of reference is a best of five on both
+# sides. GOMAXPROCS=1 as for bench-pr13.
 bench-pr17:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkScheduler$$' -benchmem ./internal/core | tee $(BENCH_TXT)
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(E2E_BENCH)' -benchtime 200x -benchmem ./internal/tertiary ./internal/server | tee -a $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkScheduler$$' -count 5 -benchmem ./internal/core | tee $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(E2E_BENCH)' -benchtime 200x -count 5 -benchmem ./internal/tertiary ./internal/server | tee -a $(BENCH_TXT)
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkAutoLibraryMix' -count 5 -benchmem ./internal/tertiary | tee -a $(BENCH_TXT)
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee -a $(BENCH_TXT)
 	$(GO) run ./cmd/benchjson -baseline $(BENCH17_BASELINE) < $(BENCH_TXT) > $(BENCH17_OUT)

@@ -22,8 +22,7 @@ func NewAuto() Auto { return Auto{OptLimit: 10} }
 // Name returns "AUTO".
 func (Auto) Name() string { return "AUTO" }
 
-// Schedule dispatches to OPT, LOSS or READ. The problem is validated
-// once, here; the dispatch targets run unvalidated.
+// Schedule dispatches to OPT, LOSS or READ.
 func (a Auto) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
@@ -34,7 +33,7 @@ func (a Auto) Schedule(p *Problem) (Plan, error) {
 	}
 	// Dispatch on the limit OPT actually accepts: NewOPT caps it.
 	if opt := NewOPT(limit); len(p.Requests) <= opt.Limit() {
-		return opt.schedule(p)
+		return opt.Schedule(p)
 	}
 	// Beyond ~2048 requests the dense quadratic matrix stops paying
 	// for itself (and the whole-tape pass is close anyway): coalesce
@@ -42,9 +41,9 @@ func (a Auto) Schedule(p *Problem) (Plan, error) {
 	var lossPlan Plan
 	var err error
 	if len(p.Requests) <= 2048 {
-		lossPlan, err = NewLOSS().schedule(p)
+		lossPlan, err = NewLOSS().Schedule(p)
 	} else {
-		lossPlan, err = NewLOSSCoalesced(DefaultCoalesceThreshold).schedule(p)
+		lossPlan, err = NewLOSSCoalesced(DefaultCoalesceThreshold).Schedule(p)
 	}
 	if err != nil {
 		return Plan{}, err
@@ -52,5 +51,5 @@ func (a Auto) Schedule(p *Problem) (Plan, error) {
 	if lossPlan.Estimate(p).Total() <= p.Cost.FullReadTime() {
 		return lossPlan, nil
 	}
-	return Read{}.schedule(p), nil
+	return Read{}.Schedule(p)
 }

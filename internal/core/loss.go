@@ -82,11 +82,6 @@ func (l LOSS) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return l.schedule(p)
-}
-
-// schedule is Schedule on a problem the caller has validated.
-func (l LOSS) schedule(p *Problem) (Plan, error) {
 	if len(p.Requests) == 0 {
 		return Plan{}, nil
 	}
@@ -112,7 +107,7 @@ func (l LOSS) schedule(p *Problem) (Plan, error) {
 		// sparse-graph variant, which solves the same instance in
 		// linear memory (the groups rebuild from p.Requests).
 		lossPool.Put(a)
-		return SparseLOSS{Threshold: l.threshold}.schedule(p)
+		return SparseLOSS{Threshold: l.threshold}.Schedule(p)
 	}
 	order, err := lossPath(p, groups, a)
 	if err != nil {

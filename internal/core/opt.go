@@ -71,11 +71,6 @@ func (o OPT) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return o.schedule(p)
-}
-
-// schedule is Schedule on a problem the caller has validated.
-func (o OPT) schedule(p *Problem) (Plan, error) {
 	n := len(p.Requests)
 	if n > o.limit {
 		return Plan{}, fmt.Errorf("%w: %d requests exceeds limit %d", ErrTooLarge, n, o.limit)

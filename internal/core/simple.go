@@ -15,16 +15,11 @@ func (Read) Name() string { return "READ" }
 
 // Schedule returns a whole-tape plan; the pass encounters the
 // requests in ascending segment order.
-func (r Read) Schedule(p *Problem) (Plan, error) {
+func (Read) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return r.schedule(p), nil
-}
-
-// schedule is Schedule on a problem the caller has validated.
-func (Read) schedule(p *Problem) Plan {
-	return Plan{Order: sortedCopy(p.Requests), WholeTape: true}
+	return Plan{Order: sortedCopy(p.Requests), WholeTape: true}, nil
 }
 
 // FIFO is the paper's FIFO algorithm: perform the locates and reads

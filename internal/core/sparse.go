@@ -46,11 +46,6 @@ func (sl SparseLOSS) Schedule(p *Problem) (Plan, error) {
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return sl.schedule(p)
-}
-
-// schedule is Schedule on a problem the caller has validated.
-func (sl SparseLOSS) schedule(p *Problem) (Plan, error) {
 	if len(p.Requests) == 0 {
 		return Plan{}, nil
 	}
