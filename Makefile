@@ -40,9 +40,13 @@ FUZZTIME ?= 30s
 # over the sweep runner and the parallel simulator plus the packages
 # it drives concurrently (the drive emulator, the scheduler suite, the online server and its
 # metrics registry, the multi-drive tape library, and the sharded
-# fleet).
+# fleet). The benchmark harness is its own module, which `./...` at
+# the root does not reach; vetting it (rather than building it, which
+# would drop a binary into the tree) catches API deletions that break
+# it.
 verify: vet
 	$(GO) build ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/grid/... ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
 
@@ -132,10 +136,12 @@ profile:
 # Short fuzzing passes over the flat and lazy LOSS engines (against
 # their eager reference), the bounded OPT search (against the exhaustive dynamic
 # program), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
-# wide-event ring, the SLO sliding windows, the staging cache's
-# eviction policies, the fleet routing tier, and the fleet's event fold
-# and health feed (against their copy-and-sort oracles) — the state
-# machines arbitrary inputs can reach. CI runs this on every PR; locally, raise
+# wide-event ring, the SLO sliding windows, the event-log replay
+# (parse, sort, SLO scoring and write/read round trip of arbitrary
+# bytes), the staging cache's eviction policies, the fleet routing
+# tier, and the fleet's event fold and health feed (against their
+# copy-and-sort oracles) — the state machines arbitrary inputs can
+# reach. CI runs this on every PR; locally, raise
 # FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLOSSLazyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
@@ -148,6 +154,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanStore$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzWideEventRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindow$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzEventLogReplay$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEviction$$' -fuzztime $(FUZZTIME) ./internal/hsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRouting$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetFoldEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fleet/

@@ -27,7 +27,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
-	"serpentine/internal/server"
 	"serpentine/internal/sim"
 	"serpentine/internal/tertiary"
 )
@@ -282,11 +281,9 @@ type RunConfig struct {
 	Drives     int
 	MountSec   float64
 	UnmountSec float64
-	// BatchLimit, Policy, WindowSec, QueueCap, Retry and DeadlineSec
-	// pass through to every shard's Config.
+	// BatchLimit, QueueCap, Retry and DeadlineSec pass through to
+	// every shard's Config.
 	BatchLimit  int
-	Policy      server.BatchPolicy
-	WindowSec   float64
 	QueueCap    int
 	Retry       sim.RetryPolicy
 	DeadlineSec float64
@@ -686,8 +683,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			MountSec:    cfg.MountSec,
 			UnmountSec:  cfg.UnmountSec,
 			BatchLimit:  cfg.BatchLimit,
-			Policy:      cfg.Policy,
-			WindowSec:   cfg.WindowSec,
 			QueueCap:    cfg.QueueCap,
 			Retry:       cfg.Retry,
 			Lifecycle:   lc,

@@ -11,7 +11,6 @@ import (
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
 	"serpentine/internal/rand48"
-	"serpentine/internal/server"
 	"serpentine/internal/sim"
 	"serpentine/internal/tertiary"
 	"serpentine/internal/workload"
@@ -85,12 +84,10 @@ type SweepConfig struct {
 	// for that).
 	Drives     int
 	BatchLimit int
-	// MountSec, UnmountSec, Policy, WindowSec, QueueCap, Retry and
-	// DeadlineSec pass through to every shard.
+	// MountSec, UnmountSec, QueueCap, Retry and DeadlineSec pass
+	// through to every shard.
 	MountSec    float64
 	UnmountSec  float64
-	Policy      server.BatchPolicy
-	WindowSec   float64
 	QueueCap    int
 	Retry       sim.RetryPolicy
 	DeadlineSec float64
@@ -255,8 +252,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			MountSec:    cfg.MountSec,
 			UnmountSec:  cfg.UnmountSec,
 			BatchLimit:  limit,
-			Policy:      cfg.Policy,
-			WindowSec:   cfg.WindowSec,
 			QueueCap:    cfg.QueueCap,
 			Retry:       cfg.Retry,
 			DeadlineSec: cfg.DeadlineSec,

@@ -12,7 +12,7 @@ type Entry struct {
 	// Bytes is the entry's resident size.
 	Bytes int64
 	// Cost is the modeled re-fetch cost in virtual seconds — the
-	// library twin's locate+transfer price for reading the object off
+	// locate model's locate+transfer price for reading the object off
 	// tape again (tertiary.Library.RefetchSec). The cost-aware policy
 	// evicts the cheapest-to-refetch entry first, and a dirty entry's
 	// writeback is charged it. A tier whose cache reads neither (LRU or

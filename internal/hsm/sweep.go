@@ -8,7 +8,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/grid"
 	"serpentine/internal/obs"
-	"serpentine/internal/server"
 	"serpentine/internal/sim"
 	"serpentine/internal/stats"
 	"serpentine/internal/tertiary"
@@ -42,13 +41,10 @@ type SweepConfig struct {
 	// requests served per mount; 0 selects 16.
 	Drives     int
 	BatchLimit int
-	// MountSec, UnmountSec, Policy, WindowSec, QueueCap and Retry pass
-	// through to every cell's library Config (Policy is the batching
-	// policy; eviction policies are the Policies axis above).
+	// MountSec, UnmountSec, QueueCap and Retry pass through to every
+	// cell's library Config.
 	MountSec   float64
 	UnmountSec float64
-	Policy     server.BatchPolicy
-	WindowSec  float64
 	QueueCap   int
 	Retry      sim.RetryPolicy
 	// Disk prices the hit path; Prefetch extends each miss's fetch
@@ -208,8 +204,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			UnmountSec: cfg.UnmountSec,
 			BatchLimit: limit,
 			Scheduler:  nil,
-			Policy:     cfg.Policy,
-			WindowSec:  cfg.WindowSec,
 			QueueCap:   cfg.QueueCap,
 			Retry:      cfg.Retry,
 			Reg:        reg,

@@ -6,7 +6,7 @@
 // miss's fetch completes, the extent is installed in the cache, with
 // an optional prefetch of the rest of its coalesced segment run (the
 // paper's T=1410 coalescing threshold reused as the prefetch unit).
-// Eviction is pluggable (LRU, clock, cost-aware on the twin's modeled
+// Eviction is pluggable (LRU, clock, cost-aware on the locate model's
 // re-fetch price), write-back is optional, and everything is pure
 // virtual-time bookkeeping: a tier run is a deterministic function of
 // its configuration.

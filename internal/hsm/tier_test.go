@@ -39,7 +39,7 @@ func TestZeroCacheTierEquivalence(t *testing.T) {
 	}
 	configs := []tertiary.Config{
 		{Drives: 1, BatchLimit: 1},
-		{Drives: 2, BatchLimit: 8, QueueCap: 8, WindowSec: 600},
+		{Drives: 2, BatchLimit: 8, QueueCap: 8},
 	}
 	for _, cfg := range configs {
 		regA, regB := obs.NewRegistry(), obs.NewRegistry()

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 
 	"serpentine/internal/workload"
 )
@@ -53,28 +52,6 @@ func PoissonStream(ratePerSec float64, n int, seed int64, gen workload.Generator
 	reqs := make([]Request, n)
 	for i := range reqs {
 		reqs[i] = Request{ID: i, Segment: gen.Batch(1)[0], ArrivalSec: times[i]}
-	}
-	return reqs, nil
-}
-
-// TraceStream builds a request stream from explicit (time, segment)
-// pairs, for replaying recorded workloads. The pairs are sorted by
-// arrival time (stably, preserving the given order of simultaneous
-// arrivals) and re-numbered in that order.
-func TraceStream(times []float64, segments []int) ([]Request, error) {
-	if len(times) != len(segments) {
-		return nil, fmt.Errorf("server: trace has %d times but %d segments", len(times), len(segments))
-	}
-	reqs := make([]Request, len(times))
-	for i := range reqs {
-		if times[i] < 0 {
-			return nil, fmt.Errorf("server: trace arrival %d at negative time %g", i, times[i])
-		}
-		reqs[i] = Request{ID: i, Segment: segments[i], ArrivalSec: times[i]}
-	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ArrivalSec < reqs[j].ArrivalSec })
-	for i := range reqs {
-		reqs[i].ID = i
 	}
 	return reqs, nil
 }

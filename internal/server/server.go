@@ -160,12 +160,6 @@ func (r *Result) SojournP(p float64) float64 {
 	return stats.PercentileOrZero(r.SojournTimes, p)
 }
 
-// ServiceP returns the p-th percentile service time, or 0 when
-// nothing was served.
-func (r *Result) ServiceP(p float64) float64 {
-	return stats.PercentileOrZero(r.ServiceTimes, p)
-}
-
 // ThroughputPerHour is completed retrievals per hour of virtual time,
 // 0 for an empty or degenerate run.
 func (r *Result) ThroughputPerHour() float64 {

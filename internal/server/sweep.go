@@ -63,13 +63,6 @@ type SweepConfig struct {
 	// merged metrics — depends on scheduling; use tertiary.Sweep's
 	// per-cell span capture when byte-determinism matters.
 	Spans *obs.Tracer
-	// Analytical replaces each cell's event-driven run with the
-	// closed-form twin (AnalyticalRun): same admission, batching and
-	// scheduling decisions, model-based costs instead of drive
-	// emulation. Faults, metrics and spans are not produced in this
-	// mode; use it for coarse grid scans. See AnalyticalRun for the
-	// accuracy envelope.
-	Analytical bool
 }
 
 // SweepCell is one (rate, policy, scheduler) outcome.
@@ -134,11 +127,7 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 			faults.Seed = seed + 3
 		}
 		reg := obs.NewRegistry()
-		run := Run
-		if cfg.Analytical {
-			run = AnalyticalRun
-		}
-		res, err := run(Config{
+		res, err := Run(Config{
 			Serial:    cfg.Serial,
 			Scheduler: sched,
 			Policy:    policy,

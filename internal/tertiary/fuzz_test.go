@@ -5,19 +5,18 @@ import (
 	"testing"
 
 	"serpentine/internal/geometry"
-	"serpentine/internal/server"
 )
 
 // FuzzLibraryBatcher drives the library event loop with arbitrary
-// request streams, batch limits, policies and queue caps, and checks
+// request streams, batch limits and queue caps, and checks
 // conservation: every admitted request completes exactly once, and the
 // robot/mount ledgers stay consistent. The catalog includes a
 // serial-0 cartridge so the sentinel regression (bug 3) stays covered.
 func FuzzLibraryBatcher(f *testing.F) {
-	f.Add([]byte{0x00, 0x81, 0x12, 0xa3, 0x34, 0xc5}, byte(0), byte(0), byte(0))
-	f.Add([]byte{0x01, 0x01, 0x01, 0x01}, byte(1), byte(1), byte(0))
-	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x3c}, byte(5), byte(2), byte(2))
-	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80}, byte(3), byte(0), byte(4))
+	f.Add([]byte{0x00, 0x81, 0x12, 0xa3, 0x34, 0xc5}, byte(0), byte(0))
+	f.Add([]byte{0x01, 0x01, 0x01, 0x01}, byte(1), byte(0))
+	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x3c}, byte(5), byte(2))
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80}, byte(3), byte(4))
 
 	profile := geometry.Tiny()
 	serials := []int64{0, 101}
@@ -43,7 +42,7 @@ func FuzzLibraryBatcher(f *testing.F) {
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte, limit, policy, queueCap byte) {
+	f.Fuzz(func(t *testing.T, data []byte, limit, queueCap byte) {
 		if len(data) > 64 {
 			data = data[:64]
 		}
@@ -61,7 +60,6 @@ func FuzzLibraryBatcher(f *testing.F) {
 
 		c := cfg
 		c.BatchLimit = int(limit % 20)
-		c.Policy = server.BatchPolicy(policy % 3)
 		c.QueueCap = int(queueCap)
 		lib, err := New(c, cat)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
 	"serpentine/internal/obs"
-	"serpentine/internal/server"
 )
 
 // mergingScheduler coalesces duplicate segments into one visit — the
@@ -297,63 +296,6 @@ func TestFaultRecoveryComposesWithMounting(t *testing.T) {
 	}
 	if m.RecoverySec <= 0 {
 		t.Fatal("recovery consumed no virtual time")
-	}
-}
-
-// FixedWindow holds dispatch until the window boundary.
-func TestFixedWindowDelaysDispatch(t *testing.T) {
-	cfg := smallCfg(1)
-	cfg.Policy = server.FixedWindow
-	cfg.WindowSec = 100
-	cat := smallCatalog(t, cfg, 4)
-	reqs := []Request{
-		{ObjectID: "t101/o0", Arrival: 5},
-		{ObjectID: "t101/o1", Arrival: 50},
-	}
-	lib, err := New(cfg, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, m, err := lib.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Batches != 1 {
-		t.Fatalf("both arrivals inside one window ran in %d batches", m.Batches)
-	}
-	for _, c := range done {
-		if c.Done < 100 {
-			t.Fatalf("completion at %.1f s before the 100 s boundary", c.Done)
-		}
-	}
-}
-
-// ReplanOnArrival serves one request per dispatch so every decision
-// sees the freshest queue — without churning the mounted cartridge.
-func TestReplanOnArrivalServesOneAtATime(t *testing.T) {
-	cfg := smallCfg(1)
-	cfg.Policy = server.ReplanOnArrival
-	cat := smallCatalog(t, cfg, 6)
-	var reqs []Request
-	for i := 0; i < 6; i++ {
-		reqs = append(reqs, Request{ObjectID: fmt.Sprintf("t101/o%d", i)})
-	}
-	lib, err := New(cfg, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, m, err := lib.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Batches != 6 {
-		t.Fatalf("6 requests ran in %d batches, want one each", m.Batches)
-	}
-	if m.Mounts != 1 {
-		t.Fatalf("one cartridge mounted %d times", m.Mounts)
-	}
-	if m.Served != 6 {
-		t.Fatalf("served %d of 6", m.Served)
 	}
 }
 

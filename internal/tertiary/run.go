@@ -85,13 +85,11 @@ type runState struct {
 	requeues     []requeueBatch
 	hasDeadlines bool
 
-	// Event-loop clock. now is the current virtual time; boundary
-	// reports whether now is a FixedWindow boundary. Keeping the clock
-	// on the state (instead of locals in Run) lets stepTo advance the
-	// loop incrementally, which is how a fleet Runner embeds the shard
-	// between externally routed arrivals.
+	// Event-loop clock. now is the current virtual time. Keeping the
+	// clock on the state (instead of locals in Run) lets stepTo advance
+	// the loop incrementally, which is how a fleet Runner embeds the
+	// shard between externally routed arrivals.
 	now      float64
-	boundary bool
 	finished bool
 	reg      *obs.Registry
 	trace    *obs.TraceHandle
@@ -187,11 +185,11 @@ func (s *runState) latencyHist(serial int64) *obs.Histogram {
 // Run serves every request and returns the completions (in completion
 // order) and run metrics. Requests may arrive at any time; the
 // simulation admits them through a bounded queue, groups the backlog
-// by cartridge, and dispatches idle drives per the batching policy,
-// preferring the cartridge with the oldest waiting request among
-// those with the most work, which bounds starvation while keeping
-// batches dense. A cartridge mounted in one drive is never picked by
-// another.
+// by cartridge, and dispatches every idle drive as soon as work is
+// queued, preferring the cartridge with the oldest waiting request
+// among those with the most work, which bounds starvation while
+// keeping batches dense. A cartridge mounted in one drive is never
+// picked by another.
 func (l *Library) Run(requests []Request) ([]Completion, Metrics, error) {
 	s, err := l.newRun(requests)
 	if err != nil {
@@ -205,24 +203,24 @@ func (l *Library) Run(requests []Request) ([]Completion, Metrics, error) {
 
 // stepTo is the central dispatch over the shared event heap: wake
 // events due at the current clock, admit arrivals up to it, hand work
-// to every idle drive, then advance to the next drive completion,
-// arrival, or window boundary — stopping once the next step would land
-// after until. Each pass is idempotent at a fixed clock, so calling
-// stepTo repeatedly (the incremental Runner does, with new arrivals
-// offered in between) replays the exact event sequence one monolithic
-// stepTo(+Inf) produces.
+// to every idle drive, then advance to the next drive completion or
+// arrival — stopping once the next step would land after until. Each
+// pass is idempotent at a fixed clock, so calling stepTo repeatedly
+// (the incremental Runner does, with new arrivals offered in between)
+// replays the exact event sequence one monolithic stepTo(+Inf)
+// produces.
 func (s *runState) stepTo(until float64) error {
 	for {
 		s.wake(s.now)
 		s.admit(s.now)
-		if err := s.dispatch(s.now, s.boundary); err != nil {
+		if err := s.dispatch(s.now); err != nil {
 			return err
 		}
-		t, boundary, ok := s.nextTime(s.now)
+		t, ok := s.nextTime(s.now)
 		if !ok || t > until {
 			return nil
 		}
-		s.now, s.boundary = t, boundary
+		s.now = t
 	}
 }
 
@@ -256,9 +254,12 @@ func (l *Library) resolve(i int, r Request) (pending, bool, error) {
 	return pending{req: r, obj: o}, r.Deadline > 0, nil
 }
 
-// newRun resolves and validates the request stream and sets up the
-// event-loop state.
+// newRun validates the configuration (a Clone skips New's checks) and
+// the request stream, and sets up the event-loop state.
 func (l *Library) newRun(requests []Request) (*runState, error) {
+	if err := l.cfg.validate(); err != nil {
+		return nil, err
+	}
 	arrivals := make([]pending, 0, len(requests))
 	hasDeadlines := false
 	for i, r := range requests {
@@ -296,7 +297,6 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		hLatency: make(map[int64]*obs.Histogram),
 	}
 	s.hasDeadlines = hasDeadlines
-	s.now, s.boundary = 0, true
 	s.events.ev = make([]driveEvent, 0, l.cfg.Drives)
 	for i := range s.drives {
 		d := &s.drives[i]
@@ -321,7 +321,7 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 	}
 	if s.trace != nil {
 		s.root = s.trace.Start("run", l.cfg.SpanParent, 0).Lane(l.cfg.Lane).
-			Attr("scheduler", l.sched.Name()).Attr("policy", l.cfg.Policy.String()).
+			Attr("scheduler", l.sched.Name()).Attr("policy", "quiesce").
 			AttrInt("drives", l.cfg.Drives)
 	}
 	return s, nil
@@ -392,28 +392,11 @@ func (s *runState) admit(until float64) {
 	}
 }
 
-// dispatch hands work to every idle drive, in drive-id order. Under
-// ReplanOnArrival a drive with work pending for its own mounted
-// cartridge keeps it (one request per dispatch, so every decision
-// sees the freshest queue); under FixedWindow nothing dispatches off
-// a window boundary. A cartridge is physically in one place, so a
-// drive never picks a cartridge loaded elsewhere: the standing
-// loadedBy index carries the exclusion, with no per-dispatch set
-// building.
-func (s *runState) dispatch(now float64, boundary bool) error {
-	if s.cfg.Policy == server.FixedWindow && !boundary {
-		return nil
-	}
-	if s.cfg.Policy == server.ReplanOnArrival {
-		for i := range s.drives {
-			d := &s.drives[i]
-			if d.idle && d.loaded && s.q.perTape[d.serial] != nil && !s.driveDown(d, now) {
-				if _, err := s.serve(d, d.serial, now); err != nil {
-					return err
-				}
-			}
-		}
-	}
+// dispatch hands work to every idle drive, in drive-id order. A
+// cartridge is physically in one place, so a drive never picks a
+// cartridge loaded elsewhere: the standing loadedBy index carries the
+// exclusion, with no per-dispatch set building.
+func (s *runState) dispatch(now float64) error {
 	for i := range s.drives {
 		d := &s.drives[i]
 		// A pick that does not dispatch — the whole batch shed past
@@ -575,10 +558,10 @@ func (s *runState) shedRequests(n int) {
 }
 
 // nextTime returns the next virtual time anything can happen: a drive
-// completing, an arrival landing, or (FixedWindow, with work queued
-// and a drive to take it) the next window boundary. Every candidate
-// is strictly after now, so the loop always progresses.
-func (s *runState) nextTime(now float64) (t float64, boundary, ok bool) {
+// completing, an arrival landing, or a drive returning from repair
+// with work queued. Every candidate is strictly after now, so the loop
+// always progresses.
+func (s *runState) nextTime(now float64) (t float64, ok bool) {
 	t = math.Inf(1)
 	if s.events.len() > 0 {
 		t, ok = s.events.min().at, true
@@ -605,29 +588,7 @@ func (s *runState) nextTime(now float64) (t float64, boundary, ok bool) {
 			}
 		}
 	}
-	if s.cfg.Policy == server.FixedWindow && s.q.len() > 0 && s.anyAvailable(now) {
-		b := s.cfg.WindowSec * math.Ceil(now/s.cfg.WindowSec)
-		for b <= now {
-			b += s.cfg.WindowSec
-		}
-		if b <= t {
-			t, boundary = b, true
-		}
-		ok = true
-	}
-	return t, boundary, ok
-}
-
-// anyAvailable reports whether any drive is idle and outside an
-// outage window at now (plain idleness without lifecycle faults).
-func (s *runState) anyAvailable(now float64) bool {
-	for i := range s.drives {
-		d := &s.drives[i]
-		if d.idle && !s.driveDown(d, now) {
-			return true
-		}
-	}
-	return false
+	return t, ok
 }
 
 // wake pops every event at or before now: drives going idle, drives
@@ -873,11 +834,7 @@ func (s *runState) driveTraceFn(d *driveState) drive.TraceFunc {
 // fetch, leaves the drive idle (and the queue changed) for the
 // dispatch loop to re-pick.
 func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error) {
-	limit := s.cfg.BatchLimit
-	if s.cfg.Policy == server.ReplanOnArrival {
-		limit = 1
-	}
-	batch := s.q.take(serial, limit)
+	batch := s.q.take(serial, s.cfg.BatchLimit)
 	if len(batch) == 0 {
 		return false, fmt.Errorf("tertiary: internal: dispatched empty batch for tape %d", serial)
 	}

@@ -129,18 +129,6 @@ func (r *Runner) Mounted(serial int64) bool {
 	return ok && owner != robotHeld
 }
 
-// MountedSerials returns the cartridges currently loaded in drives, in
-// drive-ID order (loaded drives only).
-func (r *Runner) MountedSerials() []int64 {
-	out := make([]int64, 0, len(r.s.drives))
-	for i := range r.s.drives {
-		if d := &r.s.drives[i]; d.loaded {
-			out = append(out, d.serial)
-		}
-	}
-	return out
-}
-
 // CartridgeLost reports whether the robot has permanently lost the
 // cartridge. A router consults it to steer requests at shards that
 // still hold a live copy.

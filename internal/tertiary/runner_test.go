@@ -8,8 +8,51 @@ import (
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
-	"serpentine/internal/server"
 )
+
+// buildTwinLibrary builds a 4-tape store shaped like the sweep's, and
+// a request stream over it.
+func buildTwinLibrary(t *testing.T, drives, batchLimit int) (*Library, []Request) {
+	t.Helper()
+	const tapes, objects, objSegs = 4, 256, 32
+	catalog := NewCatalog()
+	serials := make([]int64, tapes)
+	for tp := 0; tp < tapes; tp++ {
+		serials[tp] = int64(4000 + tp)
+	}
+	lib0, err := New(Config{Tapes: serials}, mustSweepCatalog(t, catalog, serials, objects, objSegs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := lib0.Clone(Config{
+		Tapes:      serials,
+		Drives:     drives,
+		BatchLimit: batchLimit,
+		Scheduler:  core.NewLOSS(),
+	})
+	stream, err := sweepStream(240, 200, 424242, tapes, objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib, stream
+}
+
+func mustSweepCatalog(t *testing.T, catalog *Catalog, serials []int64, objects, objSegs int) *Catalog {
+	t.Helper()
+	for ti, serial := range serials {
+		for o := 0; o < objects; o++ {
+			if err := catalog.Put(Object{
+				ID:       sweepObjectID(ti, o),
+				Tape:     serial,
+				Start:    o * 2048,
+				Segments: objSegs,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return catalog
+}
 
 // driveRunner feeds the stream through the incremental Runner exactly
 // as the fleet's routing tier does: advance to each arrival timestamp,
@@ -41,8 +84,8 @@ func driveRunner(t *testing.T, lib *Library, stream []Request) ([]Completion, Me
 // TestRunnerMatchesRun pins the Runner contract: a runner fed a Run
 // call's requests between AdvanceTo calls at their own timestamps
 // produces bit-identical completions and metrics to that Run call,
-// across batch policies and under lifecycle faults. This is the
-// equivalence the fleet's single-shard test builds on.
+// with and without lifecycle faults. This is the equivalence the
+// fleet's single-shard test builds on.
 func TestRunnerMatchesRun(t *testing.T) {
 	cases := []struct {
 		name string
@@ -50,13 +93,6 @@ func TestRunnerMatchesRun(t *testing.T) {
 	}{
 		{"quiesce", func(serials []int64) Config {
 			return Config{Tapes: serials, Drives: 2, BatchLimit: 8, Scheduler: core.NewLOSS()}
-		}},
-		{"fixed-window", func(serials []int64) Config {
-			return Config{Tapes: serials, Drives: 2, BatchLimit: 8,
-				Policy: server.FixedWindow, WindowSec: 120}
-		}},
-		{"replan-on-arrival", func(serials []int64) Config {
-			return Config{Tapes: serials, Drives: 1, Policy: server.ReplanOnArrival}
 		}},
 		{"lifecycle", func(serials []int64) Config {
 			return Config{Tapes: serials, Drives: 2, BatchLimit: 8,
@@ -91,7 +127,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 
 // TestRunnerProbes exercises the routing probes mid-run: the queue
 // depth counts an offered request until it dispatches, and a mounted
-// cartridge shows up in both Mounted and MountedSerials.
+// cartridge shows up in Mounted.
 func TestRunnerProbes(t *testing.T) {
 	lib, stream := buildTwinLibrary(t, 1, 4)
 	r, err := lib.StartRun()
@@ -121,16 +157,6 @@ func TestRunnerProbes(t *testing.T) {
 	o, _ := lib.catalog.Get(req.ObjectID)
 	if !r.Mounted(o.Tape) {
 		t.Errorf("cartridge %d not reported mounted after serving", o.Tape)
-	}
-	serials := r.MountedSerials()
-	found := false
-	for _, s := range serials {
-		if s == o.Tape {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("MountedSerials %v misses %d", serials, o.Tape)
 	}
 	if r.CartridgeLost(o.Tape) {
 		t.Errorf("fault-free run reports cartridge %d lost", o.Tape)

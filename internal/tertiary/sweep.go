@@ -10,7 +10,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/grid"
 	"serpentine/internal/obs"
-	"serpentine/internal/server"
 	"serpentine/internal/sim"
 	"serpentine/internal/workload"
 )
@@ -42,13 +41,11 @@ type SweepConfig struct {
 	BatchLimits []int
 	// Requests is the stream length per cell; 0 selects 400.
 	Requests int
-	// MountSec, UnmountSec, Scheduler, Policy, WindowSec, QueueCap
-	// and Retry pass through to every cell's Config.
+	// MountSec, UnmountSec, Scheduler, QueueCap and Retry pass
+	// through to every cell's Config.
 	MountSec   float64
 	UnmountSec float64
 	Scheduler  core.Scheduler
-	Policy     server.BatchPolicy
-	WindowSec  float64
 	QueueCap   int
 	Retry      sim.RetryPolicy
 	// Faults arms every cell when any rate is non-zero. Its Seed is
@@ -75,13 +72,6 @@ type SweepConfig struct {
 	// the Cell. Per-cell capture keeps the spans — like the metrics —
 	// byte-identical at any worker count.
 	SpanCap int
-	// Analytical replaces each cell's event-driven run with the
-	// closed-form twin (Library.Estimate): same admission, batching,
-	// robot and scheduling decisions, model-based costs instead of
-	// drive emulation. Faults, metrics registries and spans are not
-	// produced in this mode; use it for coarse grid scans. See
-	// Estimate for the accuracy envelope.
-	Analytical bool
 }
 
 // Cell is one (rate, drives, batch limit) outcome.
@@ -191,8 +181,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			UnmountSec: cfg.UnmountSec,
 			BatchLimit: limit,
 			Scheduler:  cfg.Scheduler,
-			Policy:     cfg.Policy,
-			WindowSec:  cfg.WindowSec,
 			QueueCap:   cfg.QueueCap,
 			Retry:      cfg.Retry,
 			Faults:     faults,
@@ -205,11 +193,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 				obs.L("batch", strconv.Itoa(limit)),
 			},
 		})
-		run := lib.Run
-		if cfg.Analytical {
-			run = lib.Estimate
-		}
-		comps, m, err := run(stream)
+		comps, m, err := lib.Run(stream)
 		if err != nil {
 			return fmt.Errorf("tertiary: sweep cell %g/h %dd limit %d: %w", rate, drives, limit, err)
 		}
@@ -241,7 +225,8 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 // knobs without regenerating the tapes; the fleet uses it to give
 // every cell's shards their own labels and span lanes. The
 // configuration's Profile and Tapes must describe the shared store:
-// they are not revalidated.
+// they are not revalidated. The remaining knobs are validated when the
+// clone starts a run.
 func (l *Library) Clone(cfg Config) *Library {
 	sched := cfg.Scheduler
 	if sched == nil {

@@ -26,7 +26,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/locate"
 	"serpentine/internal/obs"
-	"serpentine/internal/server"
 	"serpentine/internal/sim"
 )
 
@@ -241,14 +240,6 @@ type Config struct {
 	// Scheduler orders each batch; nil selects the paper's Auto
 	// policy.
 	Scheduler core.Scheduler
-	// Policy selects when batches are cut: QuiesceThenReplan (the
-	// default) dispatches an idle drive as soon as work is queued,
-	// ReplanOnArrival serves one request per dispatch so every
-	// service decision sees the freshest queue, and FixedWindow only
-	// dispatches at multiples of WindowSec.
-	Policy server.BatchPolicy
-	// WindowSec is the FixedWindow period; 0 selects 600.
-	WindowSec float64
 	// QueueCap bounds the library's pending backlog (admitted but
 	// not yet dispatched); arrivals beyond it are rejected. 0 means
 	// unbounded.
@@ -267,7 +258,7 @@ type Config struct {
 	// permanently lost by failed fetches, and cartridges carry
 	// permanent bad-spot regions. The zero value changes nothing: a
 	// run with all rates zero is bit-identical to one without the
-	// field. The analytical twin (Estimate) ignores lifecycle faults.
+	// field.
 	Lifecycle fault.LifecycleConfig
 	// Placement maps objects to extra replicas on distinct
 	// cartridges; with it, a lost cartridge or permanent media defect
@@ -324,7 +315,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Profile.Tracks == 0 {
 		cfg.Profile = geometry.DLT4000()
 	}
-	if cfg.Drives <= 0 {
+	if cfg.Drives == 0 {
 		cfg.Drives = 1
 	}
 	if cfg.MountSec == 0 {
@@ -333,10 +324,30 @@ func (cfg Config) withDefaults() Config {
 	if cfg.UnmountSec == 0 {
 		cfg.UnmountSec = 15
 	}
-	if cfg.WindowSec == 0 {
-		cfg.WindowSec = 600
-	}
 	return cfg
+}
+
+// validate rejects resolved knobs no run can honour: negative counts
+// and caps, non-finite or negative times, and invalid fault configs.
+func (cfg Config) validate() error {
+	if cfg.Drives < 0 || cfg.BatchLimit < 0 || cfg.QueueCap < 0 {
+		return fmt.Errorf("tertiary: negative drive count, batch limit or queue cap (%d, %d, %d)", cfg.Drives, cfg.BatchLimit, cfg.QueueCap)
+	}
+	if cfg.MountSec < 0 || cfg.UnmountSec < 0 ||
+		math.IsNaN(cfg.MountSec) || math.IsNaN(cfg.UnmountSec) ||
+		math.IsInf(cfg.MountSec, 0) || math.IsInf(cfg.UnmountSec, 0) {
+		return fmt.Errorf("tertiary: exchange times %g/%g s", cfg.MountSec, cfg.UnmountSec)
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return fmt.Errorf("tertiary: faults: %w", err)
+	}
+	if err := cfg.Lifecycle.Validate(); err != nil {
+		return fmt.Errorf("tertiary: lifecycle: %w", err)
+	}
+	if cfg.DeadlineSec < 0 || math.IsNaN(cfg.DeadlineSec) || math.IsInf(cfg.DeadlineSec, 0) {
+		return fmt.Errorf("tertiary: deadline budget of %g seconds", cfg.DeadlineSec)
+	}
+	return nil
 }
 
 // Library is an online tertiary store: a robot, a drive pool, tapes,
@@ -360,22 +371,8 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 	if catalog == nil || catalog.Len() == 0 {
 		return nil, errors.New("tertiary: library needs a non-empty catalog")
 	}
-	if cfg.MountSec < 0 || cfg.UnmountSec < 0 ||
-		math.IsNaN(cfg.MountSec) || math.IsNaN(cfg.UnmountSec) ||
-		math.IsInf(cfg.MountSec, 0) || math.IsInf(cfg.UnmountSec, 0) {
-		return nil, fmt.Errorf("tertiary: exchange times %g/%g s", cfg.MountSec, cfg.UnmountSec)
-	}
-	if cfg.WindowSec < 0 || math.IsNaN(cfg.WindowSec) || math.IsInf(cfg.WindowSec, 0) {
-		return nil, fmt.Errorf("tertiary: window of %g seconds", cfg.WindowSec)
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, fmt.Errorf("tertiary: faults: %w", err)
-	}
-	if err := cfg.Lifecycle.Validate(); err != nil {
-		return nil, fmt.Errorf("tertiary: lifecycle: %w", err)
-	}
-	if cfg.DeadlineSec < 0 || math.IsNaN(cfg.DeadlineSec) || math.IsInf(cfg.DeadlineSec, 0) {
-		return nil, fmt.Errorf("tertiary: deadline budget of %g seconds", cfg.DeadlineSec)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	sched := cfg.Scheduler
 	if sched == nil {
@@ -432,8 +429,7 @@ func (l *Library) Objects() []Object { return l.catalog.All() }
 
 // RefetchSec is the modeled cost of fetching the object from tape
 // again: a locate from the load point to the extent plus the extent's
-// streaming transfer, priced on the tape's own cost model — the same
-// model the analytical twin (Estimate) prices reads with. It is the
+// streaming transfer, priced on the tape's own locate model. It is the
 // cost-aware eviction policy's currency: evicting an object that is
 // cheap to re-fetch risks little, evicting one far down the tape
 // risks a long locate. The mount exchange is deliberately excluded —

@@ -77,6 +77,28 @@ func TestNewLibraryValidation(t *testing.T) {
 	if _, err := New(cfg, badExtent); err == nil {
 		t.Fatal("out-of-range extent accepted")
 	}
+
+	// Negative counts and caps mean nothing; they must not fall back
+	// to "unbounded" or "one drive" — neither through New nor through
+	// a Clone that starts a run.
+	lib, err := New(cfg, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(*Config){
+		"drives":      func(c *Config) { c.Drives = -1 },
+		"batch limit": func(c *Config) { c.BatchLimit = -4 },
+		"queue cap":   func(c *Config) { c.QueueCap = -3 },
+	} {
+		bad := cfg
+		mut(&bad)
+		if _, err := New(bad, cat); err == nil {
+			t.Errorf("negative %s accepted by New", name)
+		}
+		if _, _, err := lib.Clone(bad).Run([]Request{{ObjectID: "t101/o0"}}); err == nil {
+			t.Errorf("negative %s accepted by a cloned run", name)
+		}
+	}
 }
 
 func TestRunServesEverything(t *testing.T) {
