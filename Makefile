@@ -34,7 +34,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 bench-snapshot profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the sweep runner and the parallel simulator plus the packages
@@ -123,6 +123,13 @@ bench-pr17:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee -a $(BENCH_TXT)
 	$(GO) run ./cmd/benchjson -baseline $(BENCH17_BASELINE) < $(BENCH_TXT) > $(BENCH17_OUT)
 	rm -f $(BENCH_TXT)
+
+# Run the benchmark for one second per workload and check its 18
+# virtual-time outputs (six per workload) exactly against the committed
+# snapshot, scripts/benchsnap.txt. Those outputs do not depend on host
+# speed, so any drift is a change in what the simulator computes.
+bench-snapshot:
+	sh scripts/benchsnap.sh
 
 # CPU and heap profiles of a representative library sweep cell, for
 # `go tool pprof results/pprof/cpu.out` (see EXPERIMENTS.md §"Profiling

@@ -27,7 +27,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
-	"serpentine/internal/sim"
 	"serpentine/internal/tertiary"
 )
 
@@ -276,16 +275,12 @@ func leadingInt(s string) (int, string, bool) {
 // are not pluggable here — every shard runs the paper's Auto policy
 // (use tertiary.Sweep for the scheduler axis).
 type RunConfig struct {
-	// Drives is the transport count per shard; 0 selects 1. MountSec
-	// and UnmountSec default to 30 and 15 as in tertiary.Config.
-	Drives     int
-	MountSec   float64
-	UnmountSec float64
-	// BatchLimit, QueueCap, Retry and DeadlineSec pass through to
-	// every shard's Config.
+	// Drives is the transport count per shard; 0 selects 1.
+	Drives int
+	// BatchLimit, QueueCap and DeadlineSec pass through to every
+	// shard's Config.
 	BatchLimit  int
 	QueueCap    int
-	Retry       sim.RetryPolicy
 	DeadlineSec float64
 	// Lifecycle arms component lifecycle faults on every shard; shard
 	// s derives its seed as Lifecycle.Seed + 97·s so shards fail
@@ -680,11 +675,8 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			Profile:     f.cfg.Profile,
 			Tapes:       f.tapes[s],
 			Drives:      drives,
-			MountSec:    cfg.MountSec,
-			UnmountSec:  cfg.UnmountSec,
 			BatchLimit:  cfg.BatchLimit,
 			QueueCap:    cfg.QueueCap,
-			Retry:       cfg.Retry,
 			Lifecycle:   lc,
 			Placement:   f.placements[s],
 			DeadlineSec: cfg.DeadlineSec,

@@ -6,12 +6,10 @@ import (
 	"strconv"
 
 	"serpentine/internal/fault"
-	"serpentine/internal/geometry"
 	"serpentine/internal/grid"
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
 	"serpentine/internal/rand48"
-	"serpentine/internal/sim"
 	"serpentine/internal/tertiary"
 	"serpentine/internal/workload"
 )
@@ -59,17 +57,13 @@ func Stream(ratePerHour float64, n int, seed int64, tapeCount, objects int, loca
 // workload, and the policies disagree exactly when mount locality
 // makes a shard's working set worth returning to.
 type SweepConfig struct {
-	// Profile is the drive/cartridge format; zero value selects the
-	// DLT4000.
-	Profile geometry.Params
-	// TapeCount, Objects, ObjectSegments and Replicas shape the
-	// cluster store exactly as in StoreConfig (defaults 8, 256, 32,
-	// 1). Every shard count in the sweep shares the same cartridges
-	// and object layout.
-	TapeCount      int
-	Objects        int
-	ObjectSegments int
-	Replicas       int
+	// TapeCount, Objects and Replicas shape the cluster store exactly
+	// as in StoreConfig (defaults 8, 256, 1; 32-segment extents on
+	// DLT4000 cartridges). Every shard count in the sweep shares the
+	// same cartridges and object layout.
+	TapeCount int
+	Objects   int
+	Replicas  int
 	// RatesPerHour are the Poisson arrival rates to sweep; nil
 	// selects {60, 120, 240}.
 	RatesPerHour []float64
@@ -84,12 +78,8 @@ type SweepConfig struct {
 	// for that).
 	Drives     int
 	BatchLimit int
-	// MountSec, UnmountSec, QueueCap, Retry and DeadlineSec pass
-	// through to every shard.
-	MountSec    float64
-	UnmountSec  float64
+	// QueueCap and DeadlineSec pass through to every shard.
 	QueueCap    int
-	Retry       sim.RetryPolicy
 	DeadlineSec float64
 	// Locality is the stream's mount-locality knob (see Stream).
 	Locality float64
@@ -115,9 +105,6 @@ type SweepConfig struct {
 	// series under shard="N" plus the fleet routing counters — merged
 	// in spec order after the parallel phase.
 	Reg *obs.Registry
-	// SpanCap, when positive, gives every cell its own span tracer of
-	// that capacity and returns the recorded spans on the Cell.
-	SpanCap int
 	// EventCap, when positive, gives every cell its own wide-event ring
 	// of that capacity and returns the collected events on the Cell,
 	// each stamped with the cell's coordinate labels.
@@ -134,9 +121,6 @@ type Cell struct {
 	Metrics  Metrics
 	PerShard []tertiary.Metrics
 	Routed   []int
-	// Spans holds the cell's recorded spans when SweepConfig.SpanCap
-	// was set.
-	Spans []obs.Span
 	// Events holds the cell's wide-event log — one event per request,
 	// ordered by terminal time — when SweepConfig.EventCap was set.
 	Events []obs.Event
@@ -188,12 +172,10 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			continue
 		}
 		f, err := New(StoreConfig{
-			Profile:        cfg.Profile,
-			Shards:         s,
-			TapeCount:      tapeCount,
-			Objects:        objects,
-			ObjectSegments: cfg.ObjectSegments,
-			Replicas:       cfg.Replicas,
+			Shards:    s,
+			TapeCount: tapeCount,
+			Objects:   objects,
+			Replicas:  cfg.Replicas,
 		})
 		if err != nil {
 			return nil, err
@@ -239,21 +221,14 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		if cfg.Reg != nil {
 			reg = obs.NewRegistry()
 		}
-		var spans *obs.Tracer
-		if cfg.SpanCap > 0 {
-			spans = obs.NewTracer(cfg.SpanCap)
-		}
 		var events *obs.EventRing
 		if cfg.EventCap > 0 {
 			events = obs.NewEventRing(cfg.EventCap)
 		}
 		res, fm, err := fleets[shards].Run(RunConfig{
 			Drives:      drives,
-			MountSec:    cfg.MountSec,
-			UnmountSec:  cfg.UnmountSec,
 			BatchLimit:  limit,
 			QueueCap:    cfg.QueueCap,
-			Retry:       cfg.Retry,
 			DeadlineSec: cfg.DeadlineSec,
 			Lifecycle:   lifecycle,
 			Cache:       cfg.Cache,
@@ -265,7 +240,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 				obs.L("shards", strconv.Itoa(shards)),
 				obs.L("router", router.Name()),
 			},
-			Spans:  spans,
 			Events: events,
 		}, stream)
 		if err != nil {
@@ -275,9 +249,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		for s := range res {
 			cell.PerShard = append(cell.PerShard, res[s].Metrics)
 			cell.Routed = append(cell.Routed, res[s].Routed)
-		}
-		if spans != nil {
-			cell.Spans = spans.Spans()
 		}
 		if events != nil {
 			cell.Events = events.Events()

@@ -1,7 +1,5 @@
 package hsm
 
-import "sort"
-
 // Cache is the bounded-bytes staging store: the resident object
 // extents, indexed by slot, with one eviction policy deciding who pays
 // when capacity runs out. A slot is a small dense integer the caller
@@ -21,8 +19,6 @@ type Cache struct {
 
 	evictions    int
 	bytesEvicted int64
-	writebacks   int
-	flushSec     float64
 }
 
 // NewCache returns an empty cache of the given byte capacity;
@@ -110,27 +106,9 @@ func (c *Cache) add(slot int, id string, bytes int64, cost float64) {
 	c.policy.Install(e)
 }
 
-// MarkDirty flags a resident entry as write-back data; evicting it —
-// or flushing at end of run — will cost a writeback of the entry's
-// modeled tape-write time (its Cost). Returns whether the entry was
-// resident.
-func (c *Cache) MarkDirty(slot int) bool {
-	e := c.entry(slot)
-	if e == nil {
-		return false
-	}
-	e.Dirty = true
-	return true
-}
-
-// evictOne removes the policy's victim, charging a writeback first
-// when it is dirty.
+// evictOne removes the policy's victim.
 func (c *Cache) evictOne() {
 	e := c.policy.Victim()
-	if e.Dirty {
-		c.writebacks++
-		c.flushSec += e.Cost
-	}
 	c.policy.Remove(e)
 	c.entries[e.slot] = nil
 	c.n--
@@ -139,29 +117,7 @@ func (c *Cache) evictOne() {
 	c.bytesEvicted += e.Bytes
 }
 
-// FlushDirty writes every dirty resident entry back — the end-of-run
-// flush — returning the number flushed. Entries stay resident, now
-// clean. Dirty entries flush in install order so the float summation
-// of their modeled write costs is deterministic.
-func (c *Cache) FlushDirty() int {
-	var dirty []*Entry
-	for _, e := range c.entries {
-		if e != nil && e.Dirty {
-			dirty = append(dirty, e)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Seq < dirty[j].Seq })
-	for _, e := range dirty {
-		e.Dirty = false
-		c.flushSec += e.Cost
-	}
-	c.writebacks += len(dirty)
-	return len(dirty)
-}
-
-// Evictions, BytesEvicted, Writebacks and FlushSec report the cache's
-// lifetime eviction and write-back accounting.
+// Evictions and BytesEvicted report the cache's lifetime eviction
+// accounting.
 func (c *Cache) Evictions() int      { return c.evictions }
 func (c *Cache) BytesEvicted() int64 { return c.bytesEvicted }
-func (c *Cache) Writebacks() int     { return c.writebacks }
-func (c *Cache) FlushSec() float64   { return c.flushSec }

@@ -14,16 +14,12 @@ type Entry struct {
 	// Cost is the modeled re-fetch cost in virtual seconds — the
 	// locate model's locate+transfer price for reading the object off
 	// tape again (tertiary.Library.RefetchSec). The cost-aware policy
-	// evicts the cheapest-to-refetch entry first, and a dirty entry's
-	// writeback is charged it. A tier whose cache reads neither (LRU or
-	// clock without write-back) records 0 instead of pricing it.
+	// evicts the cheapest-to-refetch entry first; a tier under LRU or
+	// clock records 0 instead of pricing it.
 	Cost float64
 	// Seq is the entry's install sequence number, the deterministic
 	// tie-break every policy falls back to.
 	Seq int64
-	// Dirty marks write-back data not yet flushed to tape; evicting a
-	// dirty entry costs a writeback.
-	Dirty bool
 
 	slot       int    // the cache slot holding the entry
 	prev, next *Entry // the built-in policy's list links

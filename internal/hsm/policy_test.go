@@ -25,9 +25,6 @@ func (c *namedCache) slot(id string) int {
 
 func (c *namedCache) Contains(id string) bool { return c.Cache.Contains(c.slot(id)) }
 func (c *namedCache) Touch(id string) bool    { return c.Cache.Touch(c.slot(id)) }
-func (c *namedCache) MarkDirty(id string) bool {
-	return c.Cache.MarkDirty(c.slot(id))
-}
 func (c *namedCache) Install(id string, bytes int64, cost float64) bool {
 	return c.Cache.Install(c.slot(id), id, bytes, cost)
 }

@@ -8,7 +8,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/grid"
 	"serpentine/internal/obs"
-	"serpentine/internal/sim"
 	"serpentine/internal/stats"
 	"serpentine/internal/tertiary"
 )
@@ -19,11 +18,9 @@ import (
 // the hierarchy's trade-off directly — hit rate bought per cache byte,
 // against the sojourn time the tape path charges for every miss.
 type SweepConfig struct {
-	// Profile is the drive/cartridge format; zero value selects the
-	// DLT4000.
-	Profile geometry.Params
 	// TapeCount, Objects and ObjectSegments shape the store exactly as
-	// in tertiary.SweepConfig (defaults 4, 512, 32).
+	// in tertiary.SweepConfig (defaults 4, 512, 32), on DLT4000
+	// cartridges.
 	TapeCount      int
 	Objects        int
 	ObjectSegments int
@@ -41,15 +38,8 @@ type SweepConfig struct {
 	// requests served per mount; 0 selects 16.
 	Drives     int
 	BatchLimit int
-	// MountSec, UnmountSec, QueueCap and Retry pass through to every
-	// cell's library Config.
-	MountSec   float64
-	UnmountSec float64
-	QueueCap   int
-	Retry      sim.RetryPolicy
-	// Disk prices the hit path; Prefetch extends each miss's fetch
-	// into its coalesced run (see Config).
-	Disk     DiskModel
+	// Prefetch extends each miss's fetch into its coalesced run (see
+	// Config).
 	Prefetch bool
 	// Requests is the stream length per cell; 0 selects 400.
 	Requests int
@@ -138,11 +128,8 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	if n <= 0 {
 		n = 400
 	}
-	profile := cfg.Profile
-	if profile.Tracks == 0 {
-		profile = geometry.DLT4000()
-	}
-	base, err := tertiary.SweepStore(profile, tapeCount, objects, objSegs, cfg.MountSec, cfg.UnmountSec)
+	profile := geometry.DLT4000()
+	base, err := tertiary.SweepStore(profile, tapeCount, objects, objSegs, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -200,12 +187,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			Profile:    profile,
 			Tapes:      serials,
 			Drives:     drives,
-			MountSec:   cfg.MountSec,
-			UnmountSec: cfg.UnmountSec,
 			BatchLimit: limit,
-			Scheduler:  nil,
-			QueueCap:   cfg.QueueCap,
-			Retry:      cfg.Retry,
 			Reg:        reg,
 			Spans:      spans,
 			Labels:     labels,
@@ -215,7 +197,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			tierCfg = Config{
 				CapacityBytes: sp.size,
 				Policy:        sp.policy,
-				Disk:          cfg.Disk,
 				Prefetch:      cfg.Prefetch,
 			}
 		}

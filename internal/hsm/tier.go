@@ -7,9 +7,8 @@
 // an optional prefetch of the rest of its coalesced segment run (the
 // paper's T=1410 coalescing threshold reused as the prefetch unit).
 // Eviction is pluggable (LRU, clock, cost-aware on the locate model's
-// re-fetch price), write-back is optional, and everything is pure
-// virtual-time bookkeeping: a tier run is a deterministic function of
-// its configuration.
+// re-fetch price), and everything is pure virtual-time bookkeeping: a
+// tier run is a deterministic function of its configuration.
 //
 // The spine of the package is the disabled case: a Tier with
 // CapacityBytes 0 is a transparent pass-through, creating no cache
@@ -33,25 +32,13 @@ import (
 // staging disk is not one of the library's transports.
 const CacheDriveID = -1
 
-// DiskModel prices the staging disk's hit path.
-type DiskModel struct {
-	// LatencySec is the fixed per-access overhead (seek plus request
-	// handling); 0 selects 5 ms.
-	LatencySec float64
-	// BytesPerSec is the staging disk's streaming rate; 0 selects
-	// 8 MB/s, a mid-90s RAID stripe to match the DLT4000 era.
-	BytesPerSec float64
-}
-
-func (d DiskModel) withDefaults() DiskModel {
-	if d.LatencySec == 0 {
-		d.LatencySec = 0.005
-	}
-	if d.BytesPerSec == 0 {
-		d.BytesPerSec = 8 << 20
-	}
-	return d
-}
+// The staging disk prices a hit as a fixed per-access overhead (seek
+// plus request handling) plus a transfer at its streaming rate, a
+// mid-90s RAID stripe to match the DLT4000 era.
+const (
+	diskLatencySec  = 0.005
+	diskBytesPerSec = 8 << 20
+)
 
 // Config describes the staging tier.
 type Config struct {
@@ -62,8 +49,6 @@ type Config struct {
 	// Policy names the eviction policy: "lru" (default), "clock" or
 	// "cost" (see NewPolicy).
 	Policy string
-	// Disk prices the hit path.
-	Disk DiskModel
 	// Prefetch, on a miss's fetch return, also installs the objects
 	// ahead of it on the same cartridge while successive extents start
 	// within PrefetchThreshold segments of the run's end — the whole
@@ -72,12 +57,9 @@ type Config struct {
 	// never evict demand-resident data.
 	Prefetch bool
 	// PrefetchThreshold is the coalescing gap in segments; 0 selects
-	// core.DefaultCoalesceThreshold (the paper's T=1410).
+	// core.DefaultCoalesceThreshold (the paper's T=1410). Negative
+	// values are rejected.
 	PrefetchThreshold int
-	// WriteBack enables Write: staged writes complete at disk cost,
-	// are marked dirty, and pay their modeled tape-write time when
-	// evicted or at the end-of-run flush.
-	WriteBack bool
 }
 
 // Enabled reports whether the tier caches at all.
@@ -102,12 +84,6 @@ type Metrics struct {
 	Evictions     int
 	BytesEvicted  int64
 	BytesResident int64
-	// Writes counts staged writes; Writebacks the dirty entries
-	// written back to tape (on eviction or final flush) and FlushSec
-	// their summed modeled tape-write time.
-	Writes     int
-	Writebacks int
-	FlushSec   float64
 	// Makespan is the run's end: the later of the library's makespan
 	// and the last hit completion.
 	Makespan float64
@@ -201,14 +177,13 @@ type Tier struct {
 	runner *tertiary.Runner
 	lib    *tertiary.Library
 	cfg    Config
-	disk   DiskModel
 	thresh int
 
 	cache    *Cache
 	segBytes int64
-	// priced is whether anything reads an entry's re-fetch cost: the
-	// cost-aware policy's victim choice, or write-back's flush charge.
-	// Otherwise installs skip RefetchSec and record cost 0.
+	// priced is whether the policy is cost-aware, the only reader of
+	// an entry's re-fetch cost. Otherwise installs skip RefetchSec and
+	// record cost 0.
 	priced bool
 	// objs is the catalog in layout order (Library.Objects): an
 	// object's index there is its cache slot, and a cartridge's objects
@@ -222,14 +197,6 @@ type Tier struct {
 	last      float64 // latest offered arrival
 	lastDone  float64 // latest hit completion
 
-	// Write-through accounting lives outside the cache (the object
-	// never staged), summed into Metrics next to the cache's own;
-	// cacheWB tracks how many of the cache's writebacks the registry
-	// counter has already seen.
-	wtWritebacks int
-	wtFlushSec   float64
-	cacheWB      int
-
 	hits []tertiary.Completion
 	m    Metrics
 
@@ -242,9 +209,9 @@ type Tier struct {
 	trace *obs.TraceHandle
 	root  *obs.SpanHandle
 
-	hitC, missC, installC, prefetchC, evictC, writebackC *obs.Counter
-	residentG                                            *obs.Gauge
-	hitHist                                              *obs.Histogram
+	hitC, missC, installC, prefetchC, evictC *obs.Counter
+	residentG                                *obs.Gauge
+	hitHist                                  *obs.Histogram
 
 	finished bool
 }
@@ -259,6 +226,9 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	if cfg.CapacityBytes < 0 {
 		return nil, fmt.Errorf("hsm: cache capacity %d bytes", cfg.CapacityBytes)
 	}
+	if cfg.PrefetchThreshold < 0 {
+		return nil, fmt.Errorf("hsm: prefetch threshold %d segments", cfg.PrefetchThreshold)
+	}
 	t := &Tier{lib: lib, cfg: cfg}
 	if !cfg.Enabled() {
 		r, err := lib.StartRun()
@@ -272,18 +242,12 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.disk = cfg.Disk.withDefaults()
-	if t.disk.LatencySec < 0 || t.disk.BytesPerSec <= 0 ||
-		math.IsNaN(t.disk.LatencySec) || math.IsNaN(t.disk.BytesPerSec) {
-		return nil, fmt.Errorf("hsm: disk model %+v", cfg.Disk)
-	}
 	t.thresh = cfg.PrefetchThreshold
-	if t.thresh <= 0 {
+	if t.thresh == 0 {
 		t.thresh = core.DefaultCoalesceThreshold
 	}
 	t.cache = NewCache(cfg.CapacityBytes, pol)
-	_, costAware := pol.(*costAware)
-	t.priced = costAware || cfg.WriteBack
+	_, t.priced = pol.(*costAware)
 
 	lc := lib.Config()
 	t.segBytes = lc.Profile.SegmentBytes
@@ -313,7 +277,6 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	t.installC = reg.Counter("cache_installs_total", lc.Labels...)
 	t.prefetchC = reg.Counter("cache_prefetch_installs_total", lc.Labels...)
 	t.evictC = reg.Counter("cache_evictions_total", lc.Labels...)
-	t.writebackC = reg.Counter("cache_writebacks_total", lc.Labels...)
 	t.residentG = reg.Gauge("cache_bytes_resident", lc.Labels...)
 	t.hitHist = reg.Histogram("cache_hit_seconds", lc.Labels...)
 
@@ -469,20 +432,14 @@ func (t *Tier) refetchSec(o tertiary.Object) float64 {
 	return t.lib.RefetchSec(o)
 }
 
-// syncCacheCounters folds the cache's eviction/write-back counters
-// into the tier metrics and the registry.
+// syncCacheCounters folds the cache's eviction counters into the tier
+// metrics and the registry.
 func (t *Tier) syncCacheCounters() {
 	if d := t.cache.Evictions() - t.m.Evictions; d > 0 {
 		t.m.Evictions += d
 		t.evictC.Add(int64(d))
 	}
-	if d := t.cache.Writebacks() - t.cacheWB; d > 0 {
-		t.cacheWB += d
-		t.writebackC.Add(int64(d))
-	}
-	t.m.Writebacks = t.cacheWB + t.wtWritebacks
 	t.m.BytesEvicted = t.cache.BytesEvicted()
-	t.m.FlushSec = t.cache.FlushSec() + t.wtFlushSec
 	t.m.BytesResident = t.cache.Resident()
 	t.residentG.Set(float64(t.cache.Resident()))
 }
@@ -526,8 +483,8 @@ func (t *Tier) OfferRouted(req tertiary.Request, slot int, route string) error {
 
 // hit completes the request off the staging disk.
 func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
-	transfer := float64(t.objBytes(obj)) / t.disk.BytesPerSec
-	svc := t.disk.LatencySec + transfer
+	transfer := float64(t.objBytes(obj)) / diskBytesPerSec
+	svc := diskLatencySec + transfer
 	done := req.Arrival + svc
 	t.hits = append(t.hits, tertiary.Completion{
 		Request: req,
@@ -535,7 +492,7 @@ func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 		Done:    done,
 		DriveID: CacheDriveID,
 		Attribution: tertiary.Attribution{
-			LocateSec:   t.disk.LatencySec,
+			LocateSec:   diskLatencySec,
 			TransferSec: transfer,
 		},
 	})
@@ -561,7 +518,7 @@ func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 			Route:       route,
 			ArrivalSec:  req.Arrival,
 			DoneSec:     done,
-			LocateSec:   t.disk.LatencySec,
+			LocateSec:   diskLatencySec,
 			TransferSec: transfer,
 		})
 	}
@@ -572,43 +529,8 @@ func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 	}
 }
 
-// Write stages a write-back write: the object lands in the cache
-// dirty, completing at disk cost, and pays its modeled tape-write
-// time when evicted or at the final flush. An object too large for
-// the cache writes through (an immediate writeback). Requires an
-// enabled cache with Config.WriteBack.
-func (t *Tier) Write(id string, at float64) (float64, error) {
-	if t.cache == nil || !t.cfg.WriteBack {
-		return 0, fmt.Errorf("hsm: Write requires an enabled write-back cache")
-	}
-	if t.finished {
-		return 0, fmt.Errorf("hsm: write after Finish")
-	}
-	slot := t.slot(id)
-	if slot < 0 {
-		return 0, fmt.Errorf("hsm: write of unknown object %q", id)
-	}
-	obj := t.objs[slot]
-	if math.IsNaN(at) || math.IsInf(at, 0) || at < t.last {
-		return 0, fmt.Errorf("hsm: write at %g behind the clock (last offer %g)", at, t.last)
-	}
-	t.last = at
-	t.absorb(at)
-	t.m.Writes++
-	cost := t.lib.RefetchSec(obj)
-	t.cache.Install(slot, id, t.objBytes(obj), cost)
-	if !t.cache.MarkDirty(slot) {
-		// Too large to stage: write through to tape immediately.
-		t.wtWritebacks++
-		t.wtFlushSec += cost
-		t.writebackC.Inc()
-	}
-	t.syncCacheCounters()
-	return at + t.disk.LatencySec + float64(t.objBytes(obj))/t.disk.BytesPerSec, nil
-}
-
-// Finish drains the wrapped loop, applies every remaining install,
-// flushes dirty entries, and returns the merged completions — library
+// Finish drains the wrapped loop, applies every remaining install, and
+// returns the merged completions — library
 // fetches and cache hits together in completion-time order, a hit
 // ahead of a fetch completing at the same instant — with the tier
 // metrics. For a disabled tier this is exactly the
@@ -631,9 +553,6 @@ func (t *Tier) Finish() ([]tertiary.Completion, Metrics, error) {
 	comps, lm, err := t.runner.Finish()
 	if err != nil {
 		return nil, Metrics{}, err
-	}
-	if t.cfg.WriteBack {
-		t.cache.FlushDirty()
 	}
 	t.syncCacheCounters()
 	t.m.Lib = lm

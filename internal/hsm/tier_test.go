@@ -294,70 +294,21 @@ func TestTierPrefetch(t *testing.T) {
 	}
 }
 
-// TestTierWriteBack pins the write path: staged writes complete at
-// disk cost, dirty data pays its modeled tape-write time exactly once
-// (at eviction or final flush), and an oversized write writes through.
-func TestTierWriteBack(t *testing.T) {
+// TestNewTierRejectsNegativeConfig pins that negative knobs are
+// errors, not silent fallbacks to the defaults.
+func TestNewTierRejectsNegativeConfig(t *testing.T) {
 	base := testStore(t)
-	tier, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), Config{
-		CapacityBytes: 64 << 20,
-		WriteBack:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := tier.Write("t0/o1", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDone := 10 + 0.005 + float64(16*32768)/float64(8<<20)
-	if math.Abs(done-wantDone) > 1e-12 {
-		t.Errorf("write completed at %g, want %g", done, wantDone)
-	}
-	if !tier.Cached(tier.slot("t0/o1")) {
-		t.Fatal("written object not resident")
-	}
-	_, m, err := tier.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Writes != 1 || m.Writebacks != 1 {
-		t.Fatalf("writes=%d writebacks=%d, want 1/1 (final flush)", m.Writes, m.Writebacks)
-	}
-	if m.FlushSec <= 0 {
-		t.Errorf("flush accounted %g seconds of tape writing", m.FlushSec)
-	}
-
-	// An object larger than the whole cache cannot stage: it writes
-	// through immediately.
-	small, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), Config{
-		CapacityBytes: 16 * 32768 / 2,
-		WriteBack:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := small.Write("t0/o1", 0); err != nil {
-		t.Fatal(err)
-	}
-	if small.Cached(small.slot("t0/o1")) {
-		t.Error("oversized write staged instead of writing through")
-	}
-	_, sm, err := small.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.Writebacks != 1 || sm.FlushSec <= 0 {
-		t.Errorf("write-through accounting: writebacks=%d flushSec=%g", sm.Writebacks, sm.FlushSec)
-	}
-
-	// Write requires the write-back config.
-	ro, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), Config{CapacityBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ro.Write("t0/o1", 0); err == nil {
-		t.Error("Write accepted on a read-only tier")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"capacity", Config{CapacityBytes: -1}},
+		{"prefetch threshold", Config{CapacityBytes: 1 << 20, Prefetch: true, PrefetchThreshold: -1}},
+		{"prefetch threshold, no cache", Config{PrefetchThreshold: -1410}},
+	} {
+		if _, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), tc.cfg); err == nil {
+			t.Errorf("%s: NewTier accepted %+v", tc.name, tc.cfg)
+		}
 	}
 }
 

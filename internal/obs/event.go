@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -242,19 +244,37 @@ func (r *EventRing) Reset() {
 	r.dropped = 0
 }
 
+// maxEventLineBytes caps one line of a JSONL event log, trailing
+// newline included: ReadEventsJSONL rejects a longer line, so
+// WriteEventsJSONL refuses to emit one.
+const maxEventLineBytes = 1 << 20
+
+// errEventLineTooLong marks an event whose encoded line exceeds
+// maxEventLineBytes.
+var errEventLineTooLong = errors.New("encoded line over the event-log line cap")
+
 // WriteEventsJSONL renders events one JSON object per line. Field
 // order follows the Event struct and floats use encoding/json's
 // shortest-round-trip formatting, so the output is byte-deterministic
 // for a deterministic event sequence. head <= 0 writes every event;
-// otherwise only the first head.
+// otherwise only the first head. An event whose line would exceed the
+// reader's cap is an error naming it, so every log written reads back.
 func WriteEventsJSONL(w io.Writer, events []Event, head int) error {
 	if head <= 0 || head > len(events) {
 		head = len(events)
 	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range events[:head] {
+	var line bytes.Buffer
+	enc := json.NewEncoder(&line)
+	for i, ev := range events[:head] {
+		line.Reset()
 		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+		if line.Len() > maxEventLineBytes {
+			return fmt.Errorf("obs: event %d (seq %d, object %.40q): %d bytes: %w", i, ev.Seq, ev.Object, line.Len(), errEventLineTooLong)
+		}
+		if _, err := bw.Write(line.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -265,7 +285,7 @@ func WriteEventsJSONL(w io.Writer, events []Event, head int) error {
 func ReadEventsJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxEventLineBytes)
 	line := 0
 	for sc.Scan() {
 		line++

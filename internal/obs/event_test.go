@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"reflect"
 	"strconv"
 	"strings"
@@ -144,6 +146,45 @@ func TestEventsJSONLRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in %+v\nout %+v", in, out)
+	}
+}
+
+// TestEventsJSONLLineCap pins the writer to the reader's line cap: a
+// 300 KB object ID of '<' escapes to a ~1.8 MB line, which the writer
+// refuses instead of emitting a log that fails to re-read, while a
+// line of exactly the cap still round-trips.
+func TestEventsJSONLLineCap(t *testing.T) {
+	var buf bytes.Buffer
+	long := evAt(1, 1)
+	long.Object = strings.Repeat("<", 300<<10)
+	err := WriteEventsJSONL(&buf, []Event{evAt(2, 0.5), long}, 0)
+	if !errors.Is(err, errEventLineTooLong) {
+		t.Fatalf("writing a %d-byte object: err = %v, want the line-cap error", len(long.Object), err)
+	}
+
+	// Pad an object ID so the encoded line, newline included, is
+	// exactly the cap; one byte more is refused.
+	edge := evAt(1, 1)
+	edge.Object = ""
+	buf.Reset()
+	if err := WriteEventsJSONL(&buf, []Event{edge}, 0); err != nil {
+		t.Fatal(err)
+	}
+	edge.Object = strings.Repeat("a", maxEventLineBytes-buf.Len())
+	buf.Reset()
+	if err := WriteEventsJSONL(&buf, []Event{edge}, 0); err != nil {
+		t.Fatalf("line of exactly the cap refused: %v", err)
+	}
+	if buf.Len() != maxEventLineBytes {
+		t.Fatalf("edge line is %d bytes, want %d", buf.Len(), maxEventLineBytes)
+	}
+	back, err := ReadEventsJSONL(&buf)
+	if err != nil || len(back) != 1 || back[0].Object != edge.Object {
+		t.Fatalf("line of exactly the cap did not round-trip: %d events, err %v", len(back), err)
+	}
+	edge.Object += "a"
+	if err := WriteEventsJSONL(io.Discard, []Event{edge}, 0); !errors.Is(err, errEventLineTooLong) {
+		t.Fatalf("line one byte over the cap: err = %v, want the line-cap error", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"io"
 	"reflect"
 	"sort"
@@ -24,7 +26,9 @@ var replaySeedLines = []string{
 // sort by terminal time as the SLO analyzer does, score every event
 // through an SLO engine and render its report. Nothing may panic, and
 // every log the parser accepts must survive a write/read round trip
-// unchanged.
+// unchanged — or, when re-encoding grows a line past the reader's cap
+// (escaping expands '<' sixfold), the writer must refuse it with the
+// line-cap error, and that line must really be over the cap.
 func FuzzEventLogReplay(f *testing.F) {
 	for i, line := range replaySeedLines {
 		f.Add([]byte(line))
@@ -65,7 +69,15 @@ func FuzzEventLogReplay(f *testing.F) {
 
 		var buf bytes.Buffer
 		if err := WriteEventsJSONL(&buf, events, 0); err != nil {
-			t.Fatalf("write of an accepted log: %v", err)
+			if !errors.Is(err, errEventLineTooLong) {
+				t.Fatalf("write of an accepted log: %v", err)
+			}
+			for _, ev := range events {
+				if b, _ := json.Marshal(ev); len(b)+1 > maxEventLineBytes {
+					return
+				}
+			}
+			t.Fatalf("writer refused a log whose lines all fit the cap: %v", err)
 		}
 		back, err := ReadEventsJSONL(&buf)
 		if err != nil {

@@ -21,7 +21,7 @@ type Request struct {
 	// default budget is sim.DefaultRequestTimeoutSec past arrival —
 	// the same constant that bounds the executor's per-request drive
 	// time, so the admission and execution timeout paths cannot
-	// silently diverge (see Config.DeadlineSec).
+	// silently diverge.
 	Deadline float64
 	// BestEffort marks work the service may shed first under
 	// degraded capacity: the brownout admission state (Breaker)

@@ -73,18 +73,8 @@ type Config struct {
 	// MaxBatch caps the requests per cut batch; 0 means unbounded.
 	MaxBatch int
 	// ReadLen is the per-request transfer length; 0 means 1.
+	// QueueCap, MaxBatch and ReadLen must not be negative.
 	ReadLen int
-	// DeadlineSec enables per-request deadline enforcement: arrivals
-	// without an explicit Request.Deadline get ArrivalSec +
-	// DeadlineSec, and a request still queued past its deadline is
-	// shed at batch-cut time instead of dispatched. 0 (the default)
-	// disables enforcement for requests without explicit deadlines —
-	// existing configurations behave exactly as before. The
-	// recommended budget is sim.DefaultRequestTimeoutSec, the same
-	// constant bounding the executor's per-request drive time.
-	DeadlineSec float64
-	// Retry bounds the executor's recovery.
-	Retry sim.RetryPolicy
 	// Faults arms the drive with an injector when any rate is
 	// non-zero.
 	Faults fault.Config
@@ -244,9 +234,6 @@ func (s *state) admit(until float64) int {
 	for s.next < len(s.arrivals) && s.arrivals[s.next].ArrivalSec <= until {
 		r := s.arrivals[s.next]
 		s.next++
-		if r.Deadline == 0 && s.cfg.DeadlineSec > 0 {
-			r.Deadline = r.ArrivalSec + s.cfg.DeadlineSec
-		}
 		if s.queue.Offer(r) {
 			n++
 		} else {
@@ -285,12 +272,20 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 	if sched == nil {
 		sched = core.NewLOSS()
 	}
+	switch {
+	case cfg.QueueCap < 0:
+		return nil, fmt.Errorf("server: queue cap %d", cfg.QueueCap)
+	case cfg.MaxBatch < 0:
+		return nil, fmt.Errorf("server: max batch %d", cfg.MaxBatch)
+	case cfg.ReadLen < 0:
+		return nil, fmt.Errorf("server: read length %d", cfg.ReadLen)
+	}
 	readLen := cfg.ReadLen
-	if readLen < 1 {
+	if readLen == 0 {
 		readLen = 1
 	}
 	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
+	if queueCap == 0 {
 		queueCap = 1024
 	}
 	if cfg.WindowSec == 0 {
@@ -333,7 +328,7 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 		cfg:      cfg,
 		model:    model,
 		drv:      drv,
-		exec:     &sim.Executor{Drive: drv, Scheduler: sched, Policy: cfg.Retry},
+		exec:     &sim.Executor{Drive: drv, Scheduler: sched},
 		sched:    sched,
 		queue:    NewAdmissionQueue(queueCap),
 		reg:      reg,

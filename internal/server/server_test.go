@@ -187,6 +187,25 @@ func TestRunRejectsMalformedStreams(t *testing.T) {
 	}
 }
 
+func TestRunRejectsNegativeConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative queue cap", Config{QueueCap: -3}},
+		{"negative max batch", Config{MaxBatch: -1}},
+		{"negative read length", Config{ReadLen: -1}},
+	}
+	arrivals := []Request{{Segment: 1, ArrivalSec: 0}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Run(c.cfg, arrivals); err == nil {
+				t.Fatalf("config %+v accepted", c.cfg)
+			}
+		})
+	}
+}
+
 // TestZeroArrivalEquivalentToBatchChain pins the serving layer to the
 // closed-batch experiment it generalizes: with every request already
 // queued at time zero and batches cut at the chain's batch size, the

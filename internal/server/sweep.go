@@ -8,7 +8,6 @@ import (
 	"serpentine/internal/fault"
 	"serpentine/internal/grid"
 	"serpentine/internal/obs"
-	"serpentine/internal/sim"
 	"serpentine/internal/workload"
 )
 
@@ -41,8 +40,6 @@ type SweepConfig struct {
 	MaxBatch int
 	// ReadLen is the per-request transfer length; 0 means 1.
 	ReadLen int
-	// Retry bounds the executor's recovery.
-	Retry sim.RetryPolicy
 	// Faults arms every cell's drive when any rate is non-zero. Its
 	// Seed is ignored: each cell derives an injector seed from Seed
 	// and the cell coordinates.
@@ -135,7 +132,6 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 			QueueCap:  cfg.QueueCap,
 			MaxBatch:  cfg.MaxBatch,
 			ReadLen:   cfg.ReadLen,
-			Retry:     cfg.Retry,
 			Faults:    faults,
 			Reg:       reg,
 			Spans:     cfg.Spans,

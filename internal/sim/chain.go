@@ -42,10 +42,8 @@ type ChainConfig struct {
 	Warmup int
 	// ReadLen is the per-request transfer length; 0 means 1.
 	ReadLen int
-	// Seed seeds request generation.
+	// Seed seeds the uniform request generation.
 	Seed int64
-	// Workload generates batches; nil selects uniform.
-	Workload workload.Generator
 
 	// Drive, when non-nil, switches the chain to executed mode: each
 	// batch runs on this drive via the Executor.
@@ -53,8 +51,6 @@ type ChainConfig struct {
 	// Faults arms Drive with a fault injector when any rate is
 	// non-zero. Ignored in estimate mode.
 	Faults fault.Config
-	// Policy bounds the Executor's recovery in executed mode.
-	Policy RetryPolicy
 }
 
 // ChainResult summarizes a chained run. The recovery fields are only
@@ -126,10 +122,7 @@ func BatchChain(cfg ChainConfig) (ChainResult, error) {
 	if warmup <= 0 {
 		warmup = 1
 	}
-	gen := cfg.Workload
-	if gen == nil {
-		gen = workload.NewUniform(cfg.Model.Segments(), cfg.Seed)
-	}
+	gen := workload.NewUniform(cfg.Model.Segments(), cfg.Seed)
 	var exec *Executor
 	if cfg.Drive != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -138,7 +131,7 @@ func BatchChain(cfg ChainConfig) (ChainResult, error) {
 		if cfg.Faults.Enabled() {
 			cfg.Drive.AttachFaults(fault.New(cfg.Faults))
 		}
-		exec = &Executor{Drive: cfg.Drive, Scheduler: sched, Policy: cfg.Policy}
+		exec = &Executor{Drive: cfg.Drive, Scheduler: sched}
 	}
 
 	var res ChainResult

@@ -38,8 +38,6 @@ type ChaosConfig struct {
 	BatchSize, Batches, Warmup int
 	// ReadLen is the per-request transfer length; 0 means 1.
 	ReadLen int
-	// Policy bounds recovery.
-	Policy RetryPolicy
 	// Seed seeds request generation (shared by every cell, so all
 	// cells schedule the same request stream) and the per-cell
 	// injector seeds.
@@ -134,7 +132,6 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 			Seed:      cfg.Seed,
 			Drive:     drive.New(tape),
 			Faults:    faults,
-			Policy:    cfg.Policy,
 		})
 		if err != nil {
 			return fmt.Errorf("sim: chaos %s rate %g: %w", sp.sched.Name(), rates[sp.rateIdx], err)

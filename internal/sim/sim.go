@@ -130,13 +130,6 @@ type Config struct {
 	// different seeds vary by well under 1% (the paper reports
 	// <0.5% over 5 seeds).
 	Seed int64
-	// ReadLen is the transfer length per request in segments; 0
-	// means 1.
-	ReadLen int
-	// Workload builds the request generator for a trial seed; nil
-	// selects the paper's uniform distribution over the model's
-	// segment space.
-	Workload func(seed int64) workload.Generator
 	// Workers bounds the parallel trial runners; 0 selects
 	// GOMAXPROCS. Use 1 for clean CPU timing (Figure 6).
 	Workers int
@@ -200,16 +193,11 @@ func Run(cfg Config) (*Result, error) {
 		optMax = 12
 	}
 	workers := cfg.effectiveWorkers()
-	gen := cfg.Workload
-	if gen == nil {
-		total := cfg.Model.Segments()
-		gen = func(seed int64) workload.Generator { return workload.NewUniform(total, seed) }
-	}
 
 	begin := time.Now()
 	res := &Result{Config: cfg}
 	for _, n := range lengths {
-		lr, err := runLength(cfg, gen, n, trials(n), optMax, workers)
+		lr, err := runLength(cfg, n, trials(n), optMax, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +223,7 @@ func (cfg *Config) effectiveWorkers() int {
 // trials off a shared atomic counter, and merges its partials into
 // the shared result exactly once at the end, so the accumulator lock
 // is touched once per worker rather than once per trial.
-func runLength(cfg Config, gen func(int64) workload.Generator, n, trials, optMax, workers int) (LengthResult, error) {
+func runLength(cfg Config, n, trials, optMax, workers int) (LengthResult, error) {
 	// The schedulers active at this length, in configuration order;
 	// worker partials index this slice directly instead of hashing
 	// names per trial.
@@ -266,13 +254,13 @@ func runLength(cfg Config, gen func(int64) workload.Generator, n, trials, optMax
 			local := make([]AlgResult, len(active))
 			// One Problem per worker, reused across trials and
 			// schedulers; only Start and Requests change per trial.
-			p := &core.Problem{ReadLen: cfg.ReadLen, Cost: cfg.Model}
+			p := &core.Problem{Cost: cfg.Model}
 			for {
 				trial := int(next.Add(1)) - 1
 				if trial >= trials {
 					break
 				}
-				if err := runTrial(cfg, gen, n, trial, active, local, p); err != nil {
+				if err := runTrial(cfg, n, trial, active, local, p); err != nil {
 					select {
 					case errs <- err:
 					default:
@@ -321,8 +309,8 @@ func skipAtLength(s core.Scheduler, n, optMax int) bool {
 // partials. The t0/cpu stopwatch brackets only the Schedule call, so
 // the Figure 6 CPU-per-schedule metric excludes request generation,
 // verification and estimation.
-func runTrial(cfg Config, gen func(int64) workload.Generator, n, trial int, active []core.Scheduler, local []AlgResult, p *core.Problem) error {
-	g := gen(trialSeed(cfg.Seed, n, trial))
+func runTrial(cfg Config, n, trial int, active []core.Scheduler, local []AlgResult, p *core.Problem) error {
+	g := workload.NewUniform(cfg.Model.Segments(), trialSeed(cfg.Seed, n, trial))
 	set := g.Batch(n + 1)
 	start := set[0]
 	if cfg.Start == BOTStart {

@@ -19,15 +19,10 @@ import (
 // redundancy the store brings to the same disaster, which is the
 // comparison the sweep exists to make.
 type OutageConfig struct {
-	// Profile is the drive/cartridge format; zero value selects the
-	// DLT4000.
-	Profile geometry.Params
-	// TapeCount and Objects shape the store; 0 select 4 cartridges of
-	// 64 objects. ObjectSegments is the extent length per object; 0
-	// selects 32.
-	TapeCount      int
-	Objects        int
-	ObjectSegments int
+	// TapeCount and Objects shape the store of 32-segment extents on
+	// DLT4000 cartridges; 0 select 4 cartridges of 64 objects.
+	TapeCount int
+	Objects   int
 	// MTTFsSec are the drive mean-time-to-failure values to sweep; 0
 	// in the list means drives never fail. Nil selects {0, 14400,
 	// 3600}.
@@ -92,10 +87,6 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 	if objects <= 0 {
 		objects = 64
 	}
-	objSegs := cfg.ObjectSegments
-	if objSegs <= 0 {
-		objSegs = 32
-	}
 	mttfs := cfg.MTTFsSec
 	if mttfs == nil {
 		mttfs = []float64{0, 14400, 3600}
@@ -141,38 +132,18 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 	// (t+r) mod T at the same stride slot, offset r extents in — so
 	// every copy of an object occupies a distinct cartridge and no two
 	// objects' copies collide.
-	profile := cfg.Profile
-	if profile.Tracks == 0 {
-		profile = geometry.DLT4000()
+	const objSegs = 32
+	profile := geometry.DLT4000()
+	base, err := SweepStore(profile, tapeCount, objects, objSegs, 0, 0)
+	if err != nil {
+		return nil, err
 	}
-	catalog := NewCatalog()
-	serials := make([]int64, tapeCount)
-	for t := 0; t < tapeCount; t++ {
-		serial := int64(3000 + t)
-		serials[t] = serial
-		tape, err := geometry.Generate(profile, serial)
-		if err != nil {
-			return nil, fmt.Errorf("tertiary: outage tape %d: %w", serial, err)
-		}
-		stride := tape.Segments() / objects
-		if stride < maxR*objSegs {
+	serials := base.Tapes()
+	for _, serial := range serials {
+		if stride := base.tapes[serial].Segments() / objects; stride < maxR*objSegs {
 			return nil, fmt.Errorf("tertiary: outage: %d objects × %d copies of %d segments overflow tape %d",
 				objects, maxR, objSegs, serial)
 		}
-		for o := 0; o < objects; o++ {
-			if err := catalog.Put(Object{
-				ID:       sweepObjectID(t, o),
-				Tape:     serial,
-				Start:    o * stride,
-				Segments: objSegs,
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	base, err := New(Config{Profile: profile, Tapes: serials}, catalog)
-	if err != nil {
-		return nil, fmt.Errorf("tertiary: outage store: %w", err)
 	}
 	// One placement per distinct replication factor, validated against
 	// the shared store.

@@ -118,4 +118,13 @@ func TestOutageSweepRejectsBadReplication(t *testing.T) {
 	if _, err := OutageSweep(cfg); err == nil {
 		t.Fatal("replication factor 0 was accepted")
 	}
+	// 12000 objects leave a stride of ~51 segments: room for one
+	// 32-segment extent, so the shared store builds, but not for the
+	// second copy R=2 places behind it.
+	cfg.Replicas = []int{1, 2}
+	cfg.Objects = 12000
+	_, err := OutageSweep(cfg)
+	if err == nil || !strings.Contains(err.Error(), "2 copies") {
+		t.Fatalf("a stride too short for 2 copies: err = %v, want the outage overflow error", err)
+	}
 }

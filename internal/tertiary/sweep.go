@@ -10,7 +10,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/grid"
 	"serpentine/internal/obs"
-	"serpentine/internal/sim"
 	"serpentine/internal/workload"
 )
 
@@ -41,13 +40,8 @@ type SweepConfig struct {
 	BatchLimits []int
 	// Requests is the stream length per cell; 0 selects 400.
 	Requests int
-	// MountSec, UnmountSec, Scheduler, QueueCap and Retry pass
-	// through to every cell's Config.
-	MountSec   float64
-	UnmountSec float64
-	Scheduler  core.Scheduler
-	QueueCap   int
-	Retry      sim.RetryPolicy
+	// QueueCap passes through to every cell's Config.
+	QueueCap int
 	// Faults arms every cell when any rate is non-zero. Its Seed is
 	// ignored: each cell derives an injector base seed from Seed and
 	// the cell coordinates.
@@ -129,7 +123,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	if profile.Tracks == 0 {
 		profile = geometry.DLT4000()
 	}
-	base, err := SweepStore(profile, tapeCount, objects, objSegs, cfg.MountSec, cfg.UnmountSec)
+	base, err := SweepStore(profile, tapeCount, objects, objSegs, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +171,8 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			Profile:    profile,
 			Tapes:      serials,
 			Drives:     drives,
-			MountSec:   cfg.MountSec,
-			UnmountSec: cfg.UnmountSec,
 			BatchLimit: limit,
-			Scheduler:  cfg.Scheduler,
 			QueueCap:   cfg.QueueCap,
-			Retry:      cfg.Retry,
 			Faults:     faults,
 			Lifecycle:  lifecycle,
 			Reg:        reg,
