@@ -146,10 +146,10 @@ profile:
 # wide-event ring, the SLO sliding windows, the event-log replay
 # (parse, sort, SLO scoring and write/read round trip of arbitrary
 # bytes), the staging cache's eviction policies, the fleet routing
-# tier, and the fleet's event fold and health feed (against their
-# copy-and-sort oracles) — the state machines arbitrary inputs can
-# reach. CI runs this on every PR; locally, raise
-# FUZZTIME to dig.
+# tier, and the fleet's event fold and health fill (against the
+# copy-and-sort fold and the heap-ordered health feed) — the state
+# machines arbitrary inputs can reach. CI runs this on every PR;
+# locally, raise FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLOSSLazyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzOPTBoundedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/

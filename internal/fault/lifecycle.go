@@ -120,9 +120,6 @@ func NewLifecycle(cfg LifecycleConfig) *Lifecycle {
 	return &Lifecycle{cfg: cfg.withDefaults(), drives: make(map[int]*rand48.Source)}
 }
 
-// Config returns the generator's configuration, defaults resolved.
-func (lc *Lifecycle) Config() LifecycleConfig { return lc.cfg }
-
 // driveStream returns drive's private outage stream, created on first
 // use.
 func (lc *Lifecycle) driveStream(drive int) *rand48.Source {

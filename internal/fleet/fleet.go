@@ -35,7 +35,8 @@ import (
 // numbering) lives on shard t mod Shards; copy k of object (t, o)
 // lives on cartridge (t+k) mod TapeCount at the same catalog slot,
 // offset k extents in — every copy on a distinct cartridge, and with
-// Replicas > 1 usually on a distinct shard.
+// Replicas > 1 usually on a distinct shard. A zero count selects its
+// default; a negative one is an error.
 type StoreConfig struct {
 	// Profile is the drive/cartridge format; zero value selects the
 	// DLT4000.
@@ -86,19 +87,23 @@ type Fleet struct {
 // across shards, builds each shard's catalog and same-shard replica
 // placement, and indexes every object's copies for the routing tier.
 func New(cfg StoreConfig) (*Fleet, error) {
-	if cfg.Shards <= 0 {
+	if cfg.Shards < 0 || cfg.TapeCount < 0 || cfg.Objects < 0 || cfg.ObjectSegments < 0 || cfg.Replicas < 0 {
+		return nil, fmt.Errorf("fleet: negative shard, cartridge, object, segment or replica count (%d, %d, %d, %d, %d)",
+			cfg.Shards, cfg.TapeCount, cfg.Objects, cfg.ObjectSegments, cfg.Replicas)
+	}
+	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	if cfg.TapeCount <= 0 {
+	if cfg.TapeCount == 0 {
 		cfg.TapeCount = 8
 	}
-	if cfg.Objects <= 0 {
+	if cfg.Objects == 0 {
 		cfg.Objects = 256
 	}
-	if cfg.ObjectSegments <= 0 {
+	if cfg.ObjectSegments == 0 {
 		cfg.ObjectSegments = 32
 	}
-	if cfg.Replicas <= 0 {
+	if cfg.Replicas == 0 {
 		cfg.Replicas = 1
 	}
 	if cfg.Profile.Tracks == 0 {
@@ -275,7 +280,8 @@ func leadingInt(s string) (int, string, bool) {
 // are not pluggable here — every shard runs the paper's Auto policy
 // (use tertiary.Sweep for the scheduler axis).
 type RunConfig struct {
-	// Drives is the transport count per shard; 0 selects 1.
+	// Drives is the transport count per shard; 0 selects 1, and it
+	// must not be negative.
 	Drives int
 	// BatchLimit, QueueCap and DeadlineSec pass through to every
 	// shard's Config.
@@ -316,12 +322,11 @@ type RunConfig struct {
 	// — the same spec-order folding the registries get, so the merged
 	// log is identical at any worker count.
 	Events *obs.EventRing
-	// Health, when non-nil, consumes the event stream live: as the
-	// arrival clock advances, every event whose terminal time has
-	// passed scores its shard (key "shard=N") and serving drive (key
-	// "shard=N/drive=D") in the tracker, and the router sees the
-	// shard's current score as Candidate.Health at each decision.
-	// Observational this PR: no built-in router reads the score.
+	// Health, when non-nil, is filled from the event stream after the
+	// run: every event, in the same (DoneSec, Shard, Seq) order the
+	// Events fold uses, scores its shard (key "shard=N") and, when a
+	// drive was involved, its drive (key "shard=N/drive=D"). Routing
+	// never reads it, so arming it changes no decision.
 	Health *obs.HealthTracker
 }
 
@@ -412,31 +417,11 @@ func eventRingAt(rings []*obs.EventRing, s int) *obs.EventRing {
 	return rings[s]
 }
 
-// healthFeed streams the per-shard wide-event rings into a
-// HealthTracker in global virtual-time order. Shards emit events in
-// their own order, and served events carry Done timestamps priced
-// ahead of the clock at dispatch — so the feed buffers harvested
-// events in a min-heap on (DoneSec, Shard, Seq) and releases only
-// those whose terminal time the arrival clock has passed. Every event
-// harvested later is emitted later and terminates no earlier, so the
-// released sequence is nondecreasing in time — exactly what the
-// tracker's rolling windows require. The heap holds compact feedKeys
-// read off the rings in place, and the tracker keys are resolved once
-// per shard and drive.
-type healthFeed struct {
-	tracker   *obs.HealthTracker
-	rings     []*obs.EventRing
-	harvested []int64
-	heap      []feedKey
-	shardKeys []*obs.HealthKey
-	driveKeys [][]*obs.HealthKey // by shard, then drive; filled on first use
-}
-
 // eventKey is a shard event's place in the merged order: DoneSec,
 // then shard, then per-shard seq, with ±0 comparing equal. (Shard, Seq)
 // is unique — each shard ring numbers its events densely — so the
-// order is total, and any comparison sort or heap over these keys
-// releases events in one determined sequence.
+// order is total, and any comparison sort over these keys yields one
+// determined sequence.
 type eventKey struct {
 	done  float64
 	seq   int64
@@ -463,140 +448,71 @@ func (a eventKey) compare(b eventKey) int {
 	return 0
 }
 
-// feedKey is what the feed keeps of one event: its order and the
-// outcome the tracker scores.
-type feedKey struct {
-	eventKey
-	drive int32
-	good  bool
-}
-
-func newHealthFeed(tracker *obs.HealthTracker, rings []*obs.EventRing) *healthFeed {
-	hf := &healthFeed{
-		tracker:   tracker,
-		rings:     rings,
-		harvested: make([]int64, len(rings)),
-		shardKeys: make([]*obs.HealthKey, len(rings)),
-		driveKeys: make([][]*obs.HealthKey, len(rings)),
-	}
-	for s := range rings {
-		hf.shardKeys[s] = tracker.Key(shardKey(s))
-	}
-	return hf
-}
-
-func shardKey(shard int) string { return "shard=" + strconv.Itoa(shard) }
-
-// score is the shard's current health for Candidate.Health.
-func (hf *healthFeed) score(shard int) float64 {
-	if hf == nil {
-		return 1
-	}
-	return hf.shardKeys[shard].Score()
-}
-
-func (hf *healthFeed) driveKey(shard, drive int) *obs.HealthKey {
-	keys := hf.driveKeys[shard]
-	for len(keys) <= drive {
-		keys = append(keys, nil)
-	}
-	if keys[drive] == nil {
-		keys[drive] = hf.tracker.Key(shardKey(shard) + "/drive=" + strconv.Itoa(drive))
-	}
-	hf.driveKeys[shard] = keys
-	return keys[drive]
-}
-
-// pump harvests each ring's new tail and scores every buffered event
-// whose terminal time is at or before now.
-func (hf *healthFeed) pump(now float64) {
-	if hf == nil {
-		return
-	}
-	for s, r := range hf.rings {
-		hf.harvested[s] = r.Visit(hf.harvested[s], func(ev *obs.Event) {
-			hf.push(feedKey{
-				eventKey: keyOf(ev),
-				drive:    int32(ev.Drive),
-				good:     ev.Outcome == obs.OutcomeServed,
-			})
-		})
-	}
-	for len(hf.heap) > 0 && hf.heap[0].done <= now {
-		k := hf.pop()
-		hf.shardKeys[k.shard].Observe(k.done, k.good)
-		if k.drive >= 0 {
-			hf.driveKey(int(k.shard), int(k.drive)).Observe(k.done, k.good)
-		}
-	}
-}
-
-func (hf *healthFeed) push(k feedKey) {
-	hf.heap = append(hf.heap, k)
-	h := hf.heap
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[i].compare(h[parent].eventKey) >= 0 {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (hf *healthFeed) pop() feedKey {
-	h := hf.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h[l].compare(h[small].eventKey) < 0 {
-			small = l
-		}
-		if r < n && h[r].compare(h[small].eventKey) < 0 {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	hf.heap = h
-	return top
-}
-
 // foldKey locates one shard event in place for the fold's sort.
 type foldKey struct {
 	eventKey
 	ev *obs.Event
 }
 
-// foldEvents appends every event of the per-shard rings to dst in
-// eventKey order, with labels attached to each: the post-run fold into
-// RunConfig.Events. It sorts compact keys pointing into the rings
-// rather than the events themselves.
-func foldEvents(dst *obs.EventRing, rings []*obs.EventRing, labels []obs.Label) {
+// sortEvents returns keys to every event of the per-shard rings in
+// eventKey order: the one sort both post-run consumers, foldEvents and
+// fillHealth, walk. It sorts compact keys pointing into the rings
+// rather than the events themselves, so the keys are valid until the
+// next Add to a ring.
+func sortEvents(rings []*obs.EventRing) []foldKey {
 	n := 0
 	for _, r := range rings {
 		n += int(r.Total())
 	}
 	keys := make([]foldKey, 0, n)
 	for _, r := range rings {
-		r.Visit(0, func(ev *obs.Event) {
+		r.Visit(func(ev *obs.Event) {
 			keys = append(keys, foldKey{eventKey: keyOf(ev), ev: ev})
 		})
 	}
 	slices.SortFunc(keys, func(a, b foldKey) int { return a.compare(b.eventKey) })
+	return keys
+}
+
+// foldEvents appends the sorted events to dst with labels attached to
+// each: the post-run fold into RunConfig.Events.
+func foldEvents(dst *obs.EventRing, keys []foldKey, labels []obs.Label) {
 	for _, k := range keys {
 		ev := *k.ev
 		if len(labels) > 0 {
 			ev.Labels = append([]obs.Label(nil), labels...)
 		}
 		dst.Add(ev)
+	}
+}
+
+// fillHealth scores the sorted events in the tracker, in terminal-time
+// order as its rolling windows require: each under its shard (key
+// "shard=N") and, when a drive served or failed it, under that drive
+// (key "shard=N/drive=D"). Key strings are rendered once per shard and
+// drive.
+func fillHealth(tracker *obs.HealthTracker, keys []foldKey, shards int) {
+	shardKeys := make([]string, shards)
+	driveKeys := make([][]string, shards)
+	for s := range shardKeys {
+		shardKeys[s] = "shard=" + strconv.Itoa(s)
+	}
+	for _, k := range keys {
+		good := k.ev.Outcome == obs.OutcomeServed
+		tracker.Observe(shardKeys[k.shard], k.done, good)
+		d := k.ev.Drive
+		if d < 0 {
+			continue
+		}
+		dk := driveKeys[k.shard]
+		for len(dk) <= d {
+			dk = append(dk, "")
+		}
+		if dk[d] == "" {
+			dk[d] = shardKeys[k.shard] + "/drive=" + strconv.Itoa(d)
+		}
+		driveKeys[k.shard] = dk
+		tracker.Observe(dk[d], k.done, good)
 	}
 }
 
@@ -612,7 +528,10 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		router = LeastLoaded{}
 	}
 	drives := cfg.Drives
-	if drives <= 0 {
+	if drives < 0 {
+		return nil, Metrics{}, fmt.Errorf("fleet: negative drive count %d", drives)
+	}
+	if drives == 0 {
 		drives = 1
 	}
 	for i, r := range stream {
@@ -637,11 +556,10 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			regs[s] = obs.NewRegistry()
 		}
 	}
-	// Wide events feed two consumers: the caller's merged ring (the
-	// post-run fold) and the live health plane. Either one arms the
-	// per-shard rings; each ring may retain the whole stream, so
-	// nothing drops and the fold and the feed both see every terminal
-	// outcome. Storage starts at twice a shard's even share, which
+	// Wide events feed two post-run consumers: the caller's merged
+	// ring and the health tracker. Either one arms the per-shard
+	// rings; each ring may retain the whole stream, so nothing drops
+	// and both consumers see every terminal outcome. Storage starts at twice a shard's even share, which
 	// routing skew rarely outgrows, instead of the whole stream per
 	// shard.
 	var rings []*obs.EventRing
@@ -650,10 +568,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		for s := range rings {
 			rings[s] = obs.NewGrowingEventRing(len(stream), 2*len(stream)/len(f.bases))
 		}
-	}
-	var hf *healthFeed
-	if cfg.Health != nil {
-		hf = newHealthFeed(cfg.Health, rings)
 	}
 
 	// Every shard library is wrapped in an hsm staging tier. With
@@ -696,7 +610,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		runners[s] = tier.Runner()
 	}
 
-	rt := &routing{policy: router, seed: cfg.Seed, runners: runners, tiers: tiers, hf: hf}
+	rt := &routing{policy: router, seed: cfg.Seed, runners: runners, tiers: tiers}
 	res := make([]ShardResult, len(f.bases))
 	m := Metrics{Offered: len(stream)}
 	for i := 0; i < len(stream); {
@@ -706,10 +620,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 				return nil, Metrics{}, fmt.Errorf("fleet: shard %d: %w", s, err)
 			}
 		}
-		// Score every event whose terminal time the clock has now
-		// passed, so the router's Candidate.Health reflects outcomes up
-		// to — and only up to — this instant.
-		hf.pump(at)
 		// Route every request carrying this timestamp before advancing
 		// again: a shard's event loop must see all of an instant's
 		// arrivals before it dispatches at that instant, exactly as a
@@ -773,16 +683,20 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		root.AttrInt("served", m.Served)
 		root.End(m.Makespan)
 	}
-	// Drain the health feed: the arrival clock stopped at the last
-	// arrival, but served events terminate after it.
-	hf.pump(math.Inf(1))
-	if cfg.Events != nil {
+	if rings != nil {
 		// Fold the per-shard logs into one stream ordered by terminal
 		// time, exactly as the registries fold in spec order: the merged
-		// log is a pure function of the run, identical at any worker
-		// count. Per-shard Seqs survive the fold (the caller's ring only
-		// stamps zero Seqs), so (Shard, Seq) still names the source slot.
-		foldEvents(cfg.Events, rings, cfg.Labels)
+		// log and the tracker state are pure functions of the run,
+		// identical at any worker count. Per-shard Seqs survive the fold
+		// (the caller's ring only stamps zero Seqs), so (Shard, Seq)
+		// still names the source slot.
+		keys := sortEvents(rings)
+		if cfg.Events != nil {
+			foldEvents(cfg.Events, keys, cfg.Labels)
+		}
+		if cfg.Health != nil {
+			fillHealth(cfg.Health, keys, len(rings))
+		}
 	}
 	if cfg.Reg != nil {
 		for s, reg := range regs {
@@ -811,7 +725,6 @@ type routing struct {
 	seed    int64
 	runners []*tertiary.Runner
 	tiers   []*hsm.Tier
-	hf      *healthFeed
 	cands   []Candidate
 	groups  []int // cands[i]'s index in the object's directory entry
 	scores  []float64
@@ -853,7 +766,6 @@ func (f *Fleet) route(rt *routing, ordinal int, req tertiary.Request) (decision,
 			Mounted:    mounted,
 			Cached:     rt.tiers[g.shard].Cached(g.slot),
 			Primary:    gi == 0,
-			Health:     rt.hf.score(g.shard),
 		})
 		gidx = append(gidx, gi)
 	}

@@ -35,8 +35,7 @@ func eventsSweepCfg(workers int, eventCap int) SweepConfig {
 // TestFleetEventsTimingNeutral pins that arming the event ring and the
 // health tracker changes nothing the simulation computes: per-shard
 // completions and metrics stay deeply equal, because events are pure
-// accounting and the health score is observational (no built-in router
-// reads Candidate.Health).
+// accounting and the tracker is filled only after the run.
 func TestFleetEventsTimingNeutral(t *testing.T) {
 	fl, err := New(StoreConfig{Shards: 2, TapeCount: 8, Objects: 32, ObjectSegments: 8, Replicas: 2})
 	if err != nil {
@@ -178,113 +177,6 @@ func TestFleetEventsSweepDeterministic(t *testing.T) {
 		if labels["rate"] != "240" || labels["shards"] != "2" || labels["router"] != "affinity" {
 			t.Fatalf("event labels %v missing cell coordinates", ev.Labels)
 		}
-	}
-}
-
-// TestCandidateHealthPopulated drives a health-armed run through a
-// router that records the Health probes it is scored with: every probe
-// must be in [0,1], start at 1 (no history), and — with cartridge loss
-// failing requests — eventually drop below 1 for some shard.
-func TestCandidateHealthPopulated(t *testing.T) {
-	fl, err := New(StoreConfig{Shards: 2, TapeCount: 8, Objects: 32, ObjectSegments: 8, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := Stream(240, 150, 7, 8, 32, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &healthRecorder{}
-	_, _, err = fl.Run(RunConfig{
-		Drives:     1,
-		BatchLimit: 4,
-		Lifecycle:  fault.LifecycleConfig{CartridgeLossRate: 0.2, Seed: 42},
-		Router:     rec,
-		Seed:       3,
-		Health:     obs.NewHealthTracker(),
-	}, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.probes) == 0 {
-		t.Fatal("router saw no candidates")
-	}
-	sawDegraded := false
-	for i, h := range rec.probes {
-		if h < 0 || h > 1 || h != h {
-			t.Fatalf("probe %d health %g outside [0,1]", i, h)
-		}
-		if h < 1 {
-			sawDegraded = true
-		}
-	}
-	if rec.probes[0] != 1 {
-		t.Fatalf("first probe health %g, want 1 (no history yet)", rec.probes[0])
-	}
-	if !sawDegraded {
-		t.Fatal("cartridge loss never degraded any shard's health score")
-	}
-
-	// Without a tracker every probe is exactly 1.
-	rec2 := &healthRecorder{}
-	_, _, err = fl.Run(RunConfig{
-		Drives: 1, BatchLimit: 4,
-		Lifecycle: fault.LifecycleConfig{CartridgeLossRate: 0.2, Seed: 42},
-		Router:    rec2, Seed: 3,
-	}, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range rec2.probes {
-		if h != 1 {
-			t.Fatalf("trackerless probe %d health %g, want 1", i, h)
-		}
-	}
-}
-
-// healthRecorder is a LeastLoaded router that also records every
-// Candidate.Health probe it is given.
-type healthRecorder struct {
-	probes []float64
-}
-
-func (r *healthRecorder) Name() string { return "health-recorder" }
-
-func (r *healthRecorder) Score(ordinal, shards int, cands []Candidate, scores []float64) {
-	for _, c := range cands {
-		r.probes = append(r.probes, c.Health)
-	}
-	LeastLoaded{}.Score(ordinal, shards, cands, scores)
-}
-
-// TestHealthFeedHeapOrder pins the min-heap the feed releases events
-// through: pops come out in (DoneSec, Shard, Seq) order, with ±0
-// comparing equal so shard and seq decide between them.
-func TestHealthFeedHeapOrder(t *testing.T) {
-	hf := &healthFeed{}
-	negZero := math.Copysign(0, -1)
-	in := []eventKey{
-		{done: 5, shard: 1, seq: 1},
-		{done: 3, shard: 0, seq: 2},
-		{done: 5, shard: 0, seq: 9},
-		{done: 3, shard: 0, seq: 1},
-		{done: 5, shard: 0, seq: 2},
-		{done: 0, shard: 1, seq: 7},
-		{done: negZero, shard: 1, seq: 3},
-		{done: negZero, shard: 2, seq: 1},
-	}
-	for _, k := range in {
-		hf.push(feedKey{eventKey: k})
-	}
-	want := [][2]int64{{1, 3}, {1, 7}, {2, 1}, {0, 1}, {0, 2}, {0, 2}, {0, 9}, {1, 1}}
-	for i, w := range want {
-		k := hf.pop()
-		if int64(k.shard) != w[0] || k.seq != w[1] {
-			t.Fatalf("pop %d = (shard %d, seq %d), want (%d, %d)", i, k.shard, k.seq, w[0], w[1])
-		}
-	}
-	if len(hf.heap) != 0 {
-		t.Fatalf("%d keys left after popping all", len(hf.heap))
 	}
 }
 

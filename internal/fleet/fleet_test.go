@@ -336,6 +336,44 @@ func TestFleetRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsNegativeSizes pins that a negative count is an
+// error at every fleet entry point instead of silently becoming the
+// default zero selects.
+func TestFleetRejectsNegativeSizes(t *testing.T) {
+	small := SweepConfig{
+		TapeCount: 4, Objects: 16, RatesPerHour: []float64{240},
+		ShardCounts: []int{1}, Routers: []Router{PassThrough{}}, Requests: 10,
+	}
+	fl, err := New(StoreConfig{TapeCount: 4, Objects: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := Stream(240, 10, 1, 4, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"StoreConfig.Shards", func() error { _, err := New(StoreConfig{Shards: -1}); return err }},
+		{"StoreConfig.TapeCount", func() error { _, err := New(StoreConfig{TapeCount: -1}); return err }},
+		{"StoreConfig.Objects", func() error { _, err := New(StoreConfig{Objects: -1}); return err }},
+		{"StoreConfig.ObjectSegments", func() error { _, err := New(StoreConfig{ObjectSegments: -1}); return err }},
+		{"StoreConfig.Replicas", func() error { _, err := New(StoreConfig{Replicas: -1}); return err }},
+		{"RunConfig.Drives", func() error { _, _, err := fl.Run(RunConfig{Drives: -3}, stream); return err }},
+		{"SweepConfig.Drives", func() error { c := small; c.Drives = -3; _, err := Sweep(c); return err }},
+		{"SweepConfig.Requests", func() error { c := small; c.Requests = -1; _, err := Sweep(c); return err }},
+		{"SweepConfig.TapeCount", func() error { c := small; c.TapeCount = -1; _, err := Sweep(c); return err }},
+		{"SweepConfig.Objects", func() error { c := small; c.Objects = -1; _, err := Sweep(c); return err }},
+		{"SweepConfig.Replicas", func() error { c := small; c.Replicas = -1; _, err := Sweep(c); return err }},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative %s: err %v, want a negative-count error", c.name, err)
+		}
+	}
+}
+
 // TestSweepWorkerCountInvariance pins satellite determinism: the
 // entire sweep — cell metrics, per-shard routing assignments (which
 // embed every tie-break decision, so equal-scoring shards resolve as

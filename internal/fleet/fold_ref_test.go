@@ -13,9 +13,11 @@ import (
 // This file keeps the event plane's original implementations as
 // test-only oracles, the way the core package keeps refOPT: the fold
 // that copied every shard log and sorted the full events, and the
-// health feed that buffered whole events in its heap. The shipped
-// foldEvents and healthFeed read the rings in place through compact
-// keys and must reproduce both exactly.
+// health feed that buffered whole events in a heap and released them
+// in terminal-time order. The shipped sortEvents, foldEvents and
+// fillHealth read the rings in place through compact keys and must
+// reproduce both exactly — the feed as it ends a run, pumped once at
+// +Inf.
 
 // eventBefore is the merged log's order: DoneSec, then shard, then
 // per-shard seq.
@@ -47,19 +49,17 @@ func refFoldEvents(dst *obs.EventRing, rings []*obs.EventRing, labels []obs.Labe
 // refHealthFeed is the feed over a heap of whole events, keyed by
 // tracker strings on every observation.
 type refHealthFeed struct {
-	tracker   *obs.HealthTracker
-	rings     []*obs.EventRing
-	harvested []int64
-	heap      []obs.Event
+	tracker *obs.HealthTracker
+	rings   []*obs.EventRing
+	heap    []obs.Event
 }
 
-func (hf *refHealthFeed) score(shard int) float64 {
-	return hf.tracker.Score("shard=" + strconv.Itoa(shard))
-}
-
+// pump harvests every ring and scores each buffered event whose
+// terminal time is at or before now. A feed pumped more than once
+// would harvest the rings again: the oracle is pumped once.
 func (hf *refHealthFeed) pump(now float64) {
-	for s, r := range hf.rings {
-		hf.harvested[s] = r.Visit(hf.harvested[s], func(ev *obs.Event) { hf.push(*ev) })
+	for _, r := range hf.rings {
+		r.Visit(func(ev *obs.Event) { hf.push(*ev) })
 	}
 	for len(hf.heap) > 0 && hf.heap[0].DoneSec <= now {
 		ev := hf.pop()
@@ -117,11 +117,10 @@ var foldDoneTimes = []float64{math.Copysign(0, -1), 0, 0.5, 1, 1, 2.25, 7, math.
 
 // FuzzFleetFoldEquivalence builds random per-shard event logs — DoneSec
 // ties across shards, ±0, every outcome, cache and drive pseudo-IDs —
-// and checks both consumers against their oracles: the health feed,
-// pumped at nondecreasing instants while the logs grow, must leave the
-// same probes and tracker scores, and the post-run fold must produce a
-// merged log reflect.DeepEqual to the copy-all-then-sort fold's, labels
-// included.
+// and checks both post-run consumers of one sort against their
+// oracles: the health fill must leave the same tracker scores as the
+// heap feed pumped once at +Inf, and the fold must produce a merged log
+// reflect.DeepEqual to the copy-all-then-sort fold's, labels included.
 func FuzzFleetFoldEquivalence(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{1, 7, 7, 7, 0, 0, 0, 255, 1, 2})
@@ -139,24 +138,8 @@ func FuzzFleetFoldEquivalence(f *testing.F) {
 		for s := range rings {
 			rings[s] = obs.NewGrowingEventRing(len(data), len(data)/shards)
 		}
-		tracker, refTracker := obs.NewHealthTracker(10, 100), obs.NewHealthTracker(10, 100)
-		hf := newHealthFeed(tracker, rings)
-		ref := &refHealthFeed{tracker: refTracker, rings: rings, harvested: make([]int64, shards)}
 		outcomes := []string{obs.OutcomeServed, obs.OutcomeServed, obs.OutcomeFailed, obs.OutcomeShed}
-		now := 0.0
 		for i, b := range data[1:] {
-			if b == 255 {
-				// Pump both feeds at an advancing instant.
-				now += 1
-				hf.pump(now)
-				ref.pump(now)
-				for s := 0; s < shards; s++ {
-					if got, want := hf.score(s), ref.score(s); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("shard %d health %g, oracle %g", s, got, want)
-					}
-				}
-				continue
-			}
 			s := int(b) % shards
 			rings[s].Add(obs.Event{
 				Shard:   s,
@@ -167,14 +150,18 @@ func FuzzFleetFoldEquivalence(f *testing.F) {
 				DoneSec: foldDoneTimes[int(b>>5)%len(foldDoneTimes)],
 			})
 		}
-		hf.pump(math.Inf(1))
+		keys := sortEvents(rings)
+
+		tracker, refTracker := obs.NewHealthTracker(10, 100), obs.NewHealthTracker(10, 100)
+		fillHealth(tracker, keys, shards)
+		ref := &refHealthFeed{tracker: refTracker, rings: rings}
 		ref.pump(math.Inf(1))
 		if got, want := tracker.Scores(), refTracker.Scores(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("tracker scores %v, oracle %v", got, want)
 		}
 
 		got, want := obs.NewEventRing(len(data)), obs.NewEventRing(len(data))
-		foldEvents(got, rings, labels)
+		foldEvents(got, keys, labels)
 		refFoldEvents(want, rings, labels)
 		if g, w := got.Events(), want.Events(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("fold diverged from the oracle:\ngot  %+v\nwant %+v", g, w)

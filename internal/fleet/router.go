@@ -24,12 +24,6 @@ type Candidate struct {
 	Cached bool
 	// Primary marks the shard holding the object's copy 0.
 	Primary bool
-	// Health is the shard's observed health score in [0,1]: the worst
-	// good-fraction across the fleet health tracker's rolling windows
-	// as of decision time, 1 when no tracker is armed or the shard
-	// has no scored history yet. Observational for now — no built-in
-	// router reads it; a health-aware router is the follow-on.
-	Health float64
 }
 
 // Router scores routing candidates. Score fills scores[i] with

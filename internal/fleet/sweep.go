@@ -59,8 +59,8 @@ func Stream(ratePerHour float64, n int, seed int64, tapeCount, objects int, loca
 type SweepConfig struct {
 	// TapeCount, Objects and Replicas shape the cluster store exactly
 	// as in StoreConfig (defaults 8, 256, 1; 32-segment extents on
-	// DLT4000 cartridges). Every shard count in the sweep shares the
-	// same cartridges and object layout.
+	// DLT4000 cartridges; negative counts are rejected). Every shard
+	// count in the sweep shares the same cartridges and object layout.
 	TapeCount int
 	Objects   int
 	Replicas  int
@@ -72,7 +72,8 @@ type SweepConfig struct {
 	// Routers are the routing policies; nil selects round-robin,
 	// least-loaded and affinity.
 	Routers []Router
-	// Drives is the transport count per shard; 0 selects 2.
+	// Drives is the transport count per shard; 0 selects 2, and it
+	// must not be negative.
 	// BatchLimit caps requests served per mount; 0 selects 16 (the
 	// fleet sweep has no unlimited-batch axis — use tertiary.Sweep
 	// for that).
@@ -90,7 +91,8 @@ type SweepConfig struct {
 	// Cache puts an hsm staging tier in front of every shard of every
 	// cell; the zero value disables it (see RunConfig.Cache).
 	Cache hsm.Config
-	// Requests is the stream length per cell; 0 selects 400.
+	// Requests is the stream length per cell; 0 selects 400, and it
+	// must not be negative.
 	Requests int
 	// Seed seeds each cell's arrival stream, object picks and routing
 	// tie-break, derived per (rate, shards) coordinate so results do
@@ -131,6 +133,10 @@ type Cell struct {
 // read-only per shard count — but each cell is fully deterministic,
 // so the sweep's output is identical at any worker count.
 func Sweep(cfg SweepConfig) ([]Cell, error) {
+	if cfg.Drives < 0 || cfg.Requests < 0 || cfg.TapeCount < 0 || cfg.Objects < 0 {
+		return nil, fmt.Errorf("fleet: negative drive, request, cartridge or object count (%d, %d, %d, %d)",
+			cfg.Drives, cfg.Requests, cfg.TapeCount, cfg.Objects)
+	}
 	rates := cfg.RatesPerHour
 	if rates == nil {
 		rates = []float64{60, 120, 240}
@@ -144,7 +150,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		routers = []Router{RoundRobin{}, LeastLoaded{}, Affinity{}}
 	}
 	drives := cfg.Drives
-	if drives <= 0 {
+	if drives == 0 {
 		drives = 2
 	}
 	limit := cfg.BatchLimit
@@ -152,15 +158,15 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		limit = 16
 	}
 	n := cfg.Requests
-	if n <= 0 {
+	if n == 0 {
 		n = 400
 	}
 	tapeCount := cfg.TapeCount
-	if tapeCount <= 0 {
+	if tapeCount == 0 {
 		tapeCount = 8
 	}
 	objects := cfg.Objects
-	if objects <= 0 {
+	if objects == 0 {
 		objects = 256
 	}
 

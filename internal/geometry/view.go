@@ -35,9 +35,6 @@ func (t *TrackView) StartLBN() int { return t.BoundLBN[0] }
 // EndLBN returns one past the last absolute segment number.
 func (t *TrackView) EndLBN() int { return t.BoundLBN[len(t.BoundLBN)-1] }
 
-// Segments returns the number of segments recorded on the track.
-func (t *TrackView) Segments() int { return t.EndLBN() - t.StartLBN() }
-
 // SectionCount returns the number of segments in logical section l.
 func (t *TrackView) SectionCount(l int) int {
 	return t.BoundLBN[l+1] - t.BoundLBN[l]
@@ -198,9 +195,6 @@ func (v *View) LBN(c Coord) int {
 	}
 	return tv.BoundLBN[l] + off
 }
-
-// TrackOf returns the track containing segment lbn.
-func (v *View) TrackOf(lbn int) int { return v.Place(lbn).Track }
 
 // SectionIndex returns a dense index identifying the (track, logical
 // section) cell containing lbn, in [0, Tracks*SectionsPerTrack).

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // The wide-event layer is the per-request half of the observability
@@ -115,7 +114,7 @@ type EventRing struct {
 	ring    []Event
 	limit   int // retention bound; ring grows by append up to it
 	next    int
-	total   atomic.Int64 // written under mu; read without it by Total and Visit's fast path
+	total   int64
 	dropped int64
 }
 
@@ -152,9 +151,9 @@ func (r *EventRing) Add(ev Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	total := r.total.Add(1)
+	r.total++
 	if ev.Seq == 0 {
-		ev.Seq = total
+		ev.Seq = r.total
 	}
 	if len(r.ring) < r.limit {
 		r.ring = append(r.ring, ev)
@@ -178,34 +177,24 @@ func (r *EventRing) Events() []Event {
 	return out
 }
 
-// Visit calls fn, oldest first, on every retained event whose emission
-// index (0-based position in the total stream) is at least from, and
-// returns the emission index one past the newest event — the from of
-// the next call, so an incremental consumer harvests only what arrived
-// since its last one. Events evicted before the consumer caught up are
-// simply gone (check Dropped).
-//
-// fn reads the events in place: the pointer aliases the ring's own
-// storage, must not be written through, and stays valid only until the
-// next Add or Reset. Visit holds the ring's lock while fn runs, so fn
-// must not call back into the ring.
-func (r *EventRing) Visit(from int64, fn func(*Event)) int64 {
-	if r == nil || r.total.Load() == from {
-		return from // nothing new: skip the lock
+// Visit calls fn on every retained event, oldest first. fn reads the
+// events in place: the pointer aliases the ring's own storage, must
+// not be written through, and stays valid only until the next Add or
+// Reset. Visit holds the ring's lock while fn runs, so fn must not
+// call back into the ring.
+func (r *EventRing) Visit(fn func(*Event)) {
+	if r == nil {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	total := r.total.Load()
-	first := total - int64(len(r.ring)) // emission index of the oldest retained event
-	skip := max(from-first, 0)
-	for i := skip; i < int64(len(r.ring)); i++ {
-		j := r.next + int(i)
+	for i := range r.ring {
+		j := r.next + i
 		if j >= len(r.ring) {
 			j -= len(r.ring)
 		}
 		fn(&r.ring[j])
 	}
-	return total
 }
 
 // Total returns how many events were ever added; Dropped how many of
@@ -214,7 +203,9 @@ func (r *EventRing) Total() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.total.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total
 }
 
 // Dropped returns the number of evicted events.
@@ -240,7 +231,7 @@ func (r *EventRing) Reset() {
 	clear(r.ring[:cap(r.ring)])
 	r.ring = r.ring[:0]
 	r.next = 0
-	r.total.Store(0)
+	r.total = 0
 	r.dropped = 0
 }
 

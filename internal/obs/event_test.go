@@ -51,35 +51,26 @@ func TestEventRingPreservesNonzeroSeq(t *testing.T) {
 	}
 }
 
-// visitAll collects what Visit(from) hands its callback, by value.
-func visitAll(r *EventRing, from int64) ([]Event, int64) {
+// visitAll collects what Visit hands its callback, by value.
+func visitAll(r *EventRing) []Event {
 	var out []Event
-	next := r.Visit(from, func(ev *Event) { out = append(out, *ev) })
-	return out, next
+	r.Visit(func(ev *Event) { out = append(out, *ev) })
+	return out
 }
 
 func TestEventRingVisit(t *testing.T) {
 	r := NewEventRing(4)
+	if got := visitAll(r); len(got) != 0 {
+		t.Fatalf("empty ring visited %d events", len(got))
+	}
 	for i := 1; i <= 6; i++ {
 		r.Add(Event{DoneSec: float64(i)})
 	}
-	// Emission indices 0..5; retained are 2..5.
-	if got, next := visitAll(r, 6); len(got) != 0 || next != 6 {
-		t.Fatalf("visit past the end returned %d events, next %d", len(got), next)
-	}
-	got, next := visitAll(r, 4)
-	if len(got) != 2 || got[0].DoneSec != 5 || got[1].DoneSec != 6 || next != 6 {
-		t.Fatalf("Visit(4) = %+v next %d, want events at t=5,6 and next 6", got, next)
-	}
-	// Asking for more than is retained yields only what remains.
-	got, _ = visitAll(r, 0)
-	if len(got) != 4 || got[0].DoneSec != 3 {
-		t.Fatalf("Visit(0) = %d events starting %g, want 4 starting t=3", len(got), got[0].DoneSec)
-	}
-	// An incremental consumer resumes where the last visit stopped.
-	r.Add(Event{DoneSec: 7})
-	if got, next = visitAll(r, next); len(got) != 1 || got[0].DoneSec != 7 || next != 7 {
-		t.Fatalf("resumed visit = %+v next %d, want the t=7 event and next 7", got, next)
+	// Six added, four retained: the walk starts at the oldest kept
+	// event and wraps the ring in emission order.
+	got := visitAll(r)
+	if !reflect.DeepEqual(got, r.Events()) || len(got) != 4 || got[0].DoneSec != 3 || got[3].DoneSec != 6 {
+		t.Fatalf("Visit = %+v, want the retained events t=3..6 in Events order", got)
 	}
 }
 
@@ -225,7 +216,8 @@ func TestNilEventRingNoOps(t *testing.T) {
 	var r *EventRing
 	r.Add(Event{})
 	r.Reset()
-	if r.Events() != nil || r.Visit(3, func(*Event) { t.Fatal("nil ring visited an event") }) != 3 || r.Total() != 0 || r.Dropped() != 0 {
+	r.Visit(func(*Event) { t.Fatal("nil ring visited an event") })
+	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil ring is not a no-op")
 	}
 }

@@ -504,9 +504,6 @@ type HealthTracker struct {
 	windows []float64
 	now     float64
 	keys    map[string][]*slidingWindow
-	// ver counts state changes (observations and clock moves); a
-	// HealthKey's cached score is current while ver has not moved.
-	ver uint64
 }
 
 // NewHealthTracker builds a tracker over the given window lengths
@@ -518,19 +515,14 @@ func NewHealthTracker(windowsSec ...float64) *HealthTracker {
 	return &HealthTracker{windows: windowsSec, keys: make(map[string][]*slidingWindow)}
 }
 
-// Observe scores one outcome for key at virtual time at.
+// Observe scores one outcome for key at virtual time at, creating the
+// key's windows on first use.
 func (h *HealthTracker) Observe(key string, at float64, good bool) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.observe(h.windowsFor(key), at, good)
-}
-
-// windowsFor returns the key's windows, creating them on first use.
-// Callers hold h.mu.
-func (h *HealthTracker) windowsFor(key string) []*slidingWindow {
 	ws := h.keys[key]
 	if ws == nil {
 		ws = make([]*slidingWindow, len(h.windows))
@@ -539,12 +531,6 @@ func (h *HealthTracker) windowsFor(key string) []*slidingWindow {
 		}
 		h.keys[key] = ws
 	}
-	return ws
-}
-
-// observe records one outcome into a key's windows. Callers hold h.mu.
-func (h *HealthTracker) observe(ws []*slidingWindow, at float64, good bool) {
-	h.ver++
 	if at > h.now {
 		h.now = at
 	}
@@ -552,72 +538,6 @@ func (h *HealthTracker) observe(ws []*slidingWindow, at float64, good bool) {
 		w.add(at, !good)
 		w.advance(h.now)
 	}
-}
-
-// score is the minimum good-fraction across a key's windows as of the
-// tracker's clock. Callers hold h.mu.
-func (h *HealthTracker) score(ws []*slidingWindow) float64 {
-	score := 1.0
-	for _, w := range ws {
-		w.advance(h.now)
-		if s := w.sli(); s < score {
-			score = s
-		}
-	}
-	return score
-}
-
-// HealthKey is one tracker key resolved once: Observe and Score
-// through it behave exactly as the tracker's keyed methods do, minus
-// the per-call key lookup, and Score recomputes only after the
-// tracker's state has changed. Like a keyed Observe, it registers the
-// key only when it first observes an outcome. A nil HealthKey (from a
-// nil tracker) no-ops and scores 1.
-type HealthKey struct {
-	h     *HealthTracker
-	key   string
-	ws    []*slidingWindow
-	ver   uint64 // tracker version score was computed at
-	score float64
-}
-
-// Key returns the handle for key; nil for a nil tracker.
-func (h *HealthTracker) Key(key string) *HealthKey {
-	if h == nil {
-		return nil
-	}
-	return &HealthKey{h: h, key: key}
-}
-
-// Observe scores one outcome for the key at virtual time at.
-func (k *HealthKey) Observe(at float64, good bool) {
-	if k == nil {
-		return
-	}
-	k.h.mu.Lock()
-	defer k.h.mu.Unlock()
-	if k.ws == nil {
-		k.ws = k.h.windowsFor(k.key)
-	}
-	k.h.observe(k.ws, at, good)
-}
-
-// Score returns the key's health, 1 while the key is unseen.
-func (k *HealthKey) Score() float64 {
-	if k == nil {
-		return 1
-	}
-	k.h.mu.Lock()
-	defer k.h.mu.Unlock()
-	if k.ws == nil {
-		if k.ws = k.h.keys[k.key]; k.ws == nil {
-			return 1
-		}
-	} else if k.ver == k.h.ver {
-		return k.score
-	}
-	k.ver, k.score = k.h.ver, k.h.score(k.ws)
-	return k.score
 }
 
 // Advance moves the tracker's clock forward, expiring old samples.
@@ -630,7 +550,6 @@ func (h *HealthTracker) Advance(now float64) {
 	if now <= h.now {
 		return
 	}
-	h.ver++
 	h.now = now
 	for _, ws := range h.keys {
 		for _, w := range ws {
@@ -640,18 +559,21 @@ func (h *HealthTracker) Advance(now float64) {
 }
 
 // Score returns the key's health: the minimum good-fraction across
-// its windows, 1 for an unseen key.
+// its windows as of the tracker's clock, 1 for an unseen key.
 func (h *HealthTracker) Score(key string) float64 {
 	if h == nil {
 		return 1
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ws := h.keys[key]
-	if ws == nil {
-		return 1
+	score := 1.0
+	for _, w := range h.keys[key] {
+		w.advance(h.now)
+		if s := w.sli(); s < score {
+			score = s
+		}
 	}
-	return h.score(ws)
+	return score
 }
 
 // Keys returns the tracked keys, sorted.

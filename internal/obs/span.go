@@ -135,24 +135,6 @@ func (t *Tracer) Dropped() int {
 	return t.dropped
 }
 
-// Reset empties the ring and clears the whole backing array, so the
-// store does not pin evicted spans' names and attribute slices (the
-// stale-tail retention class the admission queue's compaction once
-// had). Span and trace counters reset too.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	clear(t.ring[:cap(t.ring)])
-	t.ring = t.ring[:0]
-	t.next = 0
-	t.total = 0
-	t.dropped = 0
-	t.traces = 0
-}
-
 // TraceHandle allocates span IDs for one trace. It is safe for
 // concurrent use, though deterministic ID assignment of course
 // requires deterministic call order. A nil handle no-ops.

@@ -15,25 +15,6 @@ type Request struct {
 	Segment int
 	// ArrivalSec is the arrival time on the virtual clock.
 	ArrivalSec float64
-	// Deadline is the absolute virtual time after which serving the
-	// request is pointless; a still-queued request past it is shed
-	// rather than dispatched. 0 means no deadline. The recommended
-	// default budget is sim.DefaultRequestTimeoutSec past arrival —
-	// the same constant that bounds the executor's per-request drive
-	// time, so the admission and execution timeout paths cannot
-	// silently diverge.
-	Deadline float64
-	// BestEffort marks work the service may shed first under
-	// degraded capacity: the brownout admission state (Breaker)
-	// rejects best-effort arrivals while any drive is down and all
-	// arrivals while every drive is down.
-	BestEffort bool
-}
-
-// Expired reports whether the request's deadline (if any) has passed
-// at virtual time now.
-func (r Request) Expired(now float64) bool {
-	return r.Deadline > 0 && now > r.Deadline
 }
 
 // PoissonStream builds n requests with Poisson arrival times at

@@ -69,7 +69,7 @@ func TestAdmissionQueueCompactionClearsTail(t *testing.T) {
 	// by the queue's storage.
 	q := NewAdmissionQueue(16)
 	for i := 0; i < 16; i++ {
-		if !q.Offer(Request{ID: i + 1, Segment: 7, ArrivalSec: 3.5, Deadline: 9, BestEffort: true}) {
+		if !q.Offer(Request{ID: i + 1, Segment: 7, ArrivalSec: 3.5}) {
 			t.Fatalf("offer %d rejected below capacity", i+1)
 		}
 	}

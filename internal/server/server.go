@@ -98,11 +98,10 @@ type Result struct {
 	Alg    string
 	Policy BatchPolicy
 
-	// Served, Failed, Rejected and Shed partition the stream:
-	// completed retrievals, permanent drive-level failures,
-	// admissions turned away at a full queue, and queued requests
-	// dropped because their deadline passed before dispatch.
-	Served, Failed, Rejected, Shed int
+	// Served, Failed and Rejected partition the stream: completed
+	// retrievals, permanent drive-level failures, and admissions
+	// turned away at a full queue.
+	Served, Failed, Rejected int
 
 	// Sojourn accumulates completion − arrival per served request;
 	// SojournTimes retains the samples for percentiles.
@@ -186,7 +185,6 @@ type state struct {
 	cRejected *obs.Counter
 	cServed   *obs.Counter
 	cFailed   *obs.Counter
-	cShed     *obs.Counter
 	hSojourn  *obs.Histogram
 	hService  *obs.Histogram
 	hBatchSec *obs.Histogram
@@ -411,9 +409,6 @@ func (s *state) run() error {
 		}
 		batch := s.queue.PopNAppend(s.batchBuf[:0], s.cfg.MaxBatch)
 		s.batchBuf = batch
-		if batch = s.shedExpired(batch, s.now()); len(batch) == 0 {
-			continue
-		}
 		var err error
 		if s.cfg.Policy == ReplanOnArrival {
 			err = s.serveIncremental(batch)
@@ -429,9 +424,6 @@ func (s *state) run() error {
 	s.res.IdleSec = s.idle
 	s.res.FinalHead = s.drv.Position()
 	s.res.MaxQueueDepth = s.queue.MaxDepth()
-	if s.res.Shed > 0 {
-		s.root.AttrInt("shed", s.res.Shed)
-	}
 	s.root.AttrInt("served", s.res.Served).AttrInt("failed", s.res.Failed).
 		AttrInt("rejected", s.res.Rejected).End(s.res.MakespanSec)
 	s.gauge("queue_depth_max").Max(float64(s.queue.MaxDepth()))
@@ -516,7 +508,6 @@ func (s *state) serveIncremental(batch []Request) error {
 		if s.admit(s.now()) > 0 {
 			fresh := s.queue.PopNAppend(s.freshBuf[:0], 0)
 			s.freshBuf = fresh
-			fresh = s.shedExpired(fresh, s.now())
 			merged = len(fresh)
 			size += merged
 			pending = append(pending, fresh...)
@@ -555,26 +546,6 @@ func (s *state) recordCut(size int, elapsed float64) {
 	}
 	s.hBatchSec.Observe(elapsed)
 	s.hBatchSz.Observe(float64(size))
-}
-
-// shedExpired drops the requests whose deadline passed before now,
-// compacting in place and counting each drop. With no deadlines in
-// play (the default) nothing matches, no series is created, and the
-// run is byte-identical to one without deadline support.
-func (s *state) shedExpired(batch []Request, now float64) []Request {
-	kept := batch[:0]
-	for _, r := range batch {
-		if r.Expired(now) {
-			s.res.Shed++
-			if s.cShed == nil {
-				s.cShed = s.counter("shed_total")
-			}
-			s.cShed.Inc()
-			continue
-		}
-		kept = append(kept, r)
-	}
-	return kept
 }
 
 // planOrder schedules the pending requests from the current head.

@@ -12,13 +12,11 @@ import (
 )
 
 // DefaultRequestTimeoutSec is the default drive-time budget one
-// request may consume before the executor gives up on it — and, by
-// design, the default per-request Deadline the serving layers apply
-// when deadlines are enabled without an explicit value
-// (server.Config.DeadlineSec, tertiary.Config.DeadlineSec). Sharing
-// one named constant keeps the two timeout paths from silently
-// diverging: a request the executor would abandon is also one the
-// admission layer considers expired.
+// request may consume before the executor gives up on it — and the
+// recommended per-request budget for the library's deadlines
+// (tertiary.Config.DeadlineSec). Sharing one named constant keeps the
+// two timeout paths from silently diverging: a request the executor
+// would abandon is also one the library considers expired.
 const DefaultRequestTimeoutSec = 900.0
 
 // RetryPolicy bounds the executor's recovery behaviour. The zero

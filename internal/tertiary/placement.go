@@ -55,14 +55,6 @@ func (p *Placement) Get(id string) []Object {
 	return p.extra[id]
 }
 
-// Len returns the number of objects with extra replicas.
-func (p *Placement) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.extra)
-}
-
 // validate checks every replica against the library's tapes and the
 // catalog: known object, known tape, in-range extent, and cartridge
 // diversity (the whole point of a replica is surviving the loss of a

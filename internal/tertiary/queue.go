@@ -1,9 +1,9 @@
 package tertiary
 
 // batchQueue holds the admitted-but-undispatched requests grouped by
-// cartridge, each group in arrival order. Groups consume from the
-// head with index compaction — the server.AdmissionQueue.PopN
-// technique — so taking a batch costs O(batch), not O(remaining).
+// cartridge, each group in arrival order; admission pushes straight
+// onto it. Groups consume from the head with index compaction, so
+// taking a batch costs O(batch), not O(remaining).
 // The seed implementation rebuilt the whole remaining queue on every
 // mount decision, which is quadratic under sustained load; see
 // BenchmarkBatchQueue for the comparison.

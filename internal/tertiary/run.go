@@ -10,7 +10,6 @@ import (
 	"serpentine/internal/drive"
 	"serpentine/internal/fault"
 	"serpentine/internal/obs"
-	"serpentine/internal/server"
 	"serpentine/internal/sim"
 )
 
@@ -64,7 +63,6 @@ type runState struct {
 	arrivals  []pending // in arrival order; index is the request ID
 	next      int       // next un-admitted arrival
 	queueCap  int
-	adm       *server.AdmissionQueue
 	q         *batchQueue
 	drives    []driveState
 	loadedBy  map[int64]int // cartridge serial -> drive holding it (robotHeld while in transit)
@@ -79,7 +77,7 @@ type runState struct {
 	// redirects), indexed by the event's ref. hasDeadlines short-
 	// circuits the per-batch expiry scan when no request carries one.
 	lc           *fault.Lifecycle
-	breaker      *server.Breaker
+	breaker      *breaker
 	dead         map[int64]bool
 	fetches      map[int64]int
 	requeues     []requeueBatch
@@ -134,7 +132,6 @@ type runState struct {
 	uniq   []int
 	slotOf map[int]int32
 	slots  [][]pending
-	admBuf []server.Request
 }
 
 // robotHeld is the loadedBy sentinel for a cartridge in the robot's
@@ -227,7 +224,7 @@ func (s *runState) stepTo(until float64) error {
 // close checks no request was stranded and folds up the run summary.
 func (s *runState) close() ([]Completion, Metrics, error) {
 	s.finished = true
-	if stranded := s.q.len() + s.adm.Len(); stranded > 0 || s.next < len(s.arrivals) {
+	if stranded := s.q.len(); stranded > 0 || s.next < len(s.arrivals) {
 		return nil, Metrics{}, fmt.Errorf("tertiary: internal: %d requests stranded at end of run",
 			stranded+len(s.arrivals)-s.next)
 	}
@@ -273,10 +270,8 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].req.Arrival < arrivals[j].req.Arrival })
 
 	queueCap := l.cfg.QueueCap
-	admCap := queueCap
 	if queueCap <= 0 {
 		queueCap = math.MaxInt / 2
-		admCap = math.MaxInt / 2
 	}
 	reg := l.cfg.Reg
 	if reg == nil {
@@ -287,7 +282,6 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		cfg:      l.cfg,
 		arrivals: arrivals,
 		queueCap: queueCap,
-		adm:      server.NewAdmissionQueue(admCap),
 		q:        newBatchQueue(),
 		drives:   make([]driveState, l.cfg.Drives),
 		loadedBy: make(map[int64]int, l.cfg.Drives),
@@ -307,7 +301,7 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 	}
 	if l.cfg.Lifecycle.Enabled() {
 		s.lc = fault.NewLifecycle(l.cfg.Lifecycle)
-		s.breaker = server.NewBreaker(l.cfg.Drives)
+		s.breaker = newBreaker(l.cfg.Drives)
 		s.dead = make(map[int64]bool)
 		s.fetches = make(map[int64]int)
 		for i := range s.drives {
@@ -332,15 +326,15 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 // disjoint row blocks.
 func (s *runState) laneFor(d *driveState) int { return s.cfg.Lane + 1 + d.id }
 
-// admit moves every arrival with Arrival <= until through the bounded
-// admission queue into the per-cartridge backlog, shedding load once
-// the pending backlog reaches QueueCap. With lifecycle faults armed
-// the brownout breaker sits in front: it learns the live-drive count,
-// sheds best-effort work while any drive is down (everything while
-// all are down), and shrinks a bounded backlog to the live fraction
-// of its configured capacity. Arrivals whose primary cartridge has
-// been lost are redirected to a surviving replica at admission — or
-// failed outright when none remains.
+// admit moves every arrival with Arrival <= until into the
+// per-cartridge backlog, rejecting it once the pending backlog has
+// reached QueueCap. With lifecycle faults armed the brownout breaker
+// sits in front: it learns the live-drive count, sheds best-effort
+// work while any drive is down (everything while all are down), and
+// shrinks a bounded backlog to the live fraction of its configured
+// capacity. Arrivals whose primary cartridge has been lost are
+// redirected to a surviving replica at admission — or failed outright
+// when none remains.
 func (s *runState) admit(until float64) {
 	depthCap := s.queueCap
 	if s.breaker != nil {
@@ -350,16 +344,15 @@ func (s *runState) admit(until float64) {
 				live++
 			}
 		}
-		s.breaker.SetLive(live)
+		s.breaker.setLive(live)
 		if s.cfg.QueueCap > 0 {
-			depthCap = s.breaker.EffectiveCap(depthCap)
+			depthCap = s.breaker.effectiveCap(depthCap)
 		}
 	}
 	for s.next < len(s.arrivals) && s.arrivals[s.next].req.Arrival <= until {
 		p := s.arrivals[s.next]
-		id := s.next
 		s.next++
-		if s.breaker != nil && !s.breaker.Admits(p.req.BestEffort) {
+		if s.breaker != nil && !s.breaker.admits(p.req.BestEffort) {
 			s.shedRequests(1)
 			s.emitTerminal(p, obs.OutcomeShed, obs.EventNoDrive, p.req.Arrival)
 			continue
@@ -370,22 +363,17 @@ func (s *runState) admit(until float64) {
 				s.emitTerminal(p, obs.OutcomeFailed, obs.EventNoDrive, p.req.Arrival)
 				continue
 			}
-			s.arrivals[id] = p // the drain below re-reads by ID
 		}
-		if s.q.len()+s.adm.Len() >= depthCap ||
-			!s.adm.Offer(server.Request{ID: id, Segment: p.obj.Start, ArrivalSec: p.req.Arrival}) {
+		if s.q.len() >= depthCap {
 			s.m.Rejected++
 			if s.cRejected == nil {
 				s.cRejected = s.counter("rejected_total")
 			}
 			s.cRejected.Inc()
 			s.emitTerminal(p, obs.OutcomeRejected, obs.EventNoDrive, p.req.Arrival)
+			continue
 		}
-	}
-	// Drain the admission queue into the robot's per-cartridge view.
-	s.admBuf = s.adm.PopNAppend(s.admBuf[:0], 0)
-	for _, r := range s.admBuf {
-		s.q.push(s.arrivals[r.ID])
+		s.q.push(p)
 	}
 	if d := s.q.len(); d > s.m.MaxQueueDepth {
 		s.m.MaxQueueDepth = d

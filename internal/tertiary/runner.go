@@ -110,13 +110,14 @@ func (r *Runner) Now() float64 { return r.s.now }
 // fetch returns) must drain it by index before calling Finish.
 func (r *Runner) Completed() []Completion { return r.s.done }
 
-// QueueDepth is the pending backlog: requests offered or admitted but
-// not yet dispatched to a drive. Offered-but-unadmitted arrivals count
-// so that a router scoring several same-timestamp requests sees each
-// earlier decision reflected in the load it scores the next one by. It
-// is the signal a least-loaded router ranks shards with.
+// QueueDepth is the pending backlog: requests admitted to the
+// per-cartridge backlog but not yet dispatched to a drive, plus those
+// offered but not yet admitted. The offered ones count so that a router
+// scoring several same-timestamp requests sees each earlier decision
+// reflected in the load it scores the next one by. It is the signal a
+// least-loaded router ranks shards with.
 func (r *Runner) QueueDepth() int {
-	return r.s.q.len() + r.s.adm.Len() + len(r.s.arrivals) - r.s.next
+	return r.s.q.len() + len(r.s.arrivals) - r.s.next
 }
 
 // Mounted reports whether the cartridge is currently loaded in one of
@@ -143,5 +144,5 @@ func (r *Runner) Headroom() float64 {
 	if r.s.breaker == nil {
 		return 1
 	}
-	return r.s.breaker.Headroom()
+	return r.s.breaker.headroom()
 }

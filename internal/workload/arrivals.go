@@ -29,9 +29,6 @@ func NewPoissonProcess(ratePerSec float64, seed int64) *PoissonProcess {
 	return &PoissonProcess{rng: rand48.New(seed), rate: ratePerSec}
 }
 
-// Rate returns the mean event rate per second.
-func (p *PoissonProcess) Rate() float64 { return p.rate }
-
 // Next returns the next arrival time in seconds. Times are strictly
 // ascending.
 func (p *PoissonProcess) Next() float64 {
