@@ -13,6 +13,8 @@ BENCH14_OUT ?= BENCH_PR14.json
 BENCH14_BASELINE ?= BENCH_PR14_BASELINE.txt
 BENCH17_OUT ?= BENCH_PR17.json
 BENCH17_BASELINE ?= BENCH_PR17_BASELINE.txt
+BENCH21_OUT ?= BENCH_PR21.json
+BENCH21_BASELINE ?= BENCH_PR21_BASELINE.txt
 
 # End-to-end benchmarks for the dispatch-loop perf pass: a full
 # library sweep cell, the online server's steady-state loop, and the
@@ -34,7 +36,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 bench-snapshot profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 bench-pr21 bench-snapshot profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the sweep runner and the parallel simulator plus the packages
@@ -124,6 +126,18 @@ bench-pr17:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH17_BASELINE) < $(BENCH_TXT) > $(BENCH17_OUT)
 	rm -f $(BENCH_TXT)
 
+# Regenerate the committed evidence for the per-section tape layout:
+# the locate layer's two microbenchmarks (one LocateTime, and the
+# batched fill of a 1025 x 1025 cost matrix), with the capture from
+# the parent revision, which read per-segment position tables,
+# embedded under "baseline". GOMAXPROCS=1 and -count 5 as for
+# bench-pr17.
+bench-pr21:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCostMatrix$$' -count 5 -benchmem ./internal/locate | tee $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkLocateTime$$' -count 5 -benchmem . | tee -a $(BENCH_TXT)
+	$(GO) run ./cmd/benchjson -baseline $(BENCH21_BASELINE) < $(BENCH_TXT) > $(BENCH21_OUT)
+	rm -f $(BENCH_TXT)
+
 # Run the benchmark for one second per workload and check its 18
 # virtual-time outputs (six per workload) exactly against the committed
 # snapshot, scripts/benchsnap.txt. Those outputs do not depend on host
@@ -142,7 +156,9 @@ profile:
 
 # Short fuzzing passes over the flat and lazy LOSS engines (against
 # their eager reference), the bounded OPT search (against the exhaustive dynamic
-# program), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
+# program), the key-point table reader and the view and locate model
+# built from what it accepts (against a linear boundary search and the
+# reference decomposition), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
 # wide-event ring, the SLO sliding windows, the event-log replay
 # (parse, sort, SLO scoring and write/read round trip of arbitrary
 # bytes), the staging cache's eviction policies, the fleet routing
@@ -153,6 +169,7 @@ profile:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLOSSLazyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzOPTBoundedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyPointView$$' -fuzztime $(FUZZTIME) ./internal/locate/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorReplan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmissionQueue$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryBatcher$$' -fuzztime $(FUZZTIME) ./internal/tertiary/

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
@@ -163,49 +162,12 @@ func WithoutNoise() Option {
 	return func(d *Drive) { d.noisy = false }
 }
 
-// WithFaults attaches a fault injector: operations then fail with the
-// typed errors of errors.go at the injector's configured rates, with
-// the virtual clock still charged for each failed attempt. A nil
-// injector (the default) means no injected faults, and the drive's
-// behaviour — including its noise stream — is bit-identical to a
-// drive constructed without this option.
-func WithFaults(inj *fault.Injector) Option {
-	return func(d *Drive) { d.inj = inj }
-}
-
-// truthModels caches the personality-adjusted ground-truth model per
-// cartridge. The model is a pure function of the immutable tape
-// (layout plus hidden personality), costs milliseconds and megabytes
-// to build, and is itself immutable and safe to share — while the
-// event-driven library exchanges cartridges in and out of drives
-// thousands of times per run. The cache is keyed by tape identity and
-// lives for the process, bounded by the number of distinct cartridges
-// an experiment generates.
-var truthModels sync.Map // *geometry.Tape -> *locate.Model
-
-func truthModel(tape *geometry.Tape) *locate.Model {
-	if m, ok := truthModels.Load(tape); ok {
-		return m.(*locate.Model)
-	}
-	nominal := tape.Params()
-	rs, ss, oh := tape.Personality()
-	truthParams := nominal
-	truthParams.ReadSecPerSection *= 1 + rs
-	truthParams.ScanSecPerSection *= 1 + ss
-	truthParams.OverheadSec += oh
-	if truthParams.OverheadSec < 0 {
-		truthParams.OverheadSec = 0
-	}
-	m, _ := truthModels.LoadOrStore(tape, locate.NewModel(tape.View().WithParams(truthParams)))
-	return m.(*locate.Model)
-}
-
 // New loads a cartridge into a fresh drive. The head starts at the
 // beginning of tape (segment 0).
 func New(tape *geometry.Tape, opts ...Option) *Drive {
 	d := &Drive{
 		tape:    tape,
-		truth:   truthModel(tape),
+		truth:   locate.NewModel(tape.TruthView()),
 		nominal: tape.Params(),
 		rng:     rand48.New(tape.Serial()*7919 + 17),
 		noisy:   true,
@@ -472,9 +434,13 @@ func (d *Drive) Rewind() float64 {
 	return t
 }
 
-// AttachFaults attaches a fault injector to an existing drive, or
-// removes it with nil; equivalent to constructing with WithFaults.
-// The chained-batch experiments use it to arm a drive per scenario.
+// AttachFaults attaches a fault injector, or removes it with nil:
+// operations then fail with the typed errors of errors.go at the
+// injector's configured rates, with the virtual clock still charged
+// for each failed attempt. Without an injector (the default) the
+// drive's behaviour, noise stream included, is bit-identical to one
+// that never had faults. The chained-batch experiments use it to arm
+// a drive per scenario.
 func (d *Drive) AttachFaults(inj *fault.Injector) { d.inj = inj }
 
 // FaultsEnabled reports whether a fault injector with at least one

@@ -3,7 +3,10 @@ package drive
 import (
 	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"serpentine/internal/geometry"
 	"serpentine/internal/locate"
@@ -308,5 +311,33 @@ func TestPersonalityShiftsMeasurements(t *testing.T) {
 	}
 	if math.Abs(bias/trials) < 0.05 {
 		t.Fatalf("personality bias %.4f s/locate suspiciously small", bias/trials)
+	}
+}
+
+// TestMountedTapesAreCollectable pins that mounting a cartridge leaves
+// no reference behind: once a tape and the drive it was served from
+// are dropped, the garbage collector reclaims the tape. A library run
+// generates fresh tapes for every sweep cell, so anything that kept
+// them would grow the heap with every run in the process.
+func TestMountedTapesAreCollectable(t *testing.T) {
+	const tapes = 16
+	var freed atomic.Int32
+	for i := 0; i < tapes; i++ {
+		func() {
+			tape := geometry.MustGenerate(geometry.Tiny(), int64(100+i))
+			runtime.SetFinalizer(tape, func(*geometry.Tape) { freed.Add(1) })
+			d := New(tape)
+			if _, err := d.ExecuteOrder([]int{tape.Segments() / 2, 7, tape.Segments() - 1}, 1); err != nil {
+				t.Fatal(err)
+			}
+			d.Rewind()
+		}()
+	}
+	for try := 0; try < 100 && freed.Load() < tapes; try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := freed.Load(); n != tapes {
+		t.Fatalf("%d of %d dropped tapes collected; something still references the rest", n, tapes)
 	}
 }

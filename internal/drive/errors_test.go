@@ -136,6 +136,8 @@ func TestErrorPathsWrapSentinels(t *testing.T) {
 func faultyDrive(cfg fault.Config) func(t *testing.T) *Drive {
 	return func(t *testing.T) *Drive {
 		t.Helper()
-		return New(newTape(t, 1), WithFaults(fault.New(cfg)))
+		d := New(newTape(t, 1))
+		d.AttachFaults(fault.New(cfg))
+		return d
 	}
 }

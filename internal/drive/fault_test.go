@@ -14,7 +14,8 @@ import (
 func TestNoInjectorIsBitIdentical(t *testing.T) {
 	tape := newTape(t, 1)
 	a := New(tape)
-	b := New(tape, WithFaults(nil))
+	b := New(tape)
+	b.AttachFaults(nil)
 	order := []int{100000, 5000, 400000, 399999, 123, 600000}
 	ta, errA := a.ExecuteOrder(order, 2)
 	tb, errB := b.ExecuteOrder(order, 2)
@@ -22,12 +23,13 @@ func TestNoInjectorIsBitIdentical(t *testing.T) {
 		t.Fatal(errA, errB)
 	}
 	if ta != tb || a.Clock() != b.Clock() || a.Stats() != b.Stats() || a.Position() != b.Position() {
-		t.Fatalf("WithFaults(nil) diverged: %.6f vs %.6f", ta, tb)
+		t.Fatalf("AttachFaults(nil) diverged: %.6f vs %.6f", ta, tb)
 	}
 }
 
 func TestOvershootLandsPastTargetAndCharges(t *testing.T) {
-	d := New(newTape(t, 1), WithFaults(fault.New(fault.Config{OvershootRate: 1, Seed: 2})))
+	d := New(newTape(t, 1))
+	d.AttachFaults(fault.New(fault.Config{OvershootRate: 1, Seed: 2}))
 	el, err := d.Locate(200000)
 	if !errors.Is(err, ErrOvershoot) {
 		t.Fatalf("err = %v, want overshoot", err)
@@ -48,7 +50,8 @@ func TestOvershootLandsPastTargetAndCharges(t *testing.T) {
 }
 
 func TestLostPositionGatesEverythingUntilRecalibrate(t *testing.T) {
-	d := New(newTape(t, 1), WithFaults(fault.New(fault.Config{LostRate: 1, Seed: 3})))
+	d := New(newTape(t, 1))
+	d.AttachFaults(fault.New(fault.Config{LostRate: 1, Seed: 3}))
 	if _, err := d.Locate(300000); !errors.Is(err, ErrLostPosition) {
 		t.Fatalf("err = %v, want lost position", err)
 	}
@@ -84,7 +87,8 @@ func TestLostPositionGatesEverythingUntilRecalibrate(t *testing.T) {
 func TestTransientReadChargesAndMoves(t *testing.T) {
 	// All reads fail transiently; retrying forever keeps failing but
 	// each attempt costs time and tape motion.
-	d := New(newTape(t, 1), WithFaults(fault.New(fault.Config{TransientRate: 1, Seed: 4})))
+	d := New(newTape(t, 1))
+	d.AttachFaults(fault.New(fault.Config{TransientRate: 1, Seed: 4}))
 	if _, err := d.Locate(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,8 @@ func TestMediaErrorIsPermanentAndDeterministic(t *testing.T) {
 	if bad < 0 {
 		t.Fatal("no media-bad segment found at rate 0.01")
 	}
-	d := New(newTape(t, 1), WithFaults(inj))
+	d := New(newTape(t, 1))
+	d.AttachFaults(inj)
 	if _, err := d.Locate(bad - 2); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +164,8 @@ func inf() float64 { z := 0.0; return 1 / z }
 // fault sequence, clock and stats.
 func TestFaultedRunReproducible(t *testing.T) {
 	run := func() (float64, Stats) {
-		d := New(newTape(t, 1), WithFaults(fault.New(fault.Default(9))))
+		d := New(newTape(t, 1))
+		d.AttachFaults(fault.New(fault.Default(9)))
 		for _, lbn := range []int{50000, 300000, 120000, 7, 611111} {
 			d.Locate(lbn)
 			d.Read(1)

@@ -45,14 +45,8 @@ func OpIndex(op string) int {
 	return -1
 }
 
-// WithTrace attaches a trace hook at construction; nil disables
-// tracing (the default) at zero cost on the hot path.
-func WithTrace(fn TraceFunc) Option {
-	return func(d *Drive) { d.trace = fn }
-}
-
-// AttachTrace attaches or (with nil) removes the trace hook on an
-// existing drive; equivalent to constructing with WithTrace.
+// AttachTrace attaches or (with nil) removes the trace hook; without
+// one (the default) tracing costs nothing on the hot path.
 func (d *Drive) AttachTrace(fn TraceFunc) { d.trace = fn }
 
 // emit reports one completed operation to the hook, if any. start is

@@ -20,7 +20,8 @@ func traceTape(t *testing.T) *geometry.Tape {
 func TestTraceEmitsEveryOp(t *testing.T) {
 	tape := traceTape(t)
 	var evs []obs.TraceEvent
-	d := New(tape, WithTrace(func(ev obs.TraceEvent) { evs = append(evs, ev) }))
+	d := New(tape)
+	d.AttachTrace(func(ev obs.TraceEvent) { evs = append(evs, ev) })
 
 	if _, err := d.Locate(5000); err != nil {
 		t.Fatal(err)
@@ -66,9 +67,9 @@ func TestTraceEmitsEveryOp(t *testing.T) {
 func TestTraceClassifiesFaults(t *testing.T) {
 	tape := traceTape(t)
 	var evs []obs.TraceEvent
-	d := New(tape,
-		WithFaults(fault.New(fault.Config{TransientRate: 1, Seed: 3})),
-		WithTrace(func(ev obs.TraceEvent) { evs = append(evs, ev) }))
+	d := New(tape)
+	d.AttachFaults(fault.New(fault.Config{TransientRate: 1, Seed: 3}))
+	d.AttachTrace(func(ev obs.TraceEvent) { evs = append(evs, ev) })
 	if _, err := d.Locate(100); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,8 @@ func TestTraceClassifiesFaults(t *testing.T) {
 // untraced drive over the same operation sequence.
 func TestTraceDoesNotPerturbTiming(t *testing.T) {
 	run := func(fn TraceFunc) *Drive {
-		d := New(traceTape(t), WithTrace(fn))
+		d := New(traceTape(t))
+		d.AttachTrace(fn)
 		for _, seg := range []int{9000, 42, 300000, 77} {
 			if _, err := d.Locate(seg); err != nil {
 				t.Fatal(err)

@@ -265,17 +265,6 @@ func (p Params) NominalTrackLength() float64 {
 	return float64(p.SectionsPerTrack-1) + p.LastSectionFrac
 }
 
-// SequentialReadSec returns the time to read one full tape pass
-// end-to-end: every track at read speed plus a track switch between
-// consecutive tracks. On the DLT4000 profile this is ~14,000 s, the
-// paper's quoted time to read an entire tape (the final head position
-// is at the physical beginning of tape, so the trailing rewind is
-// nearly free).
-func (p Params) SequentialReadSec() float64 {
-	return float64(p.Tracks)*p.NominalTrackLength()*p.ReadSecPerSection +
-		float64(p.Tracks-1)*p.TrackSwitchSec
-}
-
 // TransferRateBytesPerSec returns the sustained sequential transfer
 // rate implied by the geometry (segment bytes over per-segment read
 // time). For the DLT4000 profile this is ~1.5 MB/s, matching the

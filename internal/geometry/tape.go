@@ -19,12 +19,15 @@ type Tape struct {
 	params Params
 	serial int64
 	view   *View
+	// truth is view carrying the personality-skewed profile: the
+	// drive emulator's ground truth.
+	truth *View
 
 	// Hidden cartridge personality: fractional skews of the read and
 	// scan speeds and an additive locate overhead, drawn within
 	// ±PersonalityFrac (±PersonalityFrac*20 s for the overhead).
-	// Only the drive emulator consults these; the host-side model
-	// cannot see them.
+	// Generate applies them to truth; the host-side model cannot see
+	// them.
 	readSkew float64
 	scanSkew float64
 	overhead float64
@@ -32,8 +35,8 @@ type Tape struct {
 
 // Personality returns the cartridge's hidden deviation from the
 // nominal profile: multiplicative skews on the read and scan speeds
-// and an additive per-locate overhead in seconds. The drive emulator
-// applies these to its ground truth; host models never see them.
+// and an additive per-locate overhead in seconds. TruthView carries
+// them applied; host models never see them.
 func (t *Tape) Personality() (readSkew, scanSkew, overheadSec float64) {
 	return t.readSkew, t.scanSkew, t.overhead
 }
@@ -64,8 +67,7 @@ func Generate(params Params, serial int64) (*Tape, error) {
 	overhead := personality(params.PersonalityFrac * 20)
 
 	s := params.SectionsPerTrack
-	v := &View{params: params}
-	v.tracks = make([]TrackView, params.Tracks)
+	tracks := make([]TrackView, params.Tracks)
 	lbn := 0
 	for t := 0; t < params.Tracks; t++ {
 		// Physical layout of the track, in writing/physical order:
@@ -138,11 +140,19 @@ func Generate(params Params, serial int64) (*Tape, error) {
 			lbn += counts[ps]
 			tv.BoundLBN[l+1] = lbn
 		}
-		v.tracks[t] = tv
+		tracks[t] = tv
 	}
-	v.total = lbn
+	v := newView(params, tracks, lbn)
+
+	truth := params
+	truth.ReadSecPerSection *= 1 + readSkew
+	truth.ScanSecPerSection *= 1 + scanSkew
+	truth.OverheadSec += overhead
+	if truth.OverheadSec < 0 {
+		truth.OverheadSec = 0
+	}
 	return &Tape{
-		params: params, serial: serial, view: v,
+		params: params, serial: serial, view: v, truth: v.WithParams(truth),
 		readSkew: readSkew, scanSkew: scanSkew, overhead: overhead,
 	}, nil
 }
@@ -170,6 +180,12 @@ func (t *Tape) Segments() int { return t.view.total }
 // drive itself knows. Host software should characterize the tape and
 // build its model from KeyPoints instead.
 func (t *Tape) View() *View { return t.view }
+
+// TruthView returns View with the cartridge's hidden personality
+// applied to the nominal profile: the skewed read and scan speeds and
+// the extra locate overhead. It is built once with the tape, so every
+// drive the cartridge is mounted in shares it.
+func (t *Tape) TruthView() *View { return t.truth }
 
 // KeyPoints returns the true key-point table of the tape: the track
 // boundaries and interior dips, as absolute segment numbers. A real

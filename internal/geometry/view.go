@@ -2,7 +2,8 @@ package geometry
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"math/bits"
 )
 
 // TrackView is the reading-order geometry of one track. Sections are
@@ -40,6 +41,54 @@ func (t *TrackView) SectionCount(l int) int {
 	return t.BoundLBN[l+1] - t.BoundLBN[l]
 }
 
+// Section is the record of one (track, logical section) cell:
+// everything about a segment's placement that does not depend on
+// which segment of the section it is. A View holds one per section,
+// in LBN order, so the dense index track*SectionsPerTrack+logical
+// addresses it.
+type Section struct {
+	// Track is the track number; Logical the reading-order section
+	// index within it.
+	Track   int32
+	Logical int32
+	// Dir is the reading direction of the track.
+	Dir Direction
+	// StartLBN is the first segment of the section; Count its number
+	// of segments.
+	StartLBN int
+	Count    int
+	// StartPos and EndPos are the physical positions of the
+	// section's reading-order start and end: the track's BoundPos[l]
+	// and BoundPos[l+1].
+	StartPos float64
+	EndPos   float64
+	// Landing is the physical position of the key point a locate to
+	// this section lands on: two section boundaries before it in
+	// reading order, or the beginning of the track for the first two
+	// reading-order sections.
+	Landing float64
+	// ReadSec is the transfer time of any segment of the section at
+	// the view's read speed.
+	ReadSec float64
+}
+
+// frac returns the fractional position of segment lbn, which must lie
+// in the section, in [0, 1).
+func (s *Section) frac(lbn int) float64 {
+	return (float64(lbn-s.StartLBN) + 0.5) / float64(s.Count)
+}
+
+// Pos returns the physical position of segment lbn, which must lie in
+// the section, in section units from the beginning of tape. Every
+// position the simulator uses comes from this one expression.
+func (s *Section) Pos(lbn int) float64 {
+	return s.StartPos + s.frac(lbn)*(s.EndPos-s.StartPos)
+}
+
+// maxBucketsPerSection bounds the section index at a few words per
+// section, whatever segment counts a key-point table claims.
+const maxBucketsPerSection = 4
+
 // View is the reading-order geometry of a whole tape: what the locate
 // time model needs to place any segment and find the key points
 // around it. A View is immutable once built.
@@ -48,22 +97,83 @@ type View struct {
 	tracks []TrackView
 	total  int
 
-	// secIdx[lbn] is track*SectionsPerTrack + logical section, built
-	// lazily once so Place and SectionIndex run without binary
-	// searches. 4 bytes per segment (~2.4 MB for a DLT4000 view).
-	idxOnce sync.Once
-	secIdx  []int32
+	// secs holds one record per section, in LBN order.
+	secs []Section
+	// bucket[lbn>>shift] is the section holding the first segment of
+	// lbn's bucket. A bucket no wider than the shortest section holds
+	// at most one section start, so a lookup steps forward at most
+	// once; tables whose sections differ wildly in size get wider
+	// buckets and a scan over the sections a bucket spans.
+	bucket []int32
+	shift  uint
+}
+
+// newView indexes a track layout: it builds the per-section records
+// and the bucket index over them.
+func newView(p Params, tracks []TrackView, total int) *View {
+	v := &View{params: p, tracks: tracks, total: total}
+	v.secs = make([]Section, 0, len(tracks)*p.SectionsPerTrack)
+	minCount := total
+	for t := range tracks {
+		tv := &tracks[t]
+		for l := 0; l < tv.Sections(); l++ {
+			landing := tv.BoundPos[0]
+			if l > 1 {
+				landing = tv.BoundPos[l-1]
+			}
+			v.secs = append(v.secs, Section{
+				Track:    int32(t),
+				Logical:  int32(l),
+				Dir:      tv.Dir,
+				StartLBN: tv.BoundLBN[l],
+				Count:    tv.SectionCount(l),
+				StartPos: tv.BoundPos[l],
+				EndPos:   tv.BoundPos[l+1],
+				Landing:  landing,
+			})
+			minCount = min(minCount, tv.SectionCount(l))
+		}
+	}
+	v.setReadSec()
+
+	v.shift = uint(bits.Len(uint(minCount))) - 1
+	for (total-1)>>v.shift >= maxBucketsPerSection*len(v.secs) {
+		v.shift++
+	}
+	v.bucket = make([]int32, (total-1)>>v.shift+1)
+	k := 0
+	for b := range v.bucket {
+		lbn := b << v.shift
+		for v.secs[k].StartLBN+v.secs[k].Count <= lbn {
+			k++
+		}
+		v.bucket[b] = int32(k)
+	}
+	return v
+}
+
+// setReadSec fills each section's read time from the view's params.
+func (v *View) setReadSec() {
+	for i := range v.secs {
+		s := &v.secs[i]
+		span := math.Abs(s.EndPos - s.StartPos)
+		s.ReadSec = v.params.ReadSecPerSection * span / float64(s.Count)
+	}
 }
 
 // Params returns the format profile the view was built with.
 func (v *View) Params() Params { return v.params }
 
 // WithParams returns a view sharing this view's layout but carrying
-// different timing parameters. The drive emulator uses it to apply a
-// cartridge's hidden personality (slightly skewed transport speeds)
-// to the true geometry.
+// different timing parameters; only the per-section read times are
+// recomputed. Tape uses it to apply a cartridge's hidden personality
+// (slightly skewed transport speeds) to the true geometry.
 func (v *View) WithParams(p Params) *View {
-	return &View{params: p, tracks: v.tracks, total: v.total}
+	w := *v
+	w.params = p
+	w.secs = append([]Section(nil), v.secs...)
+	w.setReadSec()
+	return &w
 }
 
 // Segments returns the total number of segments on the tape.
@@ -97,53 +207,51 @@ type Placement struct {
 	Pos float64
 }
 
-// sectionTable returns the dense segment -> (track, logical section)
-// index, building it on first use. The table depends only on the
-// track layout, which is immutable, so concurrent builds via the Once
-// are safe and derived views (WithParams) simply rebuild their own.
-func (v *View) sectionTable() []int32 {
-	v.idxOnce.Do(func() {
-		spt := v.params.SectionsPerTrack
-		tab := make([]int32, v.total)
-		for t := range v.tracks {
-			tv := &v.tracks[t]
-			for l := 0; l < tv.Sections(); l++ {
-				idx := int32(t*spt + l)
-				for lbn := tv.BoundLBN[l]; lbn < tv.BoundLBN[l+1]; lbn++ {
-					tab[lbn] = idx
-				}
-			}
-		}
-		v.secIdx = tab
-	})
-	return v.secIdx
+// SectionIndex returns a dense index identifying the (track, logical
+// section) cell containing lbn, in [0, Tracks*SectionsPerTrack).
+// Scheduling algorithms use it to bucket requests by section. It
+// panics if lbn is out of range.
+func (v *View) SectionIndex(lbn int) int {
+	if lbn < 0 || lbn >= v.total {
+		panic(fmt.Sprintf("geometry: segment %d out of range [0,%d)", lbn, v.total))
+	}
+	return v.section(lbn)
+}
+
+// SectionOf returns the record of the section containing lbn. An
+// out-of-range lbn panics on a slice bound.
+func (v *View) SectionOf(lbn int) *Section {
+	return &v.secs[v.section(lbn)]
+}
+
+// section finds lbn's section from its bucket, stepping forward past
+// the sections that end at or before lbn. An lbn past the last
+// segment steps off the end of secs.
+func (v *View) section(lbn int) int {
+	k := int(v.bucket[lbn>>v.shift])
+	for lbn >= v.secs[k].StartLBN+v.secs[k].Count {
+		k++
+	}
+	return k
 }
 
 // Place returns the placement of segment lbn. It panics if lbn is out
 // of range; schedulers validate requests before calling.
 func (v *View) Place(lbn int) Placement {
-	if lbn < 0 || lbn >= v.total {
-		panic(fmt.Sprintf("geometry: segment %d out of range [0,%d)", lbn, v.total))
-	}
-	idx := int(v.sectionTable()[lbn])
-	spt := v.params.SectionsPerTrack
-	t, l := idx/spt, idx%spt
-	tv := &v.tracks[t]
-	count := tv.SectionCount(l)
-	frac := (float64(lbn-tv.BoundLBN[l]) + 0.5) / float64(count)
-	pos := tv.BoundPos[l] + frac*(tv.BoundPos[l+1]-tv.BoundPos[l])
+	s := &v.secs[v.SectionIndex(lbn)]
+	l := int(s.Logical)
 	phys := l
-	if tv.Dir == Reverse {
-		phys = tv.Sections() - 1 - l
+	if s.Dir == Reverse {
+		phys = v.params.SectionsPerTrack - 1 - l
 	}
 	return Placement{
 		LBN:         lbn,
-		Track:       t,
-		Dir:         tv.Dir,
+		Track:       int(s.Track),
+		Dir:         s.Dir,
 		Section:     l,
 		PhysSection: phys,
-		Frac:        frac,
-		Pos:         pos,
+		Frac:        s.frac(lbn),
+		Pos:         s.Pos(lbn),
 	}
 }
 
@@ -194,16 +302,6 @@ func (v *View) LBN(c Coord) int {
 		off = count - 1 - off
 	}
 	return tv.BoundLBN[l] + off
-}
-
-// SectionIndex returns a dense index identifying the (track, logical
-// section) cell containing lbn, in [0, Tracks*SectionsPerTrack).
-// Scheduling algorithms use it to bucket requests by section.
-func (v *View) SectionIndex(lbn int) int {
-	if lbn < 0 || lbn >= v.total {
-		panic(fmt.Sprintf("geometry: segment %d out of range [0,%d)", lbn, v.total))
-	}
-	return int(v.sectionTable()[lbn])
 }
 
 // SectionStartLBN returns the first LBN of logical section l of track
@@ -262,10 +360,9 @@ func (k *KeyPointTable) View() (*View, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	v := &View{params: k.Params, total: k.Total}
-	v.tracks = make([]TrackView, k.Params.Tracks)
+	tracks := make([]TrackView, k.Params.Tracks)
 	nominalSegs := float64(k.Params.NominalSegments()) / float64(k.Params.Tracks)
-	for t := range v.tracks {
+	for t := range tracks {
 		b := k.Bound[t]
 		// Tracks physically shrink with the segments they lose to
 		// bad spots; the key points reveal each track's segment
@@ -292,7 +389,7 @@ func (k *KeyPointTable) View() (*View, error) {
 			}
 			tv.BoundPos[l+1] = pos
 		}
-		v.tracks[t] = tv
+		tracks[t] = tv
 	}
-	return v, nil
+	return newView(k.Params, tracks, k.Total), nil
 }

@@ -1,6 +1,7 @@
 package geometry
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -228,5 +229,68 @@ func TestLBNPanicsOnBadCoord(t *testing.T) {
 			}()
 			v.LBN(c)
 		}()
+	}
+}
+
+// TestKeyPointIndexBounded reads tables through the key-file reader
+// whose section sizes differ by many orders of magnitude, up to a
+// claimed total of math.MaxInt segments. The view's section index must
+// stay a few words per section whatever the total, and lookups must
+// stay exact on both sides of every boundary.
+func TestKeyPointIndexBounded(t *testing.T) {
+	p := Tiny()
+	p.Tracks = 2
+	p.SectionsPerTrack = 3
+	cases := []struct {
+		name   string
+		counts []int
+	}{
+		{"one-segment sections", []int{1, 1, 1, 1, 1, 1}},
+		{"near-uniform", []int{700, 713, 690, 705, 711, 568}},
+		{"one huge section", []int{1, 1 << 50, 3, 1, 2, 1}},
+		{"total MaxInt", []int{1, 1, math.MaxInt - 9, 5, 1, 1}},
+	}
+	for _, c := range cases {
+		kp := &KeyPointTable{Params: p}
+		lbn := 0
+		for tr := 0; tr < p.Tracks; tr++ {
+			b := []int{lbn}
+			for l := 0; l < p.SectionsPerTrack; l++ {
+				lbn += c.counts[tr*p.SectionsPerTrack+l]
+				b = append(b, lbn)
+			}
+			kp.Bound = append(kp.Bound, b)
+		}
+		kp.Total = lbn
+		var buf bytes.Buffer
+		if err := WriteKeyPoints(&buf, kp, 0); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, _, err := ReadKeyPoints(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		v, err := got.View()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n, max := len(v.bucket), maxBucketsPerSection*len(v.secs); n > max {
+			t.Fatalf("%s: %d index buckets for %d sections, want at most %d", c.name, n, len(v.secs), max)
+		}
+		for tr, b := range kp.Bound {
+			for l := 0; l < p.SectionsPerTrack; l++ {
+				for _, lbn := range []int{b[l], b[l] + 1, b[l+1] - 1} {
+					if lbn >= b[l+1] {
+						continue
+					}
+					if got, want := v.SectionIndex(lbn), tr*p.SectionsPerTrack+l; got != want {
+						t.Fatalf("%s: SectionIndex(%d) = %d, want %d", c.name, lbn, got, want)
+					}
+					if pl := v.Place(lbn); pl.Track != tr || pl.Section != l {
+						t.Fatalf("%s: Place(%d) in (%d,%d), want (%d,%d)", c.name, lbn, pl.Track, pl.Section, tr, l)
+					}
+				}
+			}
+		}
 	}
 }

@@ -34,9 +34,6 @@ func (c *Cache) Resident() int64 { return c.resident }
 // Len returns the resident entry count.
 func (c *Cache) Len() int { return c.n }
 
-// Capacity returns the byte bound.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
 // Fits reports whether free capacity already holds bytes — the
 // admission test InstallIfRoom applies, exposed so a caller can skip
 // pricing an entry that would not be admitted anyway.

@@ -56,8 +56,8 @@ func FuzzCacheEviction(f *testing.F) {
 						t.Fatalf("%s: residency probe changed the cache", name)
 					}
 				}
-				if c.Resident() > c.Capacity() {
-					t.Fatalf("%s: resident %d bytes exceeds capacity %d", name, c.Resident(), c.Capacity())
+				if c.Resident() > c.capacity {
+					t.Fatalf("%s: resident %d bytes exceeds capacity %d", name, c.Resident(), c.capacity)
 				}
 				if c.Resident() < 0 {
 					t.Fatalf("%s: resident %d bytes negative", name, c.Resident())

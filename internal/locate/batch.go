@@ -1,10 +1,6 @@
 package locate
 
-import (
-	"math"
-
-	"serpentine/internal/geometry"
-)
+import "serpentine/internal/geometry"
 
 // MatrixCost is implemented by cost models that can fill a dense
 // src × dst locate-time matrix faster than repeated LocateTime calls.
@@ -35,58 +31,35 @@ func FillCostMatrix(c Cost, buf []float64, srcs, dsts []int) {
 	}
 }
 
-// CostMatrix implements MatrixCost: one row per source, with the
-// source's placement hoisted out of the inner loop.
+// costTile is the number of destinations whose section records and
+// positions CostMatrix looks up once and reuses down every row.
+const costTile = 64
+
+// CostMatrix implements MatrixCost. It works through the destinations
+// a tile at a time: each destination's section and position are
+// looked up once per tile, each source's once per tile row.
 func (m *Model) CostMatrix(buf []float64, srcs, dsts []int) {
 	k := len(dsts)
-	for i, s := range srcs {
-		m.locateRow(buf[i*k:(i+1)*k], s, dsts)
-	}
-}
-
-// locateRow fills row[j] = LocateTime(src, dsts[j]). It is the fast
-// path of LocateTime with the src-side lookups done once.
-func (m *Model) locateRow(row []float64, src int, dsts []int) {
-	ss := &m.secs[m.secOf[src]]
-	sp := m.pos[src]
-	const eps = 1e-12
-	for j, dst := range dsts {
-		if src == dst {
-			row[j] = 0
-			continue
+	var ds [costTile]*geometry.Section
+	var dp [costTile]float64
+	for j0 := 0; j0 < k; j0 += costTile {
+		tile := dsts[j0:min(j0+costTile, k)]
+		for j, d := range tile {
+			ds[j] = m.view.SectionOf(d)
+			dp[j] = ds[j].Pos(d)
 		}
-		ds := &m.secs[m.secOf[dst]]
-		dp := m.pos[dst]
-		if ss.track == ds.track && dst > src && ds.section <= ss.section+2 {
-			row[j] = m.p.ReadSecPerSection * math.Abs(dp-sp)
-			continue
-		}
-		landing := ds.landing
-		scanDist := math.Abs(landing - sp)
-		readDist := math.Abs(dp - landing)
-		scanDir := ss.dir
-		if scanDist > eps {
-			if landing > sp {
-				scanDir = 1
-			} else {
-				scanDir = -1
+		for i, src := range srcs {
+			ss := m.view.SectionOf(src)
+			sp := ss.Pos(src)
+			row := buf[i*k+j0 : i*k+j0+len(tile)]
+			for j, dst := range tile {
+				if src == dst {
+					row[j] = 0
+					continue
+				}
+				row[j] = m.locate(ss, sp, src, ds[j], dp[j], dst)
 			}
 		}
-		var reversals float64
-		if scanDir != ss.dir {
-			reversals++
-		}
-		if ds.dir != scanDir {
-			reversals++
-		}
-		t := m.p.OverheadSec +
-			reversals*m.p.ReverseSec +
-			m.p.ScanSecPerSection*scanDist +
-			m.p.ReadSecPerSection*readDist
-		if ss.track != ds.track {
-			t += m.p.TrackSwitchSec
-		}
-		row[j] = t
 	}
 }
 
@@ -116,7 +89,7 @@ func (p *Perturbed) CostMatrix(buf []float64, srcs, dsts []int) {
 }
 
 // referenceCost evaluates every estimate through the original
-// piecewise decomposition, bypassing the fast-path tables and the
+// piecewise decomposition, bypassing the section-record fast path and the
 // batched matrix fill. It deliberately does not implement MatrixCost,
 // so schedulers handed one exercise their per-call fallback paths.
 // Equivalence tests compare plans and times produced against it
@@ -126,8 +99,8 @@ type referenceCost struct {
 }
 
 // Reference returns a Cost that evaluates estimates through the
-// original piecewise decomposition rather than the precomputed
-// tables. It exists for the fast-path equivalence tests.
+// original piecewise decomposition rather than the section-record
+// fast path. It exists for the fast-path equivalence tests.
 func (m *Model) Reference() Cost { return referenceCost{m} }
 
 func (r referenceCost) LocateTime(src, dst int) float64 { return r.m.referenceLocateTime(src, dst) }

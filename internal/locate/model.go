@@ -41,85 +41,21 @@ import (
 // it from a tape's true view (the emulated drive's ground truth) or
 // from a characterized key-point table (the host's estimate).
 //
-// A Model is immutable and safe for concurrent use.
-//
-// Construction precomputes per-segment physical positions and
-// per-section key-point data, so LocateTime and ReadTime are
-// table-driven O(1) lookups with no placement searches or piecewise
-// decomposition per call. The tables cost about 10 bytes per segment
-// (~7 MB for a DLT4000 cartridge). The original decomposition is
+// A Model is immutable and safe for concurrent use, and costs nothing
+// to build: LocateTime, ReadTime and RewindTime read the view's
+// per-section records (geometry.Section), which the view builds once,
+// and compute a segment's position with the same expression
+// View.Place uses. The original decomposition over placements is
 // retained for Classify, Maneuver and the Reference estimator the
 // equivalence tests compare against.
 type Model struct {
 	view *geometry.View
 	p    geometry.Params
-
-	// pos[lbn] is the physical tape position of segment lbn, exactly
-	// as View.Place computes it.
-	pos []float64
-	// secOf[lbn] indexes secs: track*SectionsPerTrack + logical
-	// section.
-	secOf []int32
-	// secs holds the per-(track, logical section) constants of the
-	// locate decomposition.
-	secs []secInfo
-}
-
-// secInfo is the per-section data the fast path needs: everything in
-// the piecewise decomposition that does not depend on the exact
-// segment within the section.
-type secInfo struct {
-	track   int32
-	section int32
-	// dir is +1 for forward tracks, -1 for reverse, matching dirSign.
-	dir float64
-	// landing is the physical position of the landing key point for
-	// destinations in this section: two section boundaries before the
-	// destination in reading order, or the beginning of the track for
-	// the first two reading-order sections.
-	landing float64
-	// readTime is the transfer time of any segment in this section.
-	readTime float64
 }
 
 // NewModel returns a model over the given geometry.
 func NewModel(view *geometry.View) *Model {
-	m := &Model{view: view, p: view.Params()}
-	m.buildTables()
-	return m
-}
-
-// buildTables precomputes the fast-path lookup tables. Every float is
-// produced by the same expression the reference path evaluates, so
-// the fast path is bit-for-bit identical to it.
-func (m *Model) buildTables() {
-	spt := m.p.SectionsPerTrack
-	m.pos = make([]float64, m.view.Segments())
-	m.secOf = make([]int32, m.view.Segments())
-	m.secs = make([]secInfo, m.view.Tracks()*spt)
-	for t := 0; t < m.view.Tracks(); t++ {
-		tv := m.view.Track(t)
-		for l := 0; l < tv.Sections(); l++ {
-			idx := t*spt + l
-			si := &m.secs[idx]
-			si.track = int32(t)
-			si.section = int32(l)
-			si.dir = dirSign(tv.Dir)
-			if l <= 1 {
-				si.landing = tv.BoundPos[0]
-			} else {
-				si.landing = tv.BoundPos[l-1]
-			}
-			count := tv.SectionCount(l)
-			span := math.Abs(tv.BoundPos[l+1] - tv.BoundPos[l])
-			si.readTime = m.p.ReadSecPerSection * span / float64(count)
-			for lbn := tv.BoundLBN[l]; lbn < tv.BoundLBN[l+1]; lbn++ {
-				frac := (float64(lbn-tv.BoundLBN[l]) + 0.5) / float64(count)
-				m.pos[lbn] = tv.BoundPos[l] + frac*(tv.BoundPos[l+1]-tv.BoundPos[l])
-				m.secOf[lbn] = int32(idx)
-			}
-		}
-	}
+	return &Model{view: view, p: view.Params()}
 }
 
 // FromKeyPoints builds the host-side model for a characterized tape.
@@ -325,47 +261,47 @@ func (m *Model) Maneuver(src, dst int) Maneuver {
 // The function is asymmetric: LocateTime(x, y) typically differs from
 // LocateTime(y, x) by tens of seconds, as the paper reports.
 //
-// This is the table-driven fast path; it evaluates the same piecewise
-// expression as the decomposition (see referenceLocateTime) from the
-// precomputed tables, bit-for-bit.
+// This is the fast path over the view's section records; it evaluates
+// the same piecewise expression as the decomposition (see
+// referenceLocateTime), bit-for-bit.
 func (m *Model) LocateTime(src, dst int) float64 {
 	if src == dst {
 		return 0
 	}
-	ss := &m.secs[m.secOf[src]]
-	ds := &m.secs[m.secOf[dst]]
-	sp, dp := m.pos[src], m.pos[dst]
+	ss, ds := m.view.SectionOf(src), m.view.SectionOf(dst)
+	return m.locate(ss, ss.Pos(src), src, ds, ds.Pos(dst), dst)
+}
 
+// locate is LocateTime for src != dst, from the two segments' section
+// records and positions.
+func (m *Model) locate(ss *geometry.Section, sp float64, src int, ds *geometry.Section, dp float64, dst int) float64 {
 	// Case 1: read forward on the same track.
-	if ss.track == ds.track && dst > src && ds.section <= ss.section+2 {
+	if ss.Track == ds.Track && dst > src && ds.Logical <= ss.Logical+2 {
 		return m.p.ReadSecPerSection * math.Abs(dp-sp)
 	}
 
-	landing := ds.landing
+	landing := ds.Landing
 	scanDist := math.Abs(landing - sp)
 	readDist := math.Abs(dp - landing)
 
 	const eps = 1e-12
-	scanDir := ss.dir
+	srcFwd := ss.Dir == geometry.Forward
+	scanFwd := srcFwd
 	if scanDist > eps {
-		if landing > sp {
-			scanDir = 1
-		} else {
-			scanDir = -1
-		}
+		scanFwd = landing > sp
 	}
 	var reversals float64
-	if scanDir != ss.dir {
+	if scanFwd != srcFwd {
 		reversals++
 	}
-	if ds.dir != scanDir {
+	if (ds.Dir == geometry.Forward) != scanFwd {
 		reversals++
 	}
 	t := m.p.OverheadSec +
 		reversals*m.p.ReverseSec +
 		m.p.ScanSecPerSection*scanDist +
 		m.p.ReadSecPerSection*readDist
-	if ss.track != ds.track {
+	if ss.Track != ds.Track {
 		t += m.p.TrackSwitchSec
 	}
 	return t
@@ -373,7 +309,7 @@ func (m *Model) LocateTime(src, dst int) float64 {
 
 // referenceLocateTime evaluates the locate time through the original
 // piecewise decomposition. The equivalence tests assert it agrees
-// bit-for-bit with the table-driven LocateTime on every pair they
+// bit-for-bit with the fast-path LocateTime on every pair they
 // probe.
 func (m *Model) referenceLocateTime(src, dst int) float64 {
 	if src == dst {
@@ -398,7 +334,7 @@ func (m *Model) referenceLocateTime(src, dst int) float64 {
 // segment at read speed; ~22 ms for a 32 KB DLT4000 segment,
 // equivalent to the 1.5 MB/s sustained rate).
 func (m *Model) ReadTime(lbn int) float64 {
-	return m.secs[m.secOf[lbn]].readTime
+	return m.view.SectionOf(lbn).ReadSec
 }
 
 // referenceReadTime recomputes ReadTime from the geometry.
@@ -415,8 +351,9 @@ func (m *Model) referenceReadTime(lbn int) float64 {
 // cartridges must rewind to eject, so batch executions on a robot end
 // with one of these.
 func (m *Model) RewindTime(lbn int) float64 {
-	t := m.p.OverheadSec + m.p.ScanSecPerSection*m.pos[lbn]
-	if m.secs[m.secOf[lbn]].dir > 0 {
+	s := m.view.SectionOf(lbn)
+	t := m.p.OverheadSec + m.p.ScanSecPerSection*s.Pos(lbn)
+	if s.Dir == geometry.Forward {
 		// The head was moving away from the beginning of tape.
 		t += m.p.ReverseSec
 	}

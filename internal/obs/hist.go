@@ -21,7 +21,7 @@ var histBounds = func() []float64 {
 // maxExactSamples bounds the per-histogram sample retention backing
 // exact quantiles. Past the cap the histogram keeps counting into its
 // buckets and moments but stops retaining samples, and quantiles fall
-// back to bucket interpolation; SaturatedQuantiles reports it.
+// back to bucket interpolation.
 const maxExactSamples = 1 << 20
 
 // Histogram is a latency histogram: exponential buckets for the text
@@ -125,14 +125,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 		lo = hi
 	}
 	return h.acc.Max()
-}
-
-// SaturatedQuantiles reports whether quantiles are bucket-estimated
-// because the exact-sample retention overflowed.
-func (h *Histogram) SaturatedQuantiles() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples) != h.acc.N()
 }
 
 // merge folds b's observations into h.

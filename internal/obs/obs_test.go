@@ -100,7 +100,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Quantile(99); math.Abs(got-99.01) > 1e-9 {
 		t.Fatalf("p99 = %g, want 99.01", got)
 	}
-	if h.SaturatedQuantiles() {
+	if saturated(h) {
 		t.Fatal("tiny histogram claims saturation")
 	}
 	// Idle histogram: NaN-free zeros.
@@ -277,7 +277,7 @@ func TestHistogramExactToBucketedBoundary(t *testing.T) {
 	for i := 0; i < maxExactSamples; i++ {
 		h.Observe(float64(i) / float64(maxExactSamples) * 16)
 	}
-	if h.SaturatedQuantiles() {
+	if saturated(h) {
 		t.Fatal("histogram saturated at exactly maxExactSamples")
 	}
 	exactP50 := h.Quantile(50)
@@ -288,7 +288,7 @@ func TestHistogramExactToBucketedBoundary(t *testing.T) {
 	// One more observation crosses the boundary: retention stops,
 	// quantiles switch to bucket interpolation.
 	h.Observe(12)
-	if !h.SaturatedQuantiles() {
+	if !saturated(h) {
 		t.Fatal("histogram not saturated one past maxExactSamples")
 	}
 	if h.Count() != maxExactSamples+1 {
@@ -327,4 +327,12 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Histogram("lat").Count(); got != 8000 {
 		t.Fatalf("concurrent histogram count = %d, want 8000", got)
 	}
+}
+
+// saturated reports whether h's quantiles are bucket-estimated because
+// its exact-sample retention overflowed.
+func saturated(h *Histogram) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.samples) != h.acc.N()
 }

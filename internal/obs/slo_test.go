@@ -231,7 +231,7 @@ func TestHistogramQuantileSaturation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Observe(float64(i%1000) + 0.5)
 	}
-	if !h.SaturatedQuantiles() {
+	if !saturated(h) {
 		t.Fatalf("%d observations did not saturate the %d-sample retention", n, maxExactSamples)
 	}
 	if h.Count() != n {
@@ -253,7 +253,7 @@ func TestHistogramQuantileSaturation(t *testing.T) {
 	exact := newHistogram()
 	exact.Observe(1)
 	exact.Observe(3)
-	if exact.SaturatedQuantiles() {
+	if saturated(exact) {
 		t.Fatal("2 observations reported saturated")
 	}
 	if got := exact.Quantile(50); got != 2 {

@@ -5,7 +5,7 @@ package server
 // online tape service sheds load at admission rather than queueing
 // without bound, because a request queued behind hours of tape motion
 // is worse than an immediate "try later". The queue tracks its
-// admission counters and high-water depth for the metrics dump.
+// high-water depth for the metrics dump.
 //
 // The queue is not safe for concurrent use: the server is a
 // single-goroutine event loop per drive, like the drive itself.
@@ -13,8 +13,6 @@ type AdmissionQueue struct {
 	capacity int
 	reqs     []Request
 	head     int
-	admitted int
-	rejected int
 	maxDepth int
 }
 
@@ -27,41 +25,19 @@ func NewAdmissionQueue(capacity int) *AdmissionQueue {
 	return &AdmissionQueue{capacity: capacity}
 }
 
-// Cap returns the admission capacity.
-func (q *AdmissionQueue) Cap() int { return q.capacity }
-
 // Len returns the number of queued requests.
 func (q *AdmissionQueue) Len() int { return len(q.reqs) - q.head }
 
 // Offer admits one request, or rejects it when the queue is full.
 func (q *AdmissionQueue) Offer(r Request) bool {
 	if q.Len() >= q.capacity {
-		q.rejected++
 		return false
 	}
 	q.reqs = append(q.reqs, r)
-	q.admitted++
 	if d := q.Len(); d > q.maxDepth {
 		q.maxDepth = d
 	}
 	return true
-}
-
-// PopN removes and returns up to n requests in arrival order; n <= 0
-// drains the whole queue. The returned slice is owned by the caller.
-func (q *AdmissionQueue) PopN(n int) []Request {
-	depth := q.Len()
-	if n <= 0 || n > depth {
-		n = depth
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Request, n)
-	copy(out, q.reqs[q.head:q.head+n])
-	q.head += n
-	q.compact()
-	return out
 }
 
 // compact shifts the live tail down once the dead prefix dominates,
@@ -79,11 +55,10 @@ func (q *AdmissionQueue) compact() {
 	q.head = 0
 }
 
-// PopNAppend is PopN into a caller-owned buffer: up to n requests
-// (n <= 0 drains the queue) are appended to dst and the extended
-// slice returned. Event loops that drain the queue on every tick use
-// it with a reused buffer, making the steady-state drain
-// allocation-free where PopN allocated per call.
+// PopNAppend removes up to n requests (n <= 0 drains the queue) in
+// arrival order and appends them to dst, returning the extended slice.
+// Event loops that drain the queue on every tick pass a reused
+// buffer, so the steady-state drain is allocation-free.
 func (q *AdmissionQueue) PopNAppend(dst []Request, n int) []Request {
 	depth := q.Len()
 	if n <= 0 || n > depth {
@@ -97,12 +72,6 @@ func (q *AdmissionQueue) PopNAppend(dst []Request, n int) []Request {
 	q.compact()
 	return dst
 }
-
-// Admitted returns the number of requests ever admitted.
-func (q *AdmissionQueue) Admitted() int { return q.admitted }
-
-// Rejected returns the number of requests turned away at admission.
-func (q *AdmissionQueue) Rejected() int { return q.rejected }
 
 // MaxDepth returns the high-water queue depth.
 func (q *AdmissionQueue) MaxDepth() int { return q.maxDepth }

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzAdmissionQueue drives the queue with an arbitrary op sequence
 // and checks its invariants against a naive slice model: FIFO order,
-// the capacity bound, and counter consistency. Each byte of the input
+// the capacity bound, and the high-water depth. Each byte of the input
 // is one op: even values offer, odd values pop (value/2 + 1 items).
 func FuzzAdmissionQueue(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 2, 4, 1, 0, 0, 0, 3, 255})
@@ -17,14 +17,13 @@ func FuzzAdmissionQueue(f *testing.F) {
 		if wantCap < 1 {
 			wantCap = 1
 		}
-		if q.Cap() != wantCap {
-			t.Fatalf("cap=%d, want %d", q.Cap(), wantCap)
+		if q.capacity != wantCap {
+			t.Fatalf("cap=%d, want %d", q.capacity, wantCap)
 		}
 		var (
-			model              []int
-			next               int
-			admitted, rejected int
-			maxDepth           int
+			model    []int
+			next     int
+			maxDepth int
 		)
 		for _, op := range ops {
 			if op%2 == 0 { // offer
@@ -35,27 +34,24 @@ func FuzzAdmissionQueue(f *testing.F) {
 				}
 				if ok {
 					model = append(model, next)
-					admitted++
 					if len(model) > maxDepth {
 						maxDepth = len(model)
 					}
-				} else {
-					rejected++
 				}
 				next++
 			} else { // pop
 				n := int(op)/2 + 1
-				got := q.PopN(n)
+				got := q.PopNAppend(nil, n)
 				want := n
 				if want > len(model) {
 					want = len(model)
 				}
 				if len(got) != want {
-					t.Fatalf("PopN(%d) returned %d items, want %d", n, len(got), want)
+					t.Fatalf("PopNAppend(nil, %d) returned %d items, want %d", n, len(got), want)
 				}
 				for i, r := range got {
 					if r.ID != model[i] {
-						t.Fatalf("PopN order: got ID %d at %d, want %d", r.ID, i, model[i])
+						t.Fatalf("pop order: got ID %d at %d, want %d", r.ID, i, model[i])
 					}
 				}
 				model = model[want:]
@@ -64,9 +60,8 @@ func FuzzAdmissionQueue(f *testing.F) {
 				t.Fatalf("Len=%d, model %d", q.Len(), len(model))
 			}
 		}
-		if q.Admitted() != admitted || q.Rejected() != rejected || q.MaxDepth() != maxDepth {
-			t.Fatalf("counters admitted=%d/%d rejected=%d/%d maxDepth=%d/%d",
-				q.Admitted(), admitted, q.Rejected(), rejected, q.MaxDepth(), maxDepth)
+		if q.MaxDepth() != maxDepth {
+			t.Fatalf("maxDepth=%d, want %d", q.MaxDepth(), maxDepth)
 		}
 	})
 }

@@ -12,30 +12,29 @@ func TestAdmissionQueueFIFO(t *testing.T) {
 	if q.Offer(Request{ID: 4}) {
 		t.Fatal("offer accepted at capacity")
 	}
-	got := q.PopN(2)
+	got := q.PopNAppend(nil, 2)
 	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 1 {
-		t.Fatalf("PopN(2) = %v, want IDs 0,1", got)
+		t.Fatalf("PopNAppend(nil, 2) = %v, want IDs 0,1", got)
 	}
 	if !q.Offer(Request{ID: 5}) {
 		t.Fatal("offer rejected after pops freed space")
 	}
-	rest := q.PopN(0) // drain
+	rest := q.PopNAppend(nil, 0) // drain
 	if len(rest) != 3 || rest[0].ID != 2 || rest[2].ID != 5 {
 		t.Fatalf("drain = %v, want IDs 2,3,5", rest)
 	}
 	if q.Len() != 0 {
 		t.Fatalf("len=%d after drain", q.Len())
 	}
-	if q.Admitted() != 5 || q.Rejected() != 1 || q.MaxDepth() != 4 {
-		t.Fatalf("admitted=%d rejected=%d maxDepth=%d, want 5/1/4",
-			q.Admitted(), q.Rejected(), q.MaxDepth())
+	if q.MaxDepth() != 4 {
+		t.Fatalf("maxDepth=%d, want 4", q.MaxDepth())
 	}
 }
 
 func TestAdmissionQueueMinimumCapacity(t *testing.T) {
 	q := NewAdmissionQueue(0)
-	if q.Cap() != 1 {
-		t.Fatalf("cap=%d, want clamp to 1", q.Cap())
+	if q.capacity != 1 {
+		t.Fatalf("cap=%d, want clamp to 1", q.capacity)
 	}
 	if !q.Offer(Request{}) || q.Offer(Request{}) {
 		t.Fatal("capacity-1 queue admitted wrong count")
@@ -54,7 +53,7 @@ func TestAdmissionQueueCompaction(t *testing.T) {
 			}
 			id++
 		}
-		got := q.PopN(5)
+		got := q.PopNAppend(nil, 5)
 		for i := 1; i < len(got); i++ {
 			if got[i].ID != got[i-1].ID+1 {
 				t.Fatalf("cycle %d: out-of-order pop %v", cycle, got)
@@ -73,15 +72,15 @@ func TestAdmissionQueueCompactionClearsTail(t *testing.T) {
 			t.Fatalf("offer %d rejected below capacity", i+1)
 		}
 	}
-	if got := q.PopN(12); len(got) != 12 {
-		t.Fatalf("PopN(12) returned %d requests", len(got))
+	if got := q.PopNAppend(nil, 12); len(got) != 12 {
+		t.Fatalf("PopNAppend(nil, 12) returned %d requests", len(got))
 	}
 	for i, r := range q.reqs[q.Len():cap(q.reqs)] {
 		if r != (Request{}) {
 			t.Fatalf("stale request %+v at vacated backing slot %d after compaction", r, i)
 		}
 	}
-	rest := q.PopN(-1)
+	rest := q.PopNAppend(nil, -1)
 	if len(rest) != 4 {
 		t.Fatalf("drain returned %d requests, want 4", len(rest))
 	}

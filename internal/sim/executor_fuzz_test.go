@@ -78,11 +78,10 @@ func FuzzExecutorReplan(f *testing.F) {
 			MediaRate:     float64(media) / 255 * 0.2,
 			Seed:          seed,
 		}
-		var opts []drive.Option
+		d := drive.New(tape)
 		if cfg.Enabled() {
-			opts = append(opts, drive.WithFaults(fault.New(cfg)))
+			d.AttachFaults(fault.New(cfg))
 		}
-		d := drive.New(tape, opts...)
 
 		p := &core.Problem{Start: int(start) % total, Requests: reqs, Cost: model}
 		plan, err := core.NewLOSS().Schedule(p)

@@ -23,11 +23,11 @@ func execFixture(t testing.TB, serial int64, cfg fault.Config) (*locate.Model, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []drive.Option
+	d := drive.New(tape)
 	if cfg.Enabled() {
-		opts = append(opts, drive.WithFaults(fault.New(cfg)))
+		d.AttachFaults(fault.New(cfg))
 	}
-	return m, drive.New(tape, opts...)
+	return m, d
 }
 
 func schedulePlan(t testing.TB, m *locate.Model, sched core.Scheduler, start int, reqs []int) (*core.Problem, core.Plan) {

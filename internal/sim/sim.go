@@ -94,21 +94,6 @@ func ScaledTrials(divisor, floor int) func(int) int {
 	}
 }
 
-// PaperOptTrials returns the paper's reduced trial counts for OPT
-// (100,000 up to 9 requests, 10,000 at 10, 100 at 12, nothing above).
-func PaperOptTrials(n int) int {
-	switch {
-	case n <= 9:
-		return 100000
-	case n == 10:
-		return 10000
-	case n <= 12:
-		return 100
-	default:
-		return 0
-	}
-}
-
 // Config describes one simulation experiment.
 type Config struct {
 	// Model is the cost model schedules are generated and estimated
@@ -360,13 +345,6 @@ func (r *Result) AlgNames() []string {
 func (r *Result) WritePerLocateTable(w io.Writer) error {
 	return r.writeTable(w, "mean s/locate", func(a *AlgResult) (float64, bool) {
 		return a.PerLocate.Mean(), a.Schedules > 0
-	})
-}
-
-// WriteTotalTable prints mean total schedule execution times (s).
-func (r *Result) WriteTotalTable(w io.Writer) error {
-	return r.writeTable(w, "mean total s", func(a *AlgResult) (float64, bool) {
-		return a.Total.Mean(), a.Schedules > 0
 	})
 }
 

@@ -130,7 +130,6 @@ func TestWriteTables(t *testing.T) {
 	var buf bytes.Buffer
 	for _, f := range []func(*bytes.Buffer) error{
 		func(b *bytes.Buffer) error { return res.WritePerLocateTable(b) },
-		func(b *bytes.Buffer) error { return res.WriteTotalTable(b) },
 		func(b *bytes.Buffer) error { return res.WriteStdDevTable(b) },
 		func(b *bytes.Buffer) error { return res.WriteCPUTable(b) },
 	} {
@@ -154,9 +153,6 @@ func TestPaperTrialTables(t *testing.T) {
 	}
 	if PaperTrials(256) != 25000 || PaperTrials(2048) != 400 {
 		t.Fatal("paper trials large-n wrong")
-	}
-	if PaperOptTrials(9) != 100000 || PaperOptTrials(10) != 10000 || PaperOptTrials(12) != 100 || PaperOptTrials(13) != 0 {
-		t.Fatal("paper OPT trials wrong")
 	}
 	f := ScaledTrials(1000, 8)
 	if f(1) != 100 || f(2048) != 8 {

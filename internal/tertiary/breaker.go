@@ -34,17 +34,13 @@ func (b *breaker) admits(bestEffort bool) bool {
 	return b.live > 0 && (b.live == b.configured || !bestEffort)
 }
 
-// effectiveCap scales a configured queue capacity by the live
-// fraction, rounding up, never below 1 while any drive lives: with
-// half the pool down, admitting a full queue only builds sojourn the
-// surviving drives cannot serve. A zero capacity (unbounded) passes
-// through, and a negative one clamps to 0 rather than leaking through
-// as a cap every depth comparison trivially exceeds.
+// effectiveCap scales a positive configured queue capacity by the
+// live fraction, rounding up, never below 1: with half the pool down,
+// admitting a full queue only builds sojourn the surviving drives
+// cannot serve. The library calls it only for a bounded queue
+// (Config.QueueCap > 0).
 func (b *breaker) effectiveCap(cap int) int {
-	if cap < 0 {
-		return 0
-	}
-	if b.live >= b.configured || cap == 0 {
+	if b.live >= b.configured {
 		return cap
 	}
 	return max((cap*b.live+b.configured-1)/b.configured, 1)

@@ -21,9 +21,6 @@ func TestBreakerStates(t *testing.T) {
 	if got := b.effectiveCap(100); got != 50 {
 		t.Fatalf("brownout effectiveCap(100) = %d, want 50", got)
 	}
-	if got := b.effectiveCap(0); got != 0 {
-		t.Fatalf("unbounded cap scaled to %d, want 0 (still unbounded)", got)
-	}
 
 	b.setLive(0)
 	if b.admits(false) {
@@ -61,26 +58,5 @@ func TestBreakerEffectiveCapRounding(t *testing.T) {
 	}
 	if got := b.effectiveCap(1); got != 1 {
 		t.Fatalf("effectiveCap(1) at 1/3 = %d, want 1", got)
-	}
-}
-
-func TestBreakerEffectiveCapDegenerate(t *testing.T) {
-	// cap ∈ {-1, 0, 1} × live ∈ {0, 1, configured}: a negative
-	// configured capacity is nonsense and clamps to 0 (unbounded, as
-	// callers treat 0); 0 passes through; a positive capacity never
-	// scales below 1.
-	cases := []struct {
-		cap, live, want int
-	}{
-		{-1, 0, 0}, {-1, 1, 0}, {-1, 2, 0},
-		{0, 0, 0}, {0, 1, 0}, {0, 2, 0},
-		{1, 0, 1}, {1, 1, 1}, {1, 2, 1},
-	}
-	for _, c := range cases {
-		b := newBreaker(2)
-		b.setLive(c.live)
-		if got := b.effectiveCap(c.cap); got != c.want {
-			t.Errorf("effectiveCap(%d) at live %d/2 = %d, want %d", c.cap, c.live, got, c.want)
-		}
 	}
 }

@@ -188,52 +188,3 @@ func (c *Clustered) Batch(n int) []int {
 		return v
 	})
 }
-
-// Trace replays a fixed request list in batches, for reproducing
-// recorded workloads.
-type Trace struct {
-	total int
-	segs  []int
-	pos   int
-}
-
-// NewTrace returns a generator that serves successive windows of the
-// given request list. Requests must lie in [0, total).
-func NewTrace(total int, segs []int) (*Trace, error) {
-	for i, s := range segs {
-		if s < 0 || s >= total {
-			return nil, fmt.Errorf("workload: trace entry %d (segment %d) out of range [0,%d)", i, s, total)
-		}
-	}
-	return &Trace{total: total, segs: segs}, nil
-}
-
-// Name returns "trace".
-func (t *Trace) Name() string { return "trace" }
-
-// Segments returns the address-space size.
-func (t *Trace) Segments() int { return t.total }
-
-// Remaining returns the number of unserved trace entries.
-func (t *Trace) Remaining() int { return len(t.segs) - t.pos }
-
-// Batch returns the next n trace entries (deduplicated within the
-// batch; duplicates are skipped). It panics when the trace is
-// exhausted before n entries are found.
-func (t *Trace) Batch(n int) []int {
-	seen := make(map[int]struct{}, n)
-	out := make([]int, 0, n)
-	for len(out) < n {
-		if t.pos >= len(t.segs) {
-			panic("workload: trace exhausted")
-		}
-		v := t.segs[t.pos]
-		t.pos++
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
-	}
-	return out
-}

@@ -145,55 +145,10 @@ func TestClusteredStaysInRange(t *testing.T) {
 	}
 }
 
-func TestTraceReplaysInOrder(t *testing.T) {
-	tr, err := NewTrace(100, []int{5, 9, 2, 9, 7, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := tr.Batch(3)
-	want := []int{5, 9, 2}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("trace batch = %v", b)
-		}
-	}
-	// The duplicate 9 is skipped within a batch.
-	b2 := tr.Batch(2)
-	if b2[0] != 9 || b2[1] != 7 {
-		t.Fatalf("second batch = %v", b2)
-	}
-	if tr.Remaining() != 1 {
-		t.Fatalf("remaining = %d", tr.Remaining())
-	}
-}
-
-func TestTraceValidatesEntries(t *testing.T) {
-	if _, err := NewTrace(10, []int{3, 11}); err == nil {
-		t.Fatal("out-of-range trace entry accepted")
-	}
-}
-
-func TestTraceExhaustionPanics(t *testing.T) {
-	tr, err := NewTrace(10, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on exhaustion")
-		}
-	}()
-	tr.Batch(2)
-}
-
 func TestGeneratorNames(t *testing.T) {
 	if NewUniform(10, 1).Name() != "uniform" ||
 		NewZipf(10, 1, 1, 2).Name() != "zipf" ||
 		NewClustered(10, 1, 2, 2).Name() != "clustered" {
 		t.Fatal("names wrong")
-	}
-	tr, _ := NewTrace(10, nil)
-	if tr.Name() != "trace" || tr.Segments() != 10 {
-		t.Fatal("trace accessors wrong")
 	}
 }
