@@ -15,6 +15,8 @@ BENCH17_OUT ?= BENCH_PR17.json
 BENCH17_BASELINE ?= BENCH_PR17_BASELINE.txt
 BENCH21_OUT ?= BENCH_PR21.json
 BENCH21_BASELINE ?= BENCH_PR21_BASELINE.txt
+BENCH22_OUT ?= BENCH_PR22.json
+BENCH22_BASELINE ?= BENCH_PR22_BASELINE.txt
 
 # End-to-end benchmarks for the dispatch-loop perf pass: a full
 # library sweep cell, the online server's steady-state loop, and the
@@ -36,7 +38,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 bench-pr21 bench-snapshot profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 bench-pr21 bench-pr22 bench-snapshot profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the sweep runner and the parallel simulator plus the packages
@@ -138,6 +140,18 @@ bench-pr21:
 	$(GO) run ./cmd/benchjson -baseline $(BENCH21_BASELINE) < $(BENCH_TXT) > $(BENCH21_OUT)
 	rm -f $(BENCH_TXT)
 
+# Regenerate the committed evidence for the quiescent-shard skip and
+# the dense per-cartridge queue: a library sweep cell (the event loop
+# alone) and the fleet, tier and emission ladder above it, with the
+# capture from the parent revision, which stepped every shard on every
+# arrival and kept the queue in maps, embedded under "baseline".
+# GOMAXPROCS=1 and -count 5 as for bench-pr17.
+bench-pr22:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkLibrarySweepCell$$' -benchtime 200x -count 5 -benchmem ./internal/tertiary | tee $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee -a $(BENCH_TXT)
+	$(GO) run ./cmd/benchjson -baseline $(BENCH22_BASELINE) < $(BENCH_TXT) > $(BENCH22_OUT)
+	rm -f $(BENCH_TXT)
+
 # Run the benchmark for one second per workload and check its 18
 # virtual-time outputs (six per workload) exactly against the committed
 # snapshot, scripts/benchsnap.txt. Those outputs do not depend on host
@@ -161,10 +175,12 @@ profile:
 # reference decomposition), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
 # wide-event ring, the SLO sliding windows, the event-log replay
 # (parse, sort, SLO scoring and write/read round trip of arbitrary
-# bytes), the staging cache's eviction policies, the fleet routing
-# tier, and the fleet's event fold and health fill (against the
-# copy-and-sort fold and the heap-ordered health feed) — the state
-# machines arbitrary inputs can reach. CI runs this on every PR;
+# bytes), the label-block parser behind MergeLabeled (round trip
+# through metricKey), the library Runner under arbitrary extra
+# AdvanceTo calls (against Run), the staging cache's eviction policies,
+# the fleet routing tier, and the fleet's event fold and health fill
+# (against the copy-and-sort fold and the heap-ordered health feed) —
+# the state machines arbitrary inputs can reach. CI runs this on every PR;
 # locally, raise FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLOSSLazyEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core/
@@ -175,10 +191,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryBatcher$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryRescue$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventHeap$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunnerAdvance$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanStore$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzWideEventRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindow$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLogReplay$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLabelBlock$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEviction$$' -fuzztime $(FUZZTIME) ./internal/hsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRouting$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetFoldEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fleet/

@@ -12,8 +12,8 @@
 //     physical layout, while the host model works from key points and
 //     a uniform-density assumption;
 //   - cartridge personality: hidden per-tape skews of the transport
-//     speeds (geometry.Tape.Personality) that the model's nominal
-//     constants cannot capture;
+//     speeds (applied in geometry.Tape.TruthView) that the model's
+//     nominal constants cannot capture;
 //   - end-zone error: positioning near the physical ends of a track
 //     takes systematically longer than the model predicts — the
 //     region the paper calls out as "less accurate", responsible for

@@ -20,25 +20,12 @@ type Tape struct {
 	serial int64
 	view   *View
 	// truth is view carrying the personality-skewed profile: the
-	// drive emulator's ground truth.
+	// drive emulator's ground truth. The hidden cartridge personality
+	// is fractional skews of the read and scan speeds and an additive
+	// locate overhead, drawn within ±PersonalityFrac
+	// (±PersonalityFrac*20 s for the overhead); Generate applies them
+	// to truth's params, and the host-side model cannot see them.
 	truth *View
-
-	// Hidden cartridge personality: fractional skews of the read and
-	// scan speeds and an additive locate overhead, drawn within
-	// ±PersonalityFrac (±PersonalityFrac*20 s for the overhead).
-	// Generate applies them to truth; the host-side model cannot see
-	// them.
-	readSkew float64
-	scanSkew float64
-	overhead float64
-}
-
-// Personality returns the cartridge's hidden deviation from the
-// nominal profile: multiplicative skews on the read and scan speeds
-// and an additive per-locate overhead in seconds. TruthView carries
-// them applied; host models never see them.
-func (t *Tape) Personality() (readSkew, scanSkew, overheadSec float64) {
-	return t.readSkew, t.scanSkew, t.overhead
 }
 
 // Generate synthesizes a cartridge from a format profile and a serial
@@ -151,10 +138,7 @@ func Generate(params Params, serial int64) (*Tape, error) {
 	if truth.OverheadSec < 0 {
 		truth.OverheadSec = 0
 	}
-	return &Tape{
-		params: params, serial: serial, view: v, truth: v.WithParams(truth),
-		readSkew: readSkew, scanSkew: scanSkew, overhead: overhead,
-	}, nil
+	return &Tape{params: params, serial: serial, view: v, truth: v.WithParams(truth)}, nil
 }
 
 // MustGenerate is Generate for known-good profiles; it panics on

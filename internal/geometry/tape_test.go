@@ -19,11 +19,19 @@ func TestGenerateDeterministic(t *testing.T) {
 			}
 		}
 	}
-	ra, sa, oa := a.Personality()
-	rb, sb, ob := b.Personality()
-	if ra != rb || sa != sb || oa != ob {
+	if a.TruthView().Params() != b.TruthView().Params() {
 		t.Fatal("same serial, different personality")
 	}
+}
+
+// personality reads a cartridge's hidden skews back off its truth
+// view: the read and scan speed skews as fractions of the nominal
+// speeds, and the additive locate overhead in seconds.
+func personality(tape *Tape) (readSkew, scanSkew, overheadSec float64) {
+	nom, tru := tape.View().Params(), tape.TruthView().Params()
+	return tru.ReadSecPerSection/nom.ReadSecPerSection - 1,
+		tru.ScanSecPerSection/nom.ScanSecPerSection - 1,
+		tru.OverheadSec - nom.OverheadSec
 }
 
 func TestGenerateDiffersBySerial(t *testing.T) {
@@ -103,16 +111,22 @@ func TestTracksHaveDifferingLengths(t *testing.T) {
 
 func TestPersonalityBounds(t *testing.T) {
 	p := DLT4000()
+	// The skews are read back through a division, so allow the bounds
+	// a few ulps of rounding.
+	const eps = 1e-12
 	for serial := int64(1); serial <= 20; serial++ {
 		tape := MustGenerate(p, serial)
-		r, s, o := tape.Personality()
-		if math.Abs(r) > p.PersonalityFrac || math.Abs(s) > p.PersonalityFrac {
+		if tape.View().Params() != p {
+			t.Fatalf("serial %d: the host view's params differ from the nominal profile", serial)
+		}
+		r, s, o := personality(tape)
+		if math.Abs(r) > p.PersonalityFrac+eps || math.Abs(s) > p.PersonalityFrac+eps {
 			t.Fatalf("serial %d: skews %g/%g exceed %g", serial, r, s, p.PersonalityFrac)
 		}
-		if math.Abs(r) < p.PersonalityFrac/2 || math.Abs(s) < p.PersonalityFrac/2 {
+		if math.Abs(r) < p.PersonalityFrac/2-eps || math.Abs(s) < p.PersonalityFrac/2-eps {
 			t.Fatalf("serial %d: skews %g/%g below half-range (should be meaningfully non-zero)", serial, r, s)
 		}
-		if math.Abs(o) > p.PersonalityFrac*20 {
+		if math.Abs(o) > p.PersonalityFrac*20+eps {
 			t.Fatalf("serial %d: overhead %g out of range", serial, o)
 		}
 	}
@@ -122,7 +136,10 @@ func TestZeroPersonalityProfile(t *testing.T) {
 	p := DLT4000()
 	p.PersonalityFrac = 0
 	tape := MustGenerate(p, 1)
-	r, s, o := tape.Personality()
+	if tape.TruthView().Params() != tape.View().Params() {
+		t.Fatal("zero PersonalityFrac should leave the truth view's params nominal")
+	}
+	r, s, o := personality(tape)
 	if r != 0 || s != 0 || o != 0 {
 		t.Fatalf("zero PersonalityFrac should yield zero personality, got %g/%g/%g", r, s, o)
 	}

@@ -39,6 +39,7 @@ func TestParseLabelBlockRejectsMalformed(t *testing.T) {
 	for _, block := range []string{
 		"{", "}", "{}", `{k}`, `{k=}`, `{k="v}`, `{k="v",}`,
 		`{="v"}`, `{k="a\x"}`, `{k="v"x}`, `{k="\"}`,
+		"{k=\"a\nb\"}", // a raw newline: promEscape renders it as \n
 	} {
 		if labels, ok := parseLabelBlock(block); ok {
 			t.Errorf("parseLabelBlock(%q) accepted: %v", block, labels)

@@ -99,7 +99,10 @@ func splitKey(key string) (name, labelBlock string) {
 // parseLabelBlock parses a rendered label block back into labels: the
 // inverse of the block metricKey emits, honoring exactly the escapes
 // promEscape produces (`\\`, `\"`, `\n`). An empty block parses to
-// nil. It reports false on anything metricKey could not have written.
+// nil. It reports false on malformed blocks, including a raw newline
+// in a value (promEscape always escapes it). It does not insist on
+// metricKey's sorted key order: an unsorted block parses in its own
+// order and renders back sorted.
 func parseLabelBlock(block string) ([]Label, bool) {
 	if block == "" {
 		return nil, true
@@ -128,6 +131,9 @@ func parseLabelBlock(block string) ([]Label, bool) {
 			c := rest[i]
 			if c == '"' {
 				break
+			}
+			if c == '\n' {
+				return nil, false // promEscape never leaves a raw newline
 			}
 			if c == '\\' {
 				if i+1 >= len(rest) {

@@ -140,7 +140,7 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 	}
 	serials := base.Tapes()
 	for _, serial := range serials {
-		if stride := base.tapes[serial].Segments() / objects; stride < maxR*objSegs {
+		if stride := base.tapes[base.index[serial]].Segments() / objects; stride < maxR*objSegs {
 			return nil, fmt.Errorf("tertiary: outage: %d objects × %d copies of %d segments overflow tape %d",
 				objects, maxR, objSegs, serial)
 		}
@@ -154,7 +154,7 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 		}
 		pl := NewPlacement()
 		for t := 0; t < tapeCount; t++ {
-			stride := base.tapes[serials[t]].Segments() / objects
+			stride := base.tapes[base.index[serials[t]]].Segments() / objects
 			for o := 0; o < objects; o++ {
 				reps := make([]Object, r-1)
 				for k := 1; k < r; k++ {

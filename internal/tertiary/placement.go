@@ -70,7 +70,7 @@ func (p *Placement) validate(l *Library) error {
 		}
 		seen := map[int64]bool{primary.Tape: true}
 		for i, r := range reps {
-			tape, ok := l.tapes[r.Tape]
+			tape, ok := l.tape(r.Tape)
 			if !ok {
 				return fmt.Errorf("tertiary: replica %d of %s on unknown tape %d", i+1, id, r.Tape)
 			}

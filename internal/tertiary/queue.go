@@ -2,13 +2,17 @@ package tertiary
 
 // batchQueue holds the admitted-but-undispatched requests grouped by
 // cartridge, each group in arrival order; admission pushes straight
-// onto it. Groups consume from the head with index compaction, so
-// taking a batch costs O(batch), not O(remaining).
+// onto it. The groups are dense, one per cartridge of the library in
+// cartridge-index order (pending.cart), so the dispatch loop's pick
+// walks a slice instead of iterating a map. Groups consume from the
+// head with index compaction, so taking a batch costs O(batch), not
+// O(remaining).
 // The seed implementation rebuilt the whole remaining queue on every
 // mount decision, which is quadratic under sustained load; see
 // BenchmarkBatchQueue for the comparison.
 type batchQueue struct {
-	perTape map[int64]*tapeQueue
+	perTape []tapeQueue
+	serials []int64 // cartridge serial per index, for pickFor's tie-break
 	total   int
 }
 
@@ -18,18 +22,16 @@ type tapeQueue struct {
 	head int
 }
 
-func newBatchQueue() *batchQueue {
-	return &batchQueue{perTape: make(map[int64]*tapeQueue)}
+// newBatchQueue returns an empty queue over the cartridges with the
+// given serials, indexed by position.
+func newBatchQueue(serials []int64) *batchQueue {
+	return &batchQueue{perTape: make([]tapeQueue, len(serials)), serials: serials}
 }
 
 // push appends one admitted request to its cartridge's group.
 // Requests must be pushed in arrival order.
 func (q *batchQueue) push(p pending) {
-	tq := q.perTape[p.obj.Tape]
-	if tq == nil {
-		tq = &tapeQueue{}
-		q.perTape[p.obj.Tape] = tq
-	}
+	tq := &q.perTape[p.cart]
 	tq.reqs = append(tq.reqs, p)
 	q.total++
 }
@@ -43,92 +45,58 @@ func (tq *tapeQueue) len() int { return len(tq.reqs) - tq.head }
 // non-empty group.
 func (tq *tapeQueue) oldest() float64 { return tq.reqs[tq.head].req.Arrival }
 
-// take removes up to limit requests for the cartridge in arrival
-// order (limit <= 0 drains the group). The dead prefix is compacted
-// once it dominates the backing array, keeping push amortized O(1)
-// without unbounded growth.
-func (q *batchQueue) take(serial int64, limit int) []pending {
-	tq := q.perTape[serial]
-	if tq == nil {
-		return nil
-	}
+// take appends up to limit requests for the cartridge to dst in
+// arrival order (limit <= 0 drains the group) and removes them from
+// the queue. The dispatch loop passes a run-lifetime scratch slice, so
+// cutting a batch allocates nothing once the scratch has grown. A
+// drained group keeps its backing array for the cartridge's next
+// requests; otherwise the dead prefix is compacted once it dominates
+// the array, keeping push amortized O(1) without unbounded growth.
+func (q *batchQueue) take(dst []pending, cart, limit int) []pending {
+	tq := &q.perTape[cart]
 	n := tq.len()
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]pending, n)
-	copy(out, tq.reqs[tq.head:tq.head+n])
+	dst = append(dst, tq.reqs[tq.head:tq.head+n]...)
 	tq.head += n
 	q.total -= n
 	if tq.len() == 0 {
-		delete(q.perTape, serial)
+		tq.reqs, tq.head = tq.reqs[:0], 0
 	} else if tq.head > len(tq.reqs)/2 {
 		tq.reqs = append(tq.reqs[:0], tq.reqs[tq.head:]...)
 		tq.head = 0
 	}
-	return out
+	return dst
 }
 
-// pick chooses the next cartridge to mount among those not excluded:
-// the one with the most pending requests, ties broken by the oldest
-// waiting request and then by the smaller serial, which bounds
-// starvation while keeping batches dense and makes the choice
-// deterministic despite map iteration. "No candidate yet" is tracked
-// with an explicit boolean rather than a serial-0 sentinel, so a
-// legal cartridge serial 0 behaves like any other.
-func (q *batchQueue) pick(excluded map[int64]bool) (int64, bool) {
-	var (
-		best  int64
-		found bool
-	)
-	for serial, tq := range q.perTape {
-		if excluded[serial] {
+// pickFor chooses the next cartridge for drive self to mount: among
+// the cartridges with queued work and not loaded in another drive (or
+// riding the robot's gripper), the one with the most pending requests,
+// ties broken by the oldest waiting request and then by the smaller
+// serial. That bounds starvation while keeping batches dense, and the
+// rule depends on no iteration order, so the choice is the same
+// whatever order the cartridges are indexed in. loadedBy is the run's
+// standing cartridge-location index (cartridge index -> drive holding
+// it, onShelf when none), so picking builds no exclusion set. "No
+// candidate" is reported with the boolean, never a sentinel index.
+func (q *batchQueue) pickFor(loadedBy []int, self int) (int, bool) {
+	best := -1
+	var bn int
+	var bo float64
+	for i := range q.perTape {
+		tq := &q.perTape[i]
+		n := tq.len()
+		if n == 0 {
 			continue
 		}
-		if !found {
-			best, found = serial, true
+		if owner := loadedBy[i]; owner != onShelf && owner != self {
 			continue
 		}
-		bq := q.perTape[best]
-		switch {
-		case tq.len() > bq.len():
-			best = serial
-		case tq.len() == bq.len() && tq.oldest() < bq.oldest():
-			best = serial
-		case tq.len() == bq.len() && tq.oldest() == bq.oldest() && serial < best:
-			best = serial
+		o := tq.oldest()
+		if best < 0 || n > bn || n == bn && (o < bo || o == bo && q.serials[i] < q.serials[best]) {
+			best, bn, bo = i, n, o
 		}
 	}
-	return best, found
-}
-
-// pickFor is pick for the dispatch loop's hot path: instead of a
-// freshly built exclusion map it takes the run's standing
-// cartridge-location index (serial -> drive holding it) and the asking
-// drive, excluding exactly the cartridges loaded in *other* drives.
-// Same candidates, same tie-breaks, no per-dispatch allocation.
-func (q *batchQueue) pickFor(loadedBy map[int64]int, self int) (int64, bool) {
-	var (
-		best  int64
-		found bool
-	)
-	for serial, tq := range q.perTape {
-		if owner, loaded := loadedBy[serial]; loaded && owner != self {
-			continue
-		}
-		if !found {
-			best, found = serial, true
-			continue
-		}
-		bq := q.perTape[best]
-		switch {
-		case tq.len() > bq.len():
-			best = serial
-		case tq.len() == bq.len() && tq.oldest() < bq.oldest():
-			best = serial
-		case tq.len() == bq.len() && tq.oldest() == bq.oldest() && serial < best:
-			best = serial
-		}
-	}
-	return best, found
+	return best, best >= 0
 }

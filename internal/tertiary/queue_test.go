@@ -4,98 +4,134 @@ import (
 	"testing"
 )
 
-func qpending(serial int64, start int, arrival float64) pending {
+// testQueue returns an empty queue over cartridges with the given
+// serials (cartridge index = position) and a loadedBy index with every
+// cartridge on the shelf.
+func testQueue(serials ...int64) (*batchQueue, []int) {
+	loadedBy := make([]int, len(serials))
+	for i := range loadedBy {
+		loadedBy[i] = onShelf
+	}
+	return newBatchQueue(serials), loadedBy
+}
+
+func qpending(q *batchQueue, cart, start int, arrival float64) pending {
 	return pending{
-		req: Request{ObjectID: "x", Arrival: arrival},
-		obj: Object{Tape: serial, Start: start},
+		req:  Request{ObjectID: "x", Arrival: arrival},
+		obj:  Object{Tape: q.serials[cart], Start: start},
+		cart: cart,
 	}
 }
 
 func TestBatchQueueTakePreservesArrivalOrder(t *testing.T) {
-	q := newBatchQueue()
+	q, loadedBy := testQueue(100, 101)
 	// Interleave two tapes; within a tape, pushes are arrival order.
 	for i := 0; i < 6; i++ {
-		q.push(qpending(int64(100+i%2), i*10, float64(i)))
+		q.push(qpending(q, i%2, i*10, float64(i)))
 	}
 	if q.len() != 6 {
 		t.Fatalf("len %d, want 6", q.len())
 	}
-	got := q.take(100, 2)
+	got := q.take(nil, 0, 2)
 	if len(got) != 2 || got[0].obj.Start != 0 || got[1].obj.Start != 20 {
-		t.Fatalf("take(100, 2) = %+v", got)
+		t.Fatalf("take(tape 100, 2) = %+v", got)
 	}
 	if q.len() != 4 {
 		t.Fatalf("len %d after take, want 4", q.len())
 	}
-	// limit 0 drains the rest of the tape.
-	rest := q.take(100, 0)
-	if len(rest) != 1 || rest[0].obj.Start != 40 {
-		t.Fatalf("take(100, 0) = %+v", rest)
+	// limit 0 drains the rest of the tape, appending after what dst
+	// already holds.
+	rest := q.take(got[:1], 0, 0)
+	if len(rest) != 2 || rest[0].obj.Start != 0 || rest[1].obj.Start != 40 {
+		t.Fatalf("take(tape 100, 0) = %+v", rest)
 	}
-	if _, ok := q.perTape[100]; ok {
-		t.Fatal("drained tape still present in perTape")
+	// A drained tape stays in the dense queue as an empty group: it
+	// yields nothing more and is never picked again, even though it
+	// holds the older work's serial and is on the shelf.
+	if n := q.perTape[0].len(); n != 0 {
+		t.Fatalf("drained tape still holds %d requests", n)
 	}
-	if q.take(999, 0) != nil {
-		t.Fatal("take on unknown tape returned a batch")
+	if more := q.take(nil, 0, 0); len(more) != 0 {
+		t.Fatalf("take on a drained tape returned %+v", more)
+	}
+	if cart, ok := q.pickFor(loadedBy, 0); !ok || cart != 1 {
+		t.Fatalf("pickFor after draining tape 100 = %d, %v; want tape index 1", cart, ok)
+	}
+	if q.len() != 3 {
+		t.Fatalf("len %d after drain, want 3", q.len())
 	}
 }
 
 func TestBatchQueuePickSerialZero(t *testing.T) {
-	q := newBatchQueue()
+	q, loadedBy := testQueue(0, 7)
 	// Serial 0 has the most pending work: it must win the pick even
 	// though 0 doubled as the seed's "no candidate" sentinel.
-	q.push(qpending(0, 0, 0))
-	q.push(qpending(0, 10, 1))
-	q.push(qpending(7, 0, 0))
-	serial, ok := q.pick(nil)
-	if !ok || serial != 0 {
-		t.Fatalf("pick = %d, %v; want 0, true", serial, ok)
+	q.push(qpending(q, 0, 0, 0))
+	q.push(qpending(q, 0, 10, 1))
+	q.push(qpending(q, 1, 0, 0))
+	cart, ok := q.pickFor(loadedBy, 0)
+	if !ok || q.serials[cart] != 0 {
+		t.Fatalf("pickFor = %d, %v; want serial 0", cart, ok)
 	}
-	// With serial 0 excluded (loaded elsewhere), 7 is next.
-	serial, ok = q.pick(map[int64]bool{0: true})
-	if !ok || serial != 7 {
-		t.Fatalf("pick excluding 0 = %d, %v; want 7, true", serial, ok)
+	// A cartridge loaded in the asking drive stays a candidate.
+	loadedBy[0] = 0
+	if cart, ok := q.pickFor(loadedBy, 0); !ok || q.serials[cart] != 0 {
+		t.Fatalf("pickFor with serial 0 in the asking drive = %d, %v; want serial 0", cart, ok)
 	}
-	// Everything excluded: no candidate, reported explicitly rather
-	// than through a sentinel value.
-	if _, ok := q.pick(map[int64]bool{0: true, 7: true}); ok {
-		t.Fatal("pick found a tape with all tapes excluded")
+	// Loaded in another drive, it is excluded and 7 is next.
+	loadedBy[0] = 1
+	cart, ok = q.pickFor(loadedBy, 0)
+	if !ok || q.serials[cart] != 7 {
+		t.Fatalf("pickFor excluding serial 0 = %d, %v; want serial 7", cart, ok)
+	}
+	// Everything excluded (7 in the robot's gripper): no candidate,
+	// reported explicitly rather than through a sentinel value.
+	loadedBy[1] = robotHeld
+	if cart, ok := q.pickFor(loadedBy, 0); ok {
+		t.Fatalf("pickFor found tape index %d with all tapes excluded", cart)
 	}
 }
 
 func TestBatchQueuePickTieBreaks(t *testing.T) {
-	q := newBatchQueue()
-	q.push(qpending(5, 0, 2))
-	q.push(qpending(3, 0, 2))
+	// Serials out of index order: the tie-break compares serials, not
+	// positions.
+	q, loadedBy := testQueue(5, 3, 9)
+	q.push(qpending(q, 0, 0, 2))
+	q.push(qpending(q, 1, 0, 2))
 	// Equal counts and equal oldest arrival: lowest serial wins.
-	if serial, _ := q.pick(nil); serial != 3 {
-		t.Fatalf("equal-count equal-age pick = %d, want 3", serial)
+	if cart, _ := q.pickFor(loadedBy, 0); q.serials[cart] != 3 {
+		t.Fatalf("equal-count equal-age pick = serial %d, want 3", q.serials[cart])
 	}
 	// Older work wins over serial order.
-	q.push(qpending(9, 0, 1))
-	if serial, _ := q.pick(nil); serial != 9 {
-		t.Fatalf("oldest-work pick = %d, want 9", serial)
+	q.push(qpending(q, 2, 0, 1))
+	if cart, _ := q.pickFor(loadedBy, 0); q.serials[cart] != 9 {
+		t.Fatalf("oldest-work pick = serial %d, want 9", q.serials[cart])
+	}
+	// More work wins over age.
+	q.push(qpending(q, 0, 10, 3))
+	if cart, _ := q.pickFor(loadedBy, 0); q.serials[cart] != 5 {
+		t.Fatalf("most-work pick = serial %d, want 5", q.serials[cart])
 	}
 }
 
 func TestBatchQueueCompaction(t *testing.T) {
-	q := newBatchQueue()
+	q, _ := testQueue(1)
 	for i := 0; i < 100; i++ {
-		q.push(qpending(1, i, float64(i)))
+		q.push(qpending(q, 0, i, float64(i)))
 	}
 	// Consume past the halfway mark in small bites; the backing slice
 	// must compact instead of retaining every served entry.
 	for i := 0; i < 6; i++ {
-		q.take(1, 10)
+		q.take(nil, 0, 10)
 	}
-	tq := q.perTape[1]
+	tq := &q.perTape[0]
 	if tq.head != 0 {
 		t.Fatalf("head %d after compaction threshold, want 0", tq.head)
 	}
 	if len(tq.reqs) != 40 {
 		t.Fatalf("backing slice holds %d entries, want the 40 live ones", len(tq.reqs))
 	}
-	if got := q.take(1, 0); len(got) != 40 || got[0].obj.Start != 60 {
+	if got := q.take(nil, 0, 0); len(got) != 40 || got[0].obj.Start != 60 {
 		t.Fatalf("post-compaction drain = %d entries starting %d", len(got), got[0].obj.Start)
 	}
 }
@@ -103,28 +139,32 @@ func TestBatchQueueCompaction(t *testing.T) {
 // The seed's splitBatch rebuilt the whole queue on every batch —
 // O(queue) per take, O(n²) per run. The benchmark pair documents the
 // win from head-index compaction.
-func benchPendings(n int) []pending {
+func benchPendings(q *batchQueue, n int) []pending {
 	ps := make([]pending, n)
 	for i := range ps {
-		ps[i] = qpending(int64(100+i%8), i, float64(i))
+		ps[i] = qpending(q, i%len(q.serials), i, float64(i))
 	}
 	return ps
 }
 
+var benchSerials = []int64{100, 101, 102, 103, 104, 105, 106, 107}
+
 func BenchmarkBatchQueueTake(b *testing.B) {
-	src := benchPendings(4096)
+	q0, loadedBy := testQueue(benchSerials...)
+	src := benchPendings(q0, 4096)
+	var batch []pending
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := newBatchQueue()
+		q := newBatchQueue(benchSerials)
 		for _, p := range src {
 			q.push(p)
 		}
 		for q.len() > 0 {
-			serial, ok := q.pick(nil)
+			cart, ok := q.pickFor(loadedBy, 0)
 			if !ok {
-				b.Fatal("pick failed with work pending")
+				b.Fatal("pickFor failed with work pending")
 			}
-			if len(q.take(serial, 16)) == 0 {
+			if batch = q.take(batch[:0], cart, 16); len(batch) == 0 {
 				b.Fatal("empty take")
 			}
 		}
@@ -132,7 +172,8 @@ func BenchmarkBatchQueueTake(b *testing.B) {
 }
 
 func BenchmarkBatchQueueSeedSplit(b *testing.B) {
-	src := benchPendings(4096)
+	q0, _ := testQueue(benchSerials...)
+	src := benchPendings(q0, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		queue := append([]pending(nil), src...)

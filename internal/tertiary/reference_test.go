@@ -152,7 +152,7 @@ func refServeBatch(l *Library, d *refDriveState, serial int64, start float64, ba
 			busy += d.dev.Rewind() + l.cfg.UnmountSec
 		}
 		busy += l.cfg.MountSec
-		d.dev = drive.New(l.tapes[serial])
+		d.dev = drive.New(l.tapes[l.index[serial]])
 		d.mounted = serial
 	}
 	d.dev.ResetClock()
@@ -173,7 +173,7 @@ func refServeBatch(l *Library, d *refDriveState, serial int64, start float64, ba
 		return lens[i] < lens[j]
 	})
 
-	model := l.models[serial]
+	model := l.models[l.index[serial]]
 	var completions []Completion
 	for _, rl := range lens {
 		group := byLen[rl]

@@ -14,13 +14,13 @@ import (
 )
 
 // driveState tracks one transport through the simulation. Emptiness
-// is an explicit flag, not a sentinel serial: cartridge serial 0 is
-// as legal as any other. The states live in one flat slice on the
-// runState so the dispatch loop walks contiguous memory.
+// is an explicit flag, not a sentinel: cartridge index 0 is as legal
+// as any other. The states live in one flat slice on the runState so
+// the dispatch loop walks contiguous memory.
 type driveState struct {
 	id     int
 	dev    *drive.Drive
-	serial int64
+	cart   int // index of the loaded cartridge, when loaded
 	loaded bool
 	idle   bool
 	busy   float64
@@ -65,29 +65,35 @@ type runState struct {
 	queueCap  int
 	q         *batchQueue
 	drives    []driveState
-	loadedBy  map[int64]int // cartridge serial -> drive holding it (robotHeld while in transit)
+	loadedBy  []int // cartridge index -> drive holding it (onShelf, robotHeld in transit)
 	events    eventHeap
 	robotFree float64 // virtual time the robot arm finishes its last exchange
 
 	// Lifecycle-fault state, all nil/empty unless Config.Lifecycle is
 	// armed: the lifecycle generator, the brownout admission breaker,
 	// the permanently lost cartridges, and the per-cartridge fetch
-	// ordinals feeding the loss draws. requeues holds the payloads of
-	// pending evRequeue events (rescued batches and replica
-	// redirects), indexed by the event's ref. hasDeadlines short-
-	// circuits the per-batch expiry scan when no request carries one.
+	// ordinals feeding the loss draws (both by cartridge index).
+	// requeues holds the payloads of pending evRequeue events (rescued
+	// batches and replica redirects), indexed by the event's ref.
+	// hasDeadlines short-circuits the per-batch expiry scan when no
+	// request carries one.
 	lc           *fault.Lifecycle
 	breaker      *breaker
-	dead         map[int64]bool
-	fetches      map[int64]int
+	dead         []bool
+	fetches      []int
 	requeues     []requeueBatch
 	hasDeadlines bool
 
 	// Event-loop clock. now is the current virtual time. Keeping the
 	// clock on the state (instead of locals in Run) lets stepTo advance
 	// the loop incrementally, which is how a fleet Runner embeds the
-	// shard between externally routed arrivals.
+	// shard between externally routed arrivals. settled records that
+	// the last stepTo stopped at a fixed point of its pass at now, with
+	// nothing able to happen before wakeAt (see Runner.AdvanceTo);
+	// OfferRouted clears it.
 	now      float64
+	settled  bool
+	wakeAt   float64
 	finished bool
 	reg      *obs.Registry
 	trace    *obs.TraceHandle
@@ -117,34 +123,40 @@ type runState struct {
 	cLostCart *obs.Counter
 	cDriveDn  *obs.Counter
 	cStalls   *obs.Counter
-	cMounts   map[int64]*obs.Counter
-	hLatency  map[int64]*obs.Histogram
+	cMounts   []*obs.Counter   // by cartridge index
+	hLatency  []*obs.Histogram // by cartridge index
 	hRobotW   *obs.Histogram
 	hBatchSz  *obs.Histogram
 	hBatchSec *obs.Histogram
 	hOpSec    [drive.NumOps]*obs.Histogram
 
-	// Per-batch scratch, reused across batches: the distinct extent
-	// starts of one size class (uniq becomes the scheduling problem's
-	// request list) and the start -> requests multimap (slotOf indexes
-	// into slots, whose per-slot slices keep their backing arrays).
-	// Both maps drain back to empty by the end of each batch.
+	// Per-batch scratch, reused across batches: the batch cut off the
+	// queue, the distinct extent starts of one size class (uniq
+	// becomes the scheduling problem's request list) and the start ->
+	// requests multimap (slotOf indexes into slots, whose per-slot
+	// slices keep their backing arrays). The map drains back to empty
+	// by the end of each batch.
+	batch  []pending
 	uniq   []int
 	slotOf map[int]int32
 	slots  [][]pending
 }
 
-// robotHeld is the loadedBy sentinel for a cartridge in the robot's
-// gripper (being unloaded from a dead drive): no drive may pick it
-// until the requeue event puts it back on the shelf.
-const robotHeld = -1
+// The loadedBy values that are not a drive: onShelf for a cartridge
+// in its slot, robotHeld for one in the robot's gripper (being
+// unloaded from a dead drive), which no drive may pick until the
+// requeue event puts it back on the shelf.
+const (
+	onShelf   = -2
+	robotHeld = -1
+)
 
 // requeueBatch is the payload of one evRequeue event: requests going
 // back to the backlog once the robot has shelved a dead drive's
-// cartridge (release set, serial identifying it) or a failed read has
+// cartridge (release set, cart identifying it) or a failed read has
 // redirected to a replica (release false).
 type requeueBatch struct {
-	serial  int64
+	cart    int
 	release bool
 	ps      []pending
 }
@@ -161,23 +173,26 @@ func (s *runState) gauge(name string, extra ...obs.Label) *obs.Gauge {
 	return s.reg.Gauge(name, append(extra, s.cfg.Labels...)...)
 }
 
-func (s *runState) mountsCounter(serial int64) *obs.Counter {
-	c := s.cMounts[serial]
+func (s *runState) mountsCounter(cart int) *obs.Counter {
+	c := s.cMounts[cart]
 	if c == nil {
-		c = s.counter("mounts_total", obs.L("tape", strconv.FormatInt(serial, 10)))
-		s.cMounts[serial] = c
+		c = s.counter("mounts_total", obs.L("tape", strconv.FormatInt(s.l.serials[cart], 10)))
+		s.cMounts[cart] = c
 	}
 	return c
 }
 
-func (s *runState) latencyHist(serial int64) *obs.Histogram {
-	h := s.hLatency[serial]
+func (s *runState) latencyHist(cart int) *obs.Histogram {
+	h := s.hLatency[cart]
 	if h == nil {
-		h = s.histogram("latency_seconds", obs.L("tape", strconv.FormatInt(serial, 10)))
-		s.hLatency[serial] = h
+		h = s.histogram("latency_seconds", obs.L("tape", strconv.FormatInt(s.l.serials[cart], 10)))
+		s.hLatency[cart] = h
 	}
 	return h
 }
+
+// lost reports whether the robot has permanently lost the cartridge.
+func (s *runState) lost(cart int) bool { return s.dead != nil && s.dead[cart] }
 
 // Run serves every request and returns the completions (in completion
 // order) and run metrics. Requests may arrive at any time; the
@@ -201,12 +216,22 @@ func (l *Library) Run(requests []Request) ([]Completion, Metrics, error) {
 // stepTo is the central dispatch over the shared event heap: wake
 // events due at the current clock, admit arrivals up to it, hand work
 // to every idle drive, then advance to the next drive completion or
-// arrival — stopping once the next step would land after until. Each
-// pass is idempotent at a fixed clock, so calling stepTo repeatedly
-// (the incremental Runner does, with new arrivals offered in between)
+// arrival — stopping once the next step would land at or after until,
+// so the pass at until itself is left to a later call. Each pass is
+// idempotent at a fixed clock, so calling stepTo repeatedly (the
+// incremental Runner does, with new arrivals offered in between)
 // replays the exact event sequence one monolithic stepTo(+Inf)
-// produces.
+// produces: arrivals offered at until join the pass at until, as they
+// would in one Run.
+//
+// On return the loop has settled: the last pass at now left nothing
+// due (wake drained every event at or before now, admit every arrival,
+// dispatch every idle drive that can work), and wakeAt, the nextTime
+// that pass computed, is the earliest instant anything can change.
+// Until a new arrival is offered, another pass at now would repeat that
+// fixed point and stop again, so Runner.AdvanceTo skips it.
 func (s *runState) stepTo(until float64) error {
+	s.settled = false
 	for {
 		s.wake(s.now)
 		s.admit(s.now)
@@ -214,7 +239,8 @@ func (s *runState) stepTo(until float64) error {
 			return err
 		}
 		t, ok := s.nextTime(s.now)
-		if !ok || t > until {
+		if !ok || t >= until {
+			s.settled, s.wakeAt = true, t
 			return nil
 		}
 		s.now = t
@@ -239,6 +265,10 @@ func (l *Library) resolve(i int, r Request) (pending, bool, error) {
 	if !ok {
 		return pending{}, false, fmt.Errorf("tertiary: request for unknown object %q", r.ObjectID)
 	}
+	ci, ok := l.index[o.Tape]
+	if !ok {
+		return pending{}, false, fmt.Errorf("tertiary: object %q on unknown tape %d", r.ObjectID, o.Tape)
+	}
 	if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
 		return pending{}, false, fmt.Errorf("tertiary: request %d arrives at %g", i, r.Arrival)
 	}
@@ -248,7 +278,7 @@ func (l *Library) resolve(i int, r Request) (pending, bool, error) {
 	if r.Deadline == 0 && l.cfg.DeadlineSec > 0 {
 		r.Deadline = r.Arrival + l.cfg.DeadlineSec
 	}
-	return pending{req: r, obj: o}, r.Deadline > 0, nil
+	return pending{req: r, obj: o, cart: ci}, r.Deadline > 0, nil
 }
 
 // newRun validates the configuration (a Clone skips New's checks) and
@@ -282,13 +312,16 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		cfg:      l.cfg,
 		arrivals: arrivals,
 		queueCap: queueCap,
-		q:        newBatchQueue(),
+		q:        newBatchQueue(l.serials),
 		drives:   make([]driveState, l.cfg.Drives),
-		loadedBy: make(map[int64]int, l.cfg.Drives),
+		loadedBy: make([]int, len(l.serials)),
 		reg:      reg,
 		done:     make([]Completion, 0, len(arrivals)),
-		cMounts:  make(map[int64]*obs.Counter),
-		hLatency: make(map[int64]*obs.Histogram),
+		cMounts:  make([]*obs.Counter, len(l.serials)),
+		hLatency: make([]*obs.Histogram, len(l.serials)),
+	}
+	for i := range s.loadedBy {
+		s.loadedBy[i] = onShelf
 	}
 	s.hasDeadlines = hasDeadlines
 	s.events.ev = make([]driveEvent, 0, l.cfg.Drives)
@@ -302,8 +335,8 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 	if l.cfg.Lifecycle.Enabled() {
 		s.lc = fault.NewLifecycle(l.cfg.Lifecycle)
 		s.breaker = newBreaker(l.cfg.Drives)
-		s.dead = make(map[int64]bool)
-		s.fetches = make(map[int64]int)
+		s.dead = make([]bool, len(l.serials))
+		s.fetches = make([]int, len(l.serials))
 		for i := range s.drives {
 			s.drives[i].outCounted = -1
 		}
@@ -357,7 +390,7 @@ func (s *runState) admit(until float64) {
 			s.emitTerminal(p, obs.OutcomeShed, obs.EventNoDrive, p.req.Arrival)
 			continue
 		}
-		if s.dead != nil && s.dead[p.obj.Tape] {
+		if s.lost(p.cart) {
 			if !s.redirect(&p) {
 				s.failRequests(1)
 				s.emitTerminal(p, obs.OutcomeFailed, obs.EventNoDrive, p.req.Arrival)
@@ -393,11 +426,11 @@ func (s *runState) dispatch(now float64) error {
 		// failed pick removes its cartridge's group (shed, or
 		// drained for replica redirect), so the loop terminates.
 		for d.idle && !s.driveDown(d, now) {
-			serial, ok := s.q.pickFor(s.loadedBy, d.id)
+			cart, ok := s.q.pickFor(s.loadedBy, d.id)
 			if !ok {
 				break
 			}
-			dispatched, err := s.serve(d, serial, now)
+			dispatched, err := s.serve(d, cart, now)
 			if err != nil {
 				return err
 			}
@@ -466,8 +499,9 @@ func (s *runState) redirect(p *pending) bool {
 		if p.replica > len(reps) {
 			return false
 		}
-		if o := reps[p.replica-1]; !s.dead[o.Tape] {
-			p.obj = o
+		o := reps[p.replica-1]
+		if ci := s.l.index[o.Tape]; !s.lost(ci) {
+			p.obj, p.cart = o, ci
 			return true
 		}
 	}
@@ -634,19 +668,18 @@ func (s *runState) handleDriveFail(d *driveState, t float64) {
 	s.cRescued.Add(int64(len(d.rescue)))
 	if s.trace != nil {
 		s.trace.Start("rescue", s.root, t).Lane(s.laneFor(d)).
-			Attr("tape", strconv.FormatInt(d.serial, 10)).
+			Attr("tape", strconv.FormatInt(s.l.serials[d.cart], 10)).
 			AttrInt("count", len(d.rescue)).End(unloadEnd)
 	}
 
 	// Wear is retired at unload like a normal exchange; the cartridge
 	// rides the gripper (robotHeld) until the requeue shelves it.
 	d.passes += d.dev.Stats().HeadPasses(s.cfg.Profile)
-	s.loadedBy[d.serial] = robotHeld
-	serial := d.serial
+	s.loadedBy[d.cart] = robotHeld
 	d.loaded = false
 	d.idle = true
 
-	s.requeues = append(s.requeues, requeueBatch{serial: serial, release: true, ps: d.rescue})
+	s.requeues = append(s.requeues, requeueBatch{cart: d.cart, release: true, ps: d.rescue})
 	d.rescue = nil
 	s.events.push(driveEvent{at: unloadEnd, drive: d.id, kind: evRequeue, ref: int32(len(s.requeues) - 1)})
 	if unloadEnd > s.m.Makespan {
@@ -659,11 +692,11 @@ func (s *runState) handleDriveFail(d *driveState, t float64) {
 // target cartridge that died while the batch was in flight redirects
 // again (or fails the request when its replicas are exhausted).
 func (s *runState) handleRequeue(rq *requeueBatch) {
-	if rq.release && s.loadedBy[rq.serial] == robotHeld {
-		delete(s.loadedBy, rq.serial)
+	if rq.release && s.loadedBy[rq.cart] == robotHeld {
+		s.loadedBy[rq.cart] = onShelf
 	}
 	for _, p := range rq.ps {
-		if s.dead != nil && s.dead[p.obj.Tape] && !s.redirect(&p) {
+		if s.lost(p.cart) && !s.redirect(&p) {
 			s.failRequests(1)
 			s.emitTerminal(p, obs.OutcomeFailed, obs.EventNoDrive, s.now)
 			continue
@@ -687,7 +720,8 @@ func deriveFaultSeed(base, serial int64, driveID, mount int) int64 {
 // robot arm (one exchange at a time: a busy arm queues the swap) and
 // returns the rewind time charged to the outgoing cartridge, the time
 // spent queued for the arm, and the exchange handling time itself.
-func (s *runState) exchange(d *driveState, serial int64, now float64) (rewind, wait, exDur float64) {
+func (s *runState) exchange(d *driveState, cart int, now float64) (rewind, wait, exDur float64) {
+	serial := s.l.serials[cart]
 	if d.loaded {
 		// The outgoing device's clock keeps running through the
 		// rewind; re-anchor its span base so the rewind leaf span
@@ -702,12 +736,12 @@ func (s *runState) exchange(d *driveState, serial int64, now float64) (rewind, w
 			s.cUnmounts = s.counter("unmounts_total")
 		}
 		s.cUnmounts.Inc()
-		delete(s.loadedBy, d.serial)
+		s.loadedBy[d.cart] = onShelf
 	}
 	exDur += s.cfg.MountSec
 	s.m.Mounts++
 	s.m.RobotMoves++
-	s.mountsCounter(serial).Inc()
+	s.mountsCounter(cart).Inc()
 	if s.lc != nil {
 		// Robot stalls extend the exchange handling time; the draw is
 		// a pure hash of the arm-trip ordinal, so it does not depend
@@ -745,14 +779,15 @@ func (s *runState) exchange(d *driveState, serial int64, now float64) (rewind, w
 			Attr("tape", strconv.FormatInt(serial, 10)).End(exStart + wait + exDur)
 	}
 
-	dev := drive.New(s.l.tapes[serial])
+	tape := s.l.tapes[cart]
+	dev := drive.New(tape)
 	f := s.cfg.Faults
 	armed := f.Enabled()
 	if s.lc != nil {
 		// A cartridge's bad-spot region is a permanent media defect:
 		// a pure hash of the serial, so every mount of the cartridge
 		// sees the same region.
-		if start, n, bad := s.lc.BadSpot(serial, s.l.tapes[serial].Segments()); bad {
+		if start, n, bad := s.lc.BadSpot(serial, tape.Segments()); bad {
 			f.BadSpotStart, f.BadSpotLen = start, n
 			armed = true
 		}
@@ -763,10 +798,10 @@ func (s *runState) exchange(d *driveState, serial int64, now float64) (rewind, w
 	}
 	dev.AttachTrace(d.traceFn)
 	d.dev = dev
-	d.serial = serial
+	d.cart = cart
 	d.loaded = true
 	d.mounts++
-	s.loadedBy[serial] = d.id
+	s.loadedBy[cart] = d.id
 	return rewind, wait, exDur
 }
 
@@ -821,8 +856,10 @@ func (s *runState) driveTraceFn(d *driveState) drive.TraceFunc {
 // shed past its deadline, or a cartridge the robot loses on the
 // fetch, leaves the drive idle (and the queue changed) for the
 // dispatch loop to re-pick.
-func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error) {
-	batch := s.q.take(serial, s.cfg.BatchLimit)
+func (s *runState) serve(d *driveState, cart int, now float64) (bool, error) {
+	serial := s.l.serials[cart]
+	batch := s.q.take(s.batch[:0], cart, s.cfg.BatchLimit)
+	s.batch = batch
 	if len(batch) == 0 {
 		return false, fmt.Errorf("tertiary: internal: dispatched empty batch for tape %d", serial)
 	}
@@ -845,11 +882,11 @@ func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error)
 	// A fetch of an unmounted cartridge can lose it permanently: the
 	// arm trip happens (one robot move) but no mount does, and the
 	// batch degrades to surviving replicas or fails.
-	if s.lc != nil && (!d.loaded || d.serial != serial) {
-		ord := s.fetches[serial]
-		s.fetches[serial] = ord + 1
+	if s.lc != nil && (!d.loaded || d.cart != cart) {
+		ord := s.fetches[cart]
+		s.fetches[cart] = ord + 1
 		if s.lc.CartridgeLost(serial, ord) {
-			s.loseCartridge(d, serial, now, batch)
+			s.loseCartridge(d, cart, now, batch)
 			return false, nil
 		}
 	}
@@ -860,8 +897,8 @@ func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error)
 	}
 
 	var rewind, wait, exDur float64
-	if !d.loaded || d.serial != serial {
-		rewind, wait, exDur = s.exchange(d, serial, now)
+	if !d.loaded || d.cart != cart {
+		rewind, wait, exDur = s.exchange(d, cart, now)
 	}
 	// cut is the time the drive's next outage begins: completions and
 	// failures past it never happen — the batch is truncated there
@@ -893,7 +930,7 @@ func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error)
 		}
 	}
 	if single {
-		if err := s.serveClass(d, serial, now, serveStart, c0, wait, rewind+exDur, cut, rl0, batch); err != nil {
+		if err := s.serveClass(d, cart, now, serveStart, c0, wait, rewind+exDur, cut, rl0, batch); err != nil {
 			return false, err
 		}
 	} else {
@@ -912,7 +949,7 @@ func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error)
 			return lens[i] < lens[j]
 		})
 		for _, rl := range lens {
-			if err := s.serveClass(d, serial, now, serveStart, c0, wait, rewind+exDur, cut, rl, byLen[rl]); err != nil {
+			if err := s.serveClass(d, cart, now, serveStart, c0, wait, rewind+exDur, cut, rl, byLen[rl]); err != nil {
 				return false, err
 			}
 		}
@@ -960,8 +997,9 @@ func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error)
 // gone. The taken batch plus the tape's remaining backlog redirect to
 // surviving replicas once the arm trip returns empty-handed, or fail
 // when no replica remains.
-func (s *runState) loseCartridge(d *driveState, serial int64, now float64, batch []pending) {
-	s.dead[serial] = true
+func (s *runState) loseCartridge(d *driveState, cart int, now float64, batch []pending) {
+	serial := s.l.serials[cart]
+	s.dead[cart] = true
 	s.m.LostCartridges++
 	if s.cLostCart == nil {
 		s.cLostCart = s.counter("lost_cartridges_total")
@@ -984,7 +1022,7 @@ func (s *runState) loseCartridge(d *driveState, serial int64, now float64, batch
 		s.trace.Start("lost-cartridge", s.root, now).
 			Attr("tape", strconv.FormatInt(serial, 10)).End(tripEnd)
 	}
-	batch = append(batch, s.q.take(serial, 0)...)
+	batch = s.q.take(batch, cart, 0)
 	redirected := make([]pending, 0, len(batch))
 	for _, p := range batch {
 		if s.redirect(&p) {
@@ -1012,7 +1050,8 @@ func (s *runState) loseCartridge(d *driveState, serial int64, now float64, batch
 // to each. cut is the time the drive's next outage begins: outcomes
 // past it never happen — those requests are rescued onto d.rescue
 // with the doomed attempt's duration charged to their RescueSec.
-func (s *runState) serveClass(d *driveState, serial int64, now, serveStart, c0, robotSec, mountSec, cut float64, rl int, group []pending) error {
+func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robotSec, mountSec, cut float64, rl int, group []pending) error {
+	serial := s.l.serials[cart]
 	// The start -> pending-requests multimap lives in run-lifetime
 	// scratch: slotOf indexes into slots, whose per-slot slices keep
 	// their backing arrays across batches. Every entry is deleted as
@@ -1038,7 +1077,7 @@ func (s *runState) serveClass(d *driveState, serial int64, now, serveStart, c0, 
 	}
 	s.uniq = uniq
 
-	s.prob = core.Problem{Start: d.dev.Position(), Requests: uniq, ReadLen: rl, Cost: s.l.models[serial]}
+	s.prob = core.Problem{Start: d.dev.Position(), Requests: uniq, ReadLen: rl, Cost: s.l.models[cart]}
 	plan, err := s.l.sched.Schedule(&s.prob)
 	if err != nil {
 		return fmt.Errorf("tertiary: scheduling %d requests on tape %d: %w", len(uniq), serial, err)
@@ -1114,7 +1153,7 @@ func (s *runState) serveClass(d *driveState, serial int64, now, serveStart, c0, 
 				s.cServed = s.counter("served_total")
 			}
 			s.cServed.Inc()
-			s.latencyHist(serial).Observe(serveStart + offset + er.Completions[i] - p.req.Arrival)
+			s.latencyHist(cart).Observe(serveStart + offset + er.Completions[i] - p.req.Arrival)
 		}
 		delete(s.slotOf, seg)
 	}

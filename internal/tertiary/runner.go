@@ -16,9 +16,24 @@ import (
 //
 // A Runner fed the requests of a Run call in arrival order — offered
 // between AdvanceTo calls at their own timestamps — produces
-// bit-identical completions and metrics to that Run call:
-// TestRunnerMatchesRun and the fleet's single-shard equivalence test
-// pin exactly this.
+// bit-identical completions, metrics and wide events to that Run call:
+// TestRunnerMatchesRun, FuzzRunnerAdvance and the fleet's single-shard
+// equivalence test pin exactly this. AdvanceTo(t) steps through every
+// instant before t and leaves the instant t itself to the next call, so
+// a drive event that falls exactly on an arrival's timestamp is handled
+// in one pass with that arrival, as in Run.
+//
+// Advancing a quiescent runner is free. After an AdvanceTo the loop
+// has settled at its clock: nothing can happen before the next drive
+// event, arrival or repair (wakeAt). A later AdvanceTo(t) with t at or
+// before that instant and no offer in between returns at once without
+// stepping. Stepping would only repeat the settled pass at the
+// unchanged clock — wake with nothing due, admit with nothing arrived,
+// dispatch to drives that already found no work — and stop again on
+// the same wakeAt. The skipped call changes no state, so the output is
+// byte-identical to a runner that steps on every call. A fleet with
+// many shards and few arrivals per shard pays for stepping only the
+// shards that have work.
 //
 // A Runner belongs to one goroutine, like the run loop it wraps.
 type Runner struct {
@@ -40,7 +55,7 @@ func (l *Library) StartRun() (*Runner, error) {
 // nondecreasing in arrival time and never earlier than the clock the
 // runner has already advanced to — the event loop, like time, does not
 // rewind. The request is admitted (or rejected, shed, redirected) when
-// the loop next advances to its arrival time.
+// the loop next advances past its arrival time, or at Finish.
 func (r *Runner) Offer(req Request) error {
 	return r.OfferRouted(req, "")
 }
@@ -65,19 +80,26 @@ func (r *Runner) OfferRouted(req Request, route string) error {
 	p.route = route
 	s.hasDeadlines = s.hasDeadlines || dl
 	s.arrivals = append(s.arrivals, p)
+	s.settled = false
 	return nil
 }
 
-// AdvanceTo runs the event loop until nothing more can happen at or
-// before t: offered arrivals are admitted and dispatched, drives
-// complete and fail, rescues requeue. Times before the current clock
-// are a no-op, never a rewind.
+// AdvanceTo runs the event loop until nothing more can happen before
+// t: offered arrivals are admitted and dispatched, drives complete and
+// fail, rescues requeue. The instant t itself is left to the next call,
+// so requests offered at t join the events due then. Times at or
+// before the current clock are a no-op, never a rewind. When the loop
+// has settled since the last offer and t is no later than its next
+// possible event, the call returns without stepping (see Runner).
 func (r *Runner) AdvanceTo(t float64) error {
 	if r.s.finished {
 		return fmt.Errorf("tertiary: advance after Finish")
 	}
 	if math.IsNaN(t) {
 		return fmt.Errorf("tertiary: advance to NaN")
+	}
+	if r.s.settled && t <= r.s.wakeAt {
+		return nil
 	}
 	if t < r.s.now {
 		t = r.s.now
@@ -126,14 +148,17 @@ func (r *Runner) QueueDepth() int {
 // shard already holding its cartridge joins that cartridge's next
 // batch without an exchange.
 func (r *Runner) Mounted(serial int64) bool {
-	owner, ok := r.s.loadedBy[serial]
-	return ok && owner != robotHeld
+	ci, ok := r.s.l.index[serial]
+	return ok && r.s.loadedBy[ci] >= 0
 }
 
 // CartridgeLost reports whether the robot has permanently lost the
 // cartridge. A router consults it to steer requests at shards that
 // still hold a live copy.
-func (r *Runner) CartridgeLost(serial int64) bool { return r.s.dead[serial] }
+func (r *Runner) CartridgeLost(serial int64) bool {
+	ci, ok := r.s.l.index[serial]
+	return ok && r.s.lost(ci)
+}
 
 // Headroom is the library's live capacity fraction — live drives over
 // configured drives, 1 without lifecycle faults. It is the brownout

@@ -3,6 +3,7 @@ package tertiary
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -210,5 +211,70 @@ func TestRunnerErrors(t *testing.T) {
 	}
 	if _, _, err := r.Finish(); err == nil {
 		t.Error("double Finish accepted")
+	}
+}
+
+// TestRunnerSkipLeavesProbes pins the quiescence skip's contract from
+// the router's side: an AdvanceTo that lands on a settled loop no later
+// than its next event — at the clock, behind it, inside the idle gap,
+// or on the event's own instant — returns without stepping and leaves every probe the fleet reads
+// (Now, QueueDepth, Headroom, Mounted, CartridgeLost) and the recorded
+// completions exactly as they were.
+func TestRunnerSkipLeavesProbes(t *testing.T) {
+	lib, stream := buildTwinLibrary(t, 2, 4)
+	lib = lib.Clone(Config{Tapes: lib.Tapes(), Drives: 2, BatchLimit: 4, Scheduler: core.NewLOSS(),
+		Lifecycle: fault.LifecycleConfig{DriveMTTFSec: 3000, DriveMTTRSec: 600, Seed: 7}})
+	r, err := lib.StartRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offer a burst at one instant so both drives are busy and work
+	// stays queued behind them.
+	at := stream[0].Arrival
+	if err := r.AdvanceTo(at); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range stream[:24] {
+		req.Arrival = at
+		if err := r.Offer(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.AdvanceTo(at + 1); err != nil {
+		t.Fatal(err)
+	}
+	read := func() probes {
+		p := runnerProbes(r, lib.Tapes())
+		p.Completed = slices.Clone(p.Completed)
+		return p
+	}
+	before := read()
+	if before.Depth == 0 || !slices.Contains(before.Mounted, true) {
+		t.Fatalf("burst left no queued work or no mounted cartridge: %+v", before)
+	}
+	if !r.s.settled || r.s.wakeAt <= r.s.now {
+		t.Fatalf("loop not settled after AdvanceTo: settled %v, wakeAt %g, now %g", r.s.settled, r.s.wakeAt, r.s.now)
+	}
+	wakeAt := r.s.wakeAt
+	for _, ts := range []float64{before.Now, before.Now - 100, (before.Now + wakeAt) / 2, wakeAt} {
+		if err := r.AdvanceTo(ts); err != nil {
+			t.Fatal(err)
+		}
+		if got := read(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("AdvanceTo(%g) before wakeAt %g changed the probes:\nbefore %+v\nafter  %+v", ts, wakeAt, before, got)
+		}
+		if !r.s.settled || r.s.wakeAt != wakeAt {
+			t.Fatalf("AdvanceTo(%g) moved the settled point: settled %v, wakeAt %g (was %g)", ts, r.s.settled, r.s.wakeAt, wakeAt)
+		}
+	}
+	// Passing wakeAt steps again: the next event fires.
+	if err := r.AdvanceTo(math.Nextafter(wakeAt, math.Inf(1))); err != nil {
+		t.Fatal(err)
+	}
+	if r.Now() != wakeAt {
+		t.Fatalf("advancing past wakeAt %g left the clock at %g", wakeAt, r.Now())
+	}
+	if _, _, err := r.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -225,6 +225,8 @@ func (l *Library) Clone(cfg Config) *Library {
 	return &Library{
 		cfg:     cfg.withDefaults(),
 		catalog: l.catalog,
+		serials: l.serials,
+		index:   l.index,
 		tapes:   l.tapes,
 		models:  l.models,
 		sched:   sched,

@@ -352,11 +352,19 @@ func (cfg Config) validate() error {
 
 // Library is an online tertiary store: a robot, a drive pool, tapes,
 // and a catalog.
+//
+// The cartridges are held densely, in the order New's Config.Tapes
+// lists them: a cartridge's position there is its index into tapes and
+// models, and into every per-cartridge table a run keeps. index maps a
+// serial to that position; runs consult it only where a serial enters
+// (request resolution, replica redirects, the routing probes).
 type Library struct {
 	cfg     Config
 	catalog *Catalog
-	tapes   map[int64]*geometry.Tape
-	models  map[int64]*locate.Model
+	serials []int64
+	index   map[int64]int
+	tapes   []*geometry.Tape
+	models  []*locate.Model
 	sched   core.Scheduler
 }
 
@@ -381,12 +389,14 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 	l := &Library{
 		cfg:     cfg,
 		catalog: catalog,
-		tapes:   make(map[int64]*geometry.Tape, len(cfg.Tapes)),
-		models:  make(map[int64]*locate.Model, len(cfg.Tapes)),
+		serials: append([]int64(nil), cfg.Tapes...),
+		index:   make(map[int64]int, len(cfg.Tapes)),
+		tapes:   make([]*geometry.Tape, 0, len(cfg.Tapes)),
+		models:  make([]*locate.Model, 0, len(cfg.Tapes)),
 		sched:   sched,
 	}
-	for _, serial := range cfg.Tapes {
-		if _, dup := l.tapes[serial]; dup {
+	for i, serial := range cfg.Tapes {
+		if _, dup := l.index[serial]; dup {
 			return nil, fmt.Errorf("tertiary: duplicate tape serial %d", serial)
 		}
 		tape, err := geometry.Generate(cfg.Profile, serial)
@@ -397,12 +407,13 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.tapes[serial] = tape
-		l.models[serial] = model
+		l.index[serial] = i
+		l.tapes = append(l.tapes, tape)
+		l.models = append(l.models, model)
 	}
 	// Validate the catalog against the tapes.
 	for id, o := range catalog.objects {
-		tape, ok := l.tapes[o.Tape]
+		tape, ok := l.tape(o.Tape)
 		if !ok {
 			return nil, fmt.Errorf("tertiary: object %s on unknown tape %d", id, o.Tape)
 		}
@@ -436,10 +447,11 @@ func (l *Library) Objects() []Object { return l.catalog.All() }
 // it amortizes over whatever batch the re-fetch would join. Objects
 // on unknown tapes cost 0.
 func (l *Library) RefetchSec(o Object) float64 {
-	model, ok := l.models[o.Tape]
+	ci, ok := l.index[o.Tape]
 	if !ok {
 		return 0
 	}
+	model := l.models[ci]
 	cost := model.LocateTime(0, o.Start)
 	for k := 0; k < o.segments(); k++ {
 		cost += model.ReadTime(o.Start + k)
@@ -449,12 +461,18 @@ func (l *Library) RefetchSec(o Object) float64 {
 
 // Tapes returns the cartridge serials in the library.
 func (l *Library) Tapes() []int64 {
-	out := make([]int64, 0, len(l.tapes))
-	for s := range l.tapes {
-		out = append(out, s)
-	}
+	out := append([]int64(nil), l.serials...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// tape looks a cartridge up by serial.
+func (l *Library) tape(serial int64) (*geometry.Tape, bool) {
+	ci, ok := l.index[serial]
+	if !ok {
+		return nil, false
+	}
+	return l.tapes[ci], true
 }
 
 // pending is one unserved request resolved against the catalog.
@@ -465,8 +483,10 @@ func (l *Library) Tapes() []int64 {
 // media failure — attributed separately from queueing when the
 // request finally completes.
 type pending struct {
-	req       Request
-	obj       Object
+	req Request
+	obj Object
+	// cart is obj.Tape's index in the library's cartridge list.
+	cart      int
 	replica   int
 	rescueSec float64
 	// route is the routing tier's decision for the request
