@@ -200,6 +200,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEviction$$' -fuzztime $(FUZZTIME) ./internal/hsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRouting$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetFoldEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzAxisList$$' -fuzztime $(FUZZTIME) ./internal/grid/
 
 # Static analysis beyond vet, with pinned tool versions. Needs network
 # on first run to fetch the tools (CI caches them).

@@ -21,11 +21,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
+	"serpentine/internal/grid"
 	"serpentine/internal/obs"
 	"serpentine/internal/sim"
 )
@@ -66,11 +66,10 @@ func main() {
 			MediaRate:     *media,
 		},
 	}
-	rates, err := parseRates(*rateList)
-	if err != nil {
-		log.Fatal(err)
+	var err error
+	if cfg.Rates, err = grid.AxisList(*rateList, 0.0); err != nil {
+		log.Fatalf("bad -rates: %v", err)
 	}
-	cfg.Rates = rates
 	if *algs != "" {
 		for _, name := range strings.Split(*algs, ",") {
 			s, err := core.ByName(strings.TrimSpace(name))
@@ -114,19 +113,4 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-func parseRates(s string) ([]float64, error) {
-	var rates []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rate %q: %v", f, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("negative rate %g", v)
-		}
-		rates = append(rates, v)
-	}
-	return rates, nil
 }

@@ -16,10 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
-	"strconv"
-	"strings"
 
+	"serpentine/internal/grid"
 	"serpentine/internal/obs"
 	"serpentine/internal/tertiary"
 )
@@ -54,13 +54,13 @@ func main() {
 		Workers:        *workers,
 	}
 	var err error
-	if cfg.RatesPerHour, err = parseFloats(*rates); err != nil {
+	if cfg.RatesPerHour, err = grid.AxisList(*rates, math.SmallestNonzeroFloat64); err != nil {
 		log.Fatalf("bad -rates: %v", err)
 	}
-	if cfg.DriveCounts, err = parseInts(*drives, 1); err != nil {
+	if cfg.DriveCounts, err = grid.AxisList(*drives, 1); err != nil {
 		log.Fatalf("bad -drives: %v", err)
 	}
-	if cfg.BatchLimits, err = parseInts(*limits, 0); err != nil {
+	if cfg.BatchLimits, err = grid.AxisList(*limits, 0); err != nil {
 		log.Fatalf("bad -limits: %v", err)
 	}
 	var reg *obs.Registry
@@ -113,28 +113,4 @@ func main() {
 		log.Printf("introspection on http://%s (/metrics /statusz /tracez /debug/pprof); ^C to exit", addr)
 		select {}
 	}
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("value %q", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInts(s string, min int) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < min {
-			return nil, fmt.Errorf("value %q", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -22,11 +22,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
 	"serpentine/internal/core"
 	"serpentine/internal/geometry"
+	"serpentine/internal/grid"
 	"serpentine/internal/locate"
 	"serpentine/internal/sim"
 	"serpentine/internal/textplot"
@@ -85,14 +85,8 @@ func main() {
 	default:
 		log.Fatalf("bad -start %q, want random or bot", *start)
 	}
-	if *lengths != "" {
-		for _, f := range strings.Split(*lengths, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				log.Fatalf("bad length %q", f)
-			}
-			cfg.Lengths = append(cfg.Lengths, n)
-		}
+	if cfg.Lengths, err = grid.AxisList(*lengths, 1); err != nil {
+		log.Fatalf("bad -lengths: %v", err)
 	}
 
 	res, err := sim.Run(cfg)

@@ -9,7 +9,7 @@
 //	serve -rates 30,60,120,240 -n 500
 //	serve -policies quiesce,fixed-window -window 300 -algs LOSS,SLTF
 //	serve -metrics prom
-//	serve -listen :8080              # /metrics /statusz /tracez /debug/pprof
+//	serve -listen :8080              # after the run: /metrics /statusz /tracez /debug/pprof
 //
 // Runs are fully deterministic: the same flags produce the same
 // output at any worker count.
@@ -20,12 +20,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
+	"serpentine/internal/grid"
 	"serpentine/internal/obs"
 	"serpentine/internal/server"
 )
@@ -47,7 +48,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS)")
 		metrics   = flag.String("metrics", "", "append the merged metrics dump: 'prom' or 'json'")
 		listen    = flag.String("listen", "", "serve live introspection (/metrics /statusz /tracez /debug/pprof) on this address and block after the run")
-		spanCap   = flag.Int("spancap", 65536, "span store capacity for -listen tracing")
+		spanCap   = flag.Int("spancap", 8192, "per-cell span store capacity for -listen tracing")
 		transient = flag.Float64("transient", 0, "transient read-error rate (per read; 0 disables faults)")
 		overshoot = flag.Float64("overshoot", 0, "locate-overshoot rate (per locate)")
 		lost      = flag.Float64("lost", 0, "lost-servo-position rate (per locate)")
@@ -71,11 +72,10 @@ func main() {
 			MediaRate:     *media,
 		},
 	}
-	rates, err := parseRates(*rateList)
-	if err != nil {
-		log.Fatal(err)
+	var err error
+	if cfg.RatesPerHour, err = grid.AxisList(*rateList, math.SmallestNonzeroFloat64); err != nil {
+		log.Fatalf("bad -rates: %v", err)
 	}
-	cfg.RatesPerHour = rates
 	if *policies != "" {
 		for _, name := range strings.Split(*policies, ",") {
 			p, err := server.PolicyByName(strings.TrimSpace(name))
@@ -103,24 +103,12 @@ func main() {
 	default:
 		log.Fatalf("unknown -metrics format %q (want prom or json)", *metrics)
 	}
-	var tracer *obs.Tracer
 	if *listen != "" {
-		// Live introspection wants both halves of the subsystem armed:
-		// the merged registry even without -metrics, and a shared span
-		// tracer the cells record into as they run. The shared tracer's
-		// interleaving follows worker scheduling — it is for watching,
-		// not for committed evidence (cmd/trace does that, per cell).
 		if reg == nil {
 			reg = obs.NewRegistry()
 			cfg.Reg = reg
 		}
-		tracer = obs.NewTracer(*spanCap)
-		cfg.Spans = tracer
-		addr, err := obs.Serve(*listen, obs.MuxConfig{Reg: reg, Tracer: tracer})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("introspection on http://%s (/metrics /statusz /tracez /debug/pprof)", addr)
+		cfg.SpanCap = *spanCap
 	}
 
 	cells, err := server.Sweep(cfg)
@@ -148,22 +136,20 @@ func main() {
 	}
 	if *listen != "" {
 		w.Flush()
-		log.Printf("run complete; still serving introspection (^C to exit)")
+		// Replay every cell's spans into one live tracer in spec order
+		// — the same order at any worker count — so /tracez shows the
+		// deterministic timeline, then keep serving until interrupted.
+		tracer := obs.NewTracer(*spanCap * len(cells))
+		for _, c := range cells {
+			for _, s := range c.Spans {
+				tracer.Record(s)
+			}
+		}
+		addr, err := obs.Serve(*listen, obs.MuxConfig{Reg: reg, Tracer: tracer})
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("introspection on http://%s (/metrics /statusz /tracez /debug/pprof); ^C to exit", addr)
 		select {}
 	}
-}
-
-func parseRates(s string) ([]float64, error) {
-	var rates []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rate %q: %v", f, err)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("arrival rate must be positive, got %g", v)
-		}
-		rates = append(rates, v)
-	}
-	return rates, nil
 }

@@ -18,11 +18,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"serpentine/internal/core"
 	"serpentine/internal/geometry"
+	"serpentine/internal/grid"
 	"serpentine/internal/locate"
 	"serpentine/internal/sim"
 )
@@ -51,6 +50,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ts, err := grid.AxisList(*targets, 0.0)
+	if err != nil {
+		log.Fatalf("bad -targets: %v", err)
+	}
 
 	res, err := sim.Run(sim.Config{
 		Model:      model,
@@ -63,16 +66,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var ts []float64
-	if *targets != "" {
-		for _, f := range strings.Split(*targets, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				log.Fatalf("bad target %q", f)
-			}
-			ts = append(ts, v)
-		}
-	}
 	curves, err := sim.UtilizationCurves(res, sched.Name(), tape.Params().TransferRateBytesPerSec(), ts)
 	if err != nil {
 		log.Fatal(err)

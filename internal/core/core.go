@@ -108,8 +108,9 @@ func (pl *Plan) Estimate(p *Problem) locate.Breakdown {
 	return estimateSized(p, pl.Order)
 }
 
-// estimateSized is locate.EstimateSchedule generalized to
-// multi-segment requests.
+// estimateSized walks the plan: from the start position, locate to
+// each request in turn and read its ReadLen segments, leaving the head
+// at the reading start of the segment after the last one read.
 func estimateSized(p *Problem, order []int) locate.Breakdown {
 	var b locate.Breakdown
 	head := p.Start

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -193,6 +194,80 @@ func TestPlanEstimateAndFinalHead(t *testing.T) {
 	empty := Plan{}
 	if got := empty.FinalHead(p); got != 1000 {
 		t.Fatalf("empty FinalHead = %d, want start", got)
+	}
+}
+
+// With ReadLen 1 the estimate is the plain locate/read walk: each
+// locate starts at the segment after the previous read, and the
+// breakdown sums locates and reads and tracks the longest locate.
+func TestPlanEstimateAccumulates(t *testing.T) {
+	m := testModel(t, 1)
+	order := []int{100000, 200000, 50000}
+	p := &Problem{Start: 0, Requests: order, Cost: m}
+	b := (&Plan{Order: order}).Estimate(p)
+	if b.Locates != 3 {
+		t.Fatalf("Locates = %d, want 3", b.Locates)
+	}
+	locates := []float64{m.LocateTime(0, 100000), m.LocateTime(100001, 200000), m.LocateTime(200001, 50000)}
+	want, longest := 0.0, 0.0
+	for _, lt := range locates {
+		want += lt
+		longest = math.Max(longest, lt)
+	}
+	if math.Abs(b.Locate-want) > 1e-9 {
+		t.Fatalf("Locate = %g, want %g", b.Locate, want)
+	}
+	if b.MaxLocate != longest {
+		t.Fatalf("MaxLocate = %g, want %g", b.MaxLocate, longest)
+	}
+	wantRead := m.ReadTime(100000) + m.ReadTime(200000) + m.ReadTime(50000)
+	if math.Abs(b.Read-wantRead) > 1e-9 {
+		t.Fatalf("Read = %g, want %g", b.Read, wantRead)
+	}
+	if b.Total() != b.Locate+b.Read {
+		t.Fatal("Total != Locate+Read")
+	}
+	if got := b.PerLocate(); math.Abs(got-b.Total()/3) > 1e-12 {
+		t.Fatalf("PerLocate = %g", got)
+	}
+}
+
+func TestPlanEstimateEmpty(t *testing.T) {
+	p := &Problem{Start: 0, Cost: testModel(t, 1)}
+	b := (&Plan{}).Estimate(p)
+	if b.Total() != 0 || b.PerLocate() != 0 || b.Locates != 0 {
+		t.Fatal("empty schedule should be free")
+	}
+	if b.String() == "" {
+		t.Fatal("Breakdown.String empty")
+	}
+}
+
+// A perfectly sequential schedule costs pure reading: consecutive
+// segments have zero locate cost.
+func TestSequentialScheduleHasNoLocateCost(t *testing.T) {
+	m := testModel(t, 1)
+	order := make([]int, 100)
+	for i := range order {
+		order[i] = 5000 + i
+	}
+	p := &Problem{Start: 5000, Requests: order, Cost: m}
+	if b := (&Plan{Order: order}).Estimate(p); b.Locate != 0 {
+		t.Fatalf("sequential schedule locate cost = %g, want 0", b.Locate)
+	}
+}
+
+// Reading the last segment leaves the head on it: there is no next
+// segment to advance to.
+func TestPlanFinalHeadClampsAtEnd(t *testing.T) {
+	m := testModel(t, 1)
+	last := m.Segments() - 1
+	p := &Problem{Start: 0, Requests: []int{last}, Cost: m}
+	if got := (&Plan{Order: []int{last}}).FinalHead(p); got != last {
+		t.Fatalf("FinalHead after the last segment = %d, want %d", got, last)
+	}
+	if got := (&Plan{Order: []int{10}}).FinalHead(p); got != 11 {
+		t.Fatalf("FinalHead after segment 10 = %d, want 11", got)
 	}
 }
 

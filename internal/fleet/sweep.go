@@ -201,8 +201,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		}
 	}
 	cells := make([]Cell, len(specs))
-	regs := make([]*obs.Registry, len(specs))
-	err := grid.Run(cfg.Workers, len(specs), func(i int) error {
+	err := grid.Capture{Reg: cfg.Reg}.Sweep(cfg.Workers, len(specs), func(i int, p grid.Probes) error {
 		sp := specs[i]
 		rate := rates[sp.rateIdx]
 		shards := shardCounts[sp.shardIdx]
@@ -223,10 +222,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		if lifecycle.Enabled() {
 			lifecycle.Seed = seed + 5
 		}
-		var reg *obs.Registry
-		if cfg.Reg != nil {
-			reg = obs.NewRegistry()
-		}
 		var events *obs.EventRing
 		if cfg.EventCap > 0 {
 			events = obs.NewEventRing(cfg.EventCap)
@@ -240,7 +235,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			Cache:       cfg.Cache,
 			Router:      router,
 			Seed:        seed,
-			Reg:         reg,
+			Reg:         p.Reg,
 			Labels: []obs.Label{
 				obs.L("rate", fmt.Sprintf("%g", rate)),
 				obs.L("shards", strconv.Itoa(shards)),
@@ -260,18 +255,10 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			cell.Events = events.Events()
 		}
 		cells[i] = cell
-		regs[i] = reg
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Reg != nil {
-		// Merge in spec order so the aggregated dump is independent
-		// of which worker ran which cell.
-		for _, r := range regs {
-			cfg.Reg.Merge(r)
-		}
 	}
 	return cells, nil
 }

@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"io"
+
+	"serpentine/internal/grid"
 )
 
 // WriteFleet renders the fleet sweep: one block per arrival rate, one
@@ -12,24 +14,13 @@ import (
 // perfectly even deal; 1.00 is perfect balance). Fixed formatting
 // keeps the table byte-deterministic.
 func WriteFleet(w io.Writer, cells []Cell) error {
-	var rates []float64
-	seen := make(map[float64]bool)
-	for _, c := range cells {
-		if !seen[c.RatePerHour] {
-			seen[c.RatePerHour] = true
-			rates = append(rates, c.RatePerHour)
-		}
-	}
-	for _, rate := range rates {
+	for _, block := range grid.Blocks(cells, func(c Cell) float64 { return c.RatePerHour }) {
 		if _, err := fmt.Fprintf(w, "# arrival rate %g/h\n%6s %-13s %6s %6s %6s %6s %8s %12s %11s %9s %6s %9s\n",
-			rate, "shards", "router", "served", "failed", "reject", "shed", "IO/h",
+			block[0].RatePerHour, "shards", "router", "served", "failed", "reject", "shed", "IO/h",
 			"mean lat (s)", "max lat (s)", "affinity%", "xshard", "imbalance"); err != nil {
 			return err
 		}
-		for _, c := range cells {
-			if c.RatePerHour != rate {
-				continue
-			}
+		for _, c := range block {
 			m := c.Metrics
 			ioPerHour := 0.0
 			if m.Makespan > 0 {

@@ -155,8 +155,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		}
 	}
 	cells := make([]Cell, len(specs))
-	regs := make([]*obs.Registry, len(specs))
-	err = grid.Run(cfg.Workers, len(specs), func(i int) error {
+	err = grid.Capture{Reg: cfg.Reg, SpanCap: cfg.SpanCap}.Sweep(cfg.Workers, len(specs), func(i int, p grid.Probes) error {
 		sp := specs[i]
 		rate := rates[sp.rateIdx]
 		// One seed per rate, in tertiary.Sweep's index positions with
@@ -167,11 +166,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects)
 		if err != nil {
 			return fmt.Errorf("hsm: sweep arrivals %g/h: %w", rate, err)
-		}
-		reg := obs.NewRegistry()
-		var spans *obs.Tracer
-		if cfg.SpanCap > 0 {
-			spans = obs.NewTracer(cfg.SpanCap)
 		}
 		labels := []obs.Label{
 			obs.L("rate", fmt.Sprintf("%g", rate)),
@@ -188,8 +182,8 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			Tapes:      serials,
 			Drives:     drives,
 			BatchLimit: limit,
-			Reg:        reg,
-			Spans:      spans,
+			Reg:        p.Reg,
+			Spans:      p.Spans,
 			Labels:     labels,
 		})
 		var tierCfg Config
@@ -222,23 +216,15 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			cell.MeanSojourn = sum / float64(len(lats))
 		}
 		cell.P99Sojourn = stats.PercentileOrZero(lats, 99)
-		if spans != nil {
-			cell.Spans = spans.Spans()
+		if p.Spans != nil {
+			cell.Spans = p.Spans.Spans()
 			cell.Completions = comps
 		}
 		cells[i] = cell
-		regs[i] = reg
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Reg != nil {
-		// Merge in spec order so the aggregated dump is independent of
-		// which worker ran which cell.
-		for _, r := range regs {
-			cfg.Reg.Merge(r)
-		}
 	}
 	return cells, nil
 }
@@ -256,23 +242,12 @@ func sizeLabel(bytes int64) string {
 // per (cache size, policy), with hit rate, sojourn percentiles,
 // delivered throughput and the tape path's exchange work.
 func WriteCache(w io.Writer, cells []Cell) error {
-	var rates []float64
-	seen := make(map[float64]bool)
-	for _, c := range cells {
-		if !seen[c.RatePerHour] {
-			seen[c.RatePerHour] = true
-			rates = append(rates, c.RatePerHour)
-		}
-	}
-	for _, rate := range rates {
+	for _, block := range grid.Blocks(cells, func(c Cell) float64 { return c.RatePerHour }) {
 		if _, err := fmt.Fprintf(w, "# arrival rate %g/h\n%8s %-6s %6s %6s %8s %12s %11s %11s %8s %7s\n",
-			rate, "cache", "policy", "served", "hit%", "IO/h", "mean soj (s)", "p99 soj (s)", "max soj (s)", "mounts", "evicts"); err != nil {
+			block[0].RatePerHour, "cache", "policy", "served", "hit%", "IO/h", "mean soj (s)", "p99 soj (s)", "max soj (s)", "mounts", "evicts"); err != nil {
 			return err
 		}
-		for _, c := range cells {
-			if c.RatePerHour != rate {
-				continue
-			}
+		for _, c := range block {
 			m := c.Metrics
 			ioPerHour := 0.0
 			if m.Makespan > 0 {

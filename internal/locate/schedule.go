@@ -56,49 +56,6 @@ func (b Breakdown) String() string {
 		b.Total(), b.Locate, b.Read, b.Locates, b.PerLocate())
 }
 
-// HeadAfterRead returns the head position (as a segment number) after
-// reading segment lbn: the reading start of the next segment, or lbn
-// itself at the very end of the tape.
-func HeadAfterRead(c Cost, lbn int) int {
-	if lbn+1 < c.Segments() {
-		return lbn + 1
-	}
-	return lbn
-}
-
-// EstimateSchedule evaluates the execution of a schedule: starting
-// with the head at the reading start of segment start, locate to and
-// read each segment of order in turn. This is the paper's essential
-// scheduling ingredient: "numerous possible rearrangements of a list
-// of desired segments can be evaluated to predict which ordering will
-// execute most quickly."
-func EstimateSchedule(c Cost, start int, order []int) Breakdown {
-	var b Breakdown
-	head := start
-	for _, d := range order {
-		lt := c.LocateTime(head, d)
-		b.Locate += lt
-		if lt > b.MaxLocate {
-			b.MaxLocate = lt
-		}
-		b.Read += c.ReadTime(d)
-		b.Locates++
-		head = HeadAfterRead(c, d)
-	}
-	return b
-}
-
-// FinalHead returns the head position after executing a schedule, for
-// chaining batches (the paper's random-starting-point scenario: "at
-// the beginning of each schedule execution the tape head is in the
-// position of the last read in the previous batch").
-func FinalHead(c Cost, start int, order []int) int {
-	if len(order) == 0 {
-		return start
-	}
-	return HeadAfterRead(c, order[len(order)-1])
-}
-
 // Perturbed decorates a Cost with the systematic error of the paper's
 // Figure 10 sensitivity experiment: locate times are returned E
 // seconds high when the destination segment number is even and E

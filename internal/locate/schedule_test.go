@@ -8,78 +8,6 @@ import (
 	"serpentine/internal/rand48"
 )
 
-func TestEstimateScheduleAccumulates(t *testing.T) {
-	_, m := dltModel(t, 1)
-	order := []int{100000, 200000, 50000}
-	b := EstimateSchedule(m, 0, order)
-	if b.Locates != 3 {
-		t.Fatalf("Locates = %d, want 3", b.Locates)
-	}
-	want := m.LocateTime(0, 100000) + m.LocateTime(100001, 200000) + m.LocateTime(200001, 50000)
-	if math.Abs(b.Locate-want) > 1e-9 {
-		t.Fatalf("Locate = %g, want %g", b.Locate, want)
-	}
-	wantRead := m.ReadTime(100000) + m.ReadTime(200000) + m.ReadTime(50000)
-	if math.Abs(b.Read-wantRead) > 1e-9 {
-		t.Fatalf("Read = %g, want %g", b.Read, wantRead)
-	}
-	if b.Total() != b.Locate+b.Read {
-		t.Fatal("Total != Locate+Read")
-	}
-	if b.MaxLocate <= 0 || b.MaxLocate > b.Locate {
-		t.Fatalf("MaxLocate = %g out of range", b.MaxLocate)
-	}
-	if got := b.PerLocate(); math.Abs(got-b.Total()/3) > 1e-12 {
-		t.Fatalf("PerLocate = %g", got)
-	}
-}
-
-func TestEstimateScheduleEmpty(t *testing.T) {
-	_, m := dltModel(t, 1)
-	b := EstimateSchedule(m, 0, nil)
-	if b.Total() != 0 || b.PerLocate() != 0 || b.Locates != 0 {
-		t.Fatal("empty schedule should be free")
-	}
-	if b.String() == "" {
-		t.Fatal("Breakdown.String empty")
-	}
-}
-
-// A perfectly sequential schedule costs pure reading: consecutive
-// segments have zero locate cost.
-func TestSequentialScheduleHasNoLocateCost(t *testing.T) {
-	_, m := dltModel(t, 1)
-	order := make([]int, 100)
-	for i := range order {
-		order[i] = 5000 + i
-	}
-	b := EstimateSchedule(m, 5000, order)
-	if b.Locate != 0 {
-		t.Fatalf("sequential schedule locate cost = %g, want 0", b.Locate)
-	}
-}
-
-func TestHeadAfterReadClampsAtEnd(t *testing.T) {
-	_, m := dltModel(t, 1)
-	last := m.Segments() - 1
-	if got := HeadAfterRead(m, last); got != last {
-		t.Fatalf("HeadAfterRead(last) = %d, want %d", got, last)
-	}
-	if got := HeadAfterRead(m, 10); got != 11 {
-		t.Fatalf("HeadAfterRead(10) = %d, want 11", got)
-	}
-}
-
-func TestFinalHead(t *testing.T) {
-	_, m := dltModel(t, 1)
-	if got := FinalHead(m, 123, nil); got != 123 {
-		t.Fatalf("FinalHead(empty) = %d, want start", got)
-	}
-	if got := FinalHead(m, 0, []int{5, 900}); got != 901 {
-		t.Fatalf("FinalHead = %d, want 901", got)
-	}
-}
-
 func TestPerturbedAltersByParity(t *testing.T) {
 	_, m := dltModel(t, 1)
 	p := &Perturbed{Base: m, E: 5}

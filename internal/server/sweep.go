@@ -54,12 +54,11 @@ type SweepConfig struct {
 	// spec order after the parallel phase so the dump is identical
 	// at any worker count.
 	Reg *obs.Registry
-	// Spans, when non-nil, receives every cell's lifecycle spans. The
-	// tracer is shared live across workers (it exists for the -listen
-	// introspection endpoints), so span arrival order — unlike the
-	// merged metrics — depends on scheduling; use tertiary.Sweep's
-	// per-cell span capture when byte-determinism matters.
-	Spans *obs.Tracer
+	// SpanCap, when positive, gives every cell its own span tracer of
+	// that capacity and returns the recorded spans on the SweepCell.
+	// Per-cell capture keeps the spans — like the metrics —
+	// byte-identical at any worker count.
+	SpanCap int
 }
 
 // SweepCell is one (rate, policy, scheduler) outcome.
@@ -68,6 +67,9 @@ type SweepCell struct {
 	Policy      BatchPolicy
 	Alg         string
 	Result      *Result
+	// Spans holds the cell's lifecycle spans when SweepConfig.SpanCap
+	// was set.
+	Spans []obs.Span
 }
 
 // Sweep runs every cell of the online experiment. Cells run
@@ -105,8 +107,7 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 		}
 	}
 	cells := make([]SweepCell, len(specs))
-	regs := make([]*obs.Registry, len(specs))
-	err := grid.Run(cfg.Workers, len(specs), func(i int) error {
+	err := grid.Capture{Reg: cfg.Reg, SpanCap: cfg.SpanCap}.Sweep(cfg.Workers, len(specs), func(i int, p grid.Probes) error {
 		sp := specs[i]
 		rate := rates[sp.rateIdx]
 		policy := policies[sp.polIdx]
@@ -123,7 +124,6 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 		if faults.Enabled() {
 			faults.Seed = seed + 3
 		}
-		reg := obs.NewRegistry()
 		res, err := Run(Config{
 			Serial:    cfg.Serial,
 			Scheduler: sched,
@@ -133,8 +133,8 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 			MaxBatch:  cfg.MaxBatch,
 			ReadLen:   cfg.ReadLen,
 			Faults:    faults,
-			Reg:       reg,
-			Spans:     cfg.Spans,
+			Reg:       p.Reg,
+			Spans:     p.Spans,
 			Labels: []obs.Label{
 				obs.L("rate", fmt.Sprintf("%g", rate)),
 				obs.L("policy", policy.String()),
@@ -144,19 +144,12 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 		if err != nil {
 			return fmt.Errorf("server: sweep cell %g/h %s %s: %w", rate, policy, sched.Name(), err)
 		}
-		cells[i] = SweepCell{RatePerHour: rate, Policy: policy, Alg: sched.Name(), Result: res}
-		regs[i] = reg
+		cells[i] = SweepCell{RatePerHour: rate, Policy: policy, Alg: sched.Name(), Result: res,
+			Spans: p.Spans.Spans()}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Reg != nil {
-		// Merge in spec order so the aggregated dump is independent
-		// of which worker ran which cell.
-		for _, r := range regs {
-			cfg.Reg.Merge(r)
-		}
 	}
 	return cells, nil
 }
@@ -174,23 +167,12 @@ const segmentSpace = 622058
 // service time, delivered throughput and the recovery/rejection
 // counters.
 func WriteOnline(w io.Writer, cells []SweepCell) error {
-	var rates []float64
-	seen := make(map[float64]bool)
-	for _, c := range cells {
-		if !seen[c.RatePerHour] {
-			seen[c.RatePerHour] = true
-			rates = append(rates, c.RatePerHour)
-		}
-	}
-	for _, rate := range rates {
+	for _, block := range grid.Blocks(cells, func(c SweepCell) float64 { return c.RatePerHour }) {
 		if _, err := fmt.Fprintf(w, "# arrival rate %g/h\n%-18s %-6s %9s %9s %9s %8s %6s %7s %6s %6s %7s %8s\n",
-			rate, "policy", "alg", "p50 soj", "p95 soj", "p99 soj", "mean svc", "batch", "IO/h", "served", "rej", "replan", "util%"); err != nil {
+			block[0].RatePerHour, "policy", "alg", "p50 soj", "p95 soj", "p99 soj", "mean svc", "batch", "IO/h", "served", "rej", "replan", "util%"); err != nil {
 			return err
 		}
-		for _, c := range cells {
-			if c.RatePerHour != rate {
-				continue
-			}
+		for _, c := range block {
 			r := c.Result
 			util := 0.0
 			if r.MakespanSec > 0 {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"serpentine/internal/core"
@@ -23,13 +24,15 @@ func smallSweep(workers int, reg *obs.Registry) SweepConfig {
 }
 
 // TestSweepDeterministicAcrossWorkers is the determinism contract:
-// the rendered table and the merged metrics dump are byte-identical
-// whether the cells run on one worker or eight.
+// the rendered table, the merged metrics dump and every cell's spans
+// are byte-identical whether the cells run on one worker or eight.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) (table, prom string) {
+	render := func(workers int) (table, prom string, spans [][]obs.Span) {
 		t.Helper()
 		reg := obs.NewRegistry()
-		cells, err := Sweep(smallSweep(workers, reg))
+		cfg := smallSweep(workers, reg)
+		cfg.SpanCap = 1 << 12
+		cells, err := Sweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,19 +43,30 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		if err := reg.WriteProm(&pb); err != nil {
 			t.Fatal(err)
 		}
-		return tb.String(), pb.String()
+		for _, c := range cells {
+			spans = append(spans, c.Spans)
+		}
+		return tb.String(), pb.String(), spans
 	}
-	t1, p1 := render(1)
-	t8, p8 := render(8)
+	t1, p1, s1 := render(1)
+	t8, p8, s8 := render(8)
 	if t1 != t8 {
 		t.Fatalf("sweep table differs between 1 and 8 workers:\n--- workers=1\n%s\n--- workers=8\n%s", t1, t8)
 	}
 	if p1 != p8 {
 		t.Fatalf("merged metrics dump differs between 1 and 8 workers")
 	}
+	for i := range s1 {
+		if len(s1[i]) == 0 {
+			t.Fatalf("cell %d recorded no spans", i)
+		}
+		if !reflect.DeepEqual(s1[i], s8[i]) {
+			t.Fatalf("cell %d: spans differ between 1 and 8 workers", i)
+		}
+	}
 	// And a rerun at the same worker count reproduces itself.
-	t8b, p8b := render(8)
-	if t8 != t8b || p8 != p8b {
+	t8b, p8b, s8b := render(8)
+	if t8 != t8b || p8 != p8b || !reflect.DeepEqual(s8, s8b) {
 		t.Fatal("sweep is not reproducible across reruns")
 	}
 }

@@ -168,23 +168,12 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 // one row per scheduler, with throughput, tail latency and recovery
 // counters.
 func WriteChaos(w io.Writer, cells []ChaosCell) error {
-	var rates []float64
-	seen := make(map[float64]bool)
-	for _, c := range cells {
-		if !seen[c.Rate] {
-			seen[c.Rate] = true
-			rates = append(rates, c.Rate)
-		}
-	}
-	for _, rate := range rates {
+	for _, block := range grid.Blocks(cells, func(c ChaosCell) float64 { return c.Rate }) {
 		if _, err := fmt.Fprintf(w, "# fault rate x%g\n%-8s %8s %9s %8s %8s %7s %7s %7s %9s\n",
-			rate, "alg", "IO/h", "p99 s", "served", "failed", "retry", "replan", "recal", "recov%"); err != nil {
+			block[0].Rate, "alg", "IO/h", "p99 s", "served", "failed", "retry", "replan", "recal", "recov%"); err != nil {
 			return err
 		}
-		for _, c := range cells {
-			if c.Rate != rate {
-				continue
-			}
+		for _, c := range block {
 			r := c.Result
 			recovPct := 0.0
 			if r.TotalSec > 0 {

@@ -264,27 +264,16 @@ func sojournPercentiles(comps []Completion) (p50, p99 float64) {
 // the failure-handling counters, and sojourn percentiles. Fixed
 // formatting keeps the table byte-deterministic.
 func WriteAvailability(w io.Writer, cells []OutageCell) error {
-	var mttfs []float64
-	seen := make(map[float64]bool)
-	for _, c := range cells {
-		if !seen[c.MTTFSec] {
-			seen[c.MTTFSec] = true
-			mttfs = append(mttfs, c.MTTFSec)
-		}
-	}
-	for _, mttf := range mttfs {
+	for _, block := range grid.Blocks(cells, func(c OutageCell) float64 { return c.MTTFSec }) {
 		label := "none (drives never fail)"
-		if mttf > 0 {
+		if mttf := block[0].MTTFSec; mttf > 0 {
 			label = fmt.Sprintf("%g s", mttf)
 		}
 		if _, err := fmt.Fprintf(w, "# drive MTTF %s\n%8s %3s %8s %7s %7s %8s %8s %6s %9s %9s %10s %10s\n",
 			label, "mttr", "R", "avail", "served", "failed", "rescued", "replica", "shed", "lost-cart", "drive-dn", "p50 (s)", "p99 (s)"); err != nil {
 			return err
 		}
-		for _, c := range cells {
-			if c.MTTFSec != mttf {
-				continue
-			}
+		for _, c := range block {
 			m := c.Metrics
 			if _, err := fmt.Fprintf(w, "%8.0f %3d %8.4f %7d %7d %8d %8d %6d %9d %9d %10.1f %10.1f\n",
 				c.MTTRSec, c.Replicas, c.Availability, m.Served, m.Failed,

@@ -141,8 +141,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		}
 	}
 	cells := make([]Cell, len(specs))
-	regs := make([]*obs.Registry, len(specs))
-	err = grid.Run(cfg.Workers, len(specs), func(i int) error {
+	err = grid.Capture{Reg: cfg.Reg, SpanCap: cfg.SpanCap}.Sweep(cfg.Workers, len(specs), func(i int, p grid.Probes) error {
 		sp := specs[i]
 		rate := rates[sp.rateIdx]
 		drives := driveCounts[sp.driveIdx]
@@ -162,11 +161,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		if lifecycle.Enabled() {
 			lifecycle.Seed = seed + 5
 		}
-		reg := obs.NewRegistry()
-		var spans *obs.Tracer
-		if cfg.SpanCap > 0 {
-			spans = obs.NewTracer(cfg.SpanCap)
-		}
 		lib := base.Clone(Config{
 			Profile:    profile,
 			Tapes:      serials,
@@ -175,8 +169,8 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			QueueCap:   cfg.QueueCap,
 			Faults:     faults,
 			Lifecycle:  lifecycle,
-			Reg:        reg,
-			Spans:      spans,
+			Reg:        p.Reg,
+			Spans:      p.Spans,
 			Labels: []obs.Label{
 				obs.L("rate", fmt.Sprintf("%g", rate)),
 				obs.L("drives", strconv.Itoa(drives)),
@@ -188,23 +182,15 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			return fmt.Errorf("tertiary: sweep cell %g/h %dd limit %d: %w", rate, drives, limit, err)
 		}
 		cell := Cell{RatePerHour: rate, Drives: drives, BatchLimit: limit, Metrics: m}
-		if spans != nil {
-			cell.Spans = spans.Spans()
+		if p.Spans != nil {
+			cell.Spans = p.Spans.Spans()
 			cell.Completions = comps
 		}
 		cells[i] = cell
-		regs[i] = reg
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Reg != nil {
-		// Merge in spec order so the aggregated dump is independent
-		// of which worker ran which cell.
-		for _, r := range regs {
-			cfg.Reg.Merge(r)
-		}
 	}
 	return cells, nil
 }
@@ -310,23 +296,12 @@ func sweepObjectID(tape, obj int) string {
 // per (drives, batch limit), with delivered throughput, latency,
 // exchange and robot-contention counters, and drive utilization.
 func WriteLibrary(w io.Writer, cells []Cell) error {
-	var rates []float64
-	seen := make(map[float64]bool)
-	for _, c := range cells {
-		if !seen[c.RatePerHour] {
-			seen[c.RatePerHour] = true
-			rates = append(rates, c.RatePerHour)
-		}
-	}
-	for _, rate := range rates {
+	for _, block := range grid.Blocks(cells, func(c Cell) float64 { return c.RatePerHour }) {
 		if _, err := fmt.Fprintf(w, "# arrival rate %g/h\n%6s %9s %8s %12s %12s %7s %8s %11s %9s %7s %6s\n",
-			rate, "drives", "batch", "IO/h", "mean lat (s)", "max lat (s)", "mounts", "batches", "robot-wait", "rejected", "failed", "util%"); err != nil {
+			block[0].RatePerHour, "drives", "batch", "IO/h", "mean lat (s)", "max lat (s)", "mounts", "batches", "robot-wait", "rejected", "failed", "util%"); err != nil {
 			return err
 		}
-		for _, c := range cells {
-			if c.RatePerHour != rate {
-				continue
-			}
+		for _, c := range block {
 			m := c.Metrics
 			label := strconv.Itoa(c.BatchLimit)
 			if c.BatchLimit == 0 {

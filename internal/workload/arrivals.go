@@ -19,12 +19,12 @@ type PoissonProcess struct {
 }
 
 // NewPoissonProcess returns a process with the given mean rate
-// (events per second), starting at time zero. It panics on a
-// non-positive rate; use PoissonArrivals for an error-returning
-// construction.
+// (events per second), starting at time zero. It panics on a rate that
+// is not positive and finite; use PoissonArrivals for an
+// error-returning construction.
 func NewPoissonProcess(ratePerSec float64, seed int64) *PoissonProcess {
-	if ratePerSec <= 0 {
-		panic(fmt.Sprintf("workload: Poisson rate must be positive, got %g", ratePerSec))
+	if err := checkRate(ratePerSec); err != nil {
+		panic(err.Error())
 	}
 	return &PoissonProcess{rng: rand48.New(seed), rate: ratePerSec}
 }
@@ -48,8 +48,8 @@ func (p *PoissonProcess) Next() float64 {
 // time against throughput, and that trade only exists under arrivals
 // spread over time.
 func PoissonArrivals(ratePerSec float64, n int, seed int64) ([]float64, error) {
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("workload: Poisson rate must be positive, got %g", ratePerSec)
+	if err := checkRate(ratePerSec); err != nil {
+		return nil, err
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("workload: negative event count %d", n)
@@ -60,4 +60,14 @@ func PoissonArrivals(ratePerSec float64, n int, seed int64) ([]float64, error) {
 		out[i] = p.Next()
 	}
 	return out, nil
+}
+
+// checkRate rejects a rate that is not positive and finite: NaN would
+// make every arrival NaN, and +Inf would put every arrival at t = 0,
+// breaking the strictly ascending order.
+func checkRate(ratePerSec float64) error {
+	if !(ratePerSec > 0) || math.IsInf(ratePerSec, 1) {
+		return fmt.Errorf("workload: Poisson rate must be positive and finite, got %g", ratePerSec)
+	}
+	return nil
 }

@@ -94,3 +94,35 @@ func TestPoissonProcessRejectsBadRate(t *testing.T) {
 	}()
 	NewPoissonProcess(0, 1)
 }
+
+// Both constructors reject every rate that is not positive and
+// finite: NaN slips past a "<= 0" guard, and +Inf would stack every
+// arrival at t = 0.
+func TestPoissonRejectsNonFiniteRates(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rate float64
+	}{
+		{"zero", 0},
+		{"negative zero", math.Copysign(0, -1)},
+		{"negative", -1},
+		{"-Inf", math.Inf(-1)},
+		{"+Inf", math.Inf(1)},
+		{"NaN", math.NaN()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if arr, err := PoissonArrivals(c.rate, 3, 1); err == nil {
+				t.Fatalf("PoissonArrivals(%g) accepted: %v", c.rate, arr)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewPoissonProcess(%g) did not panic", c.rate)
+				}
+			}()
+			NewPoissonProcess(c.rate, 1)
+		})
+	}
+	if _, err := PoissonArrivals(math.MaxFloat64, 3, 1); err != nil {
+		t.Fatalf("largest finite rate rejected: %v", err)
+	}
+}
