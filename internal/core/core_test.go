@@ -257,6 +257,20 @@ func TestSequentialScheduleHasNoLocateCost(t *testing.T) {
 	}
 }
 
+// With no reads the head stays at the start; otherwise it rests on the
+// segment after the last one read.
+func TestPlanFinalHead(t *testing.T) {
+	m := testModel(t, 1)
+	p := &Problem{Start: 123, Cost: m}
+	if got := (&Plan{}).FinalHead(p); got != 123 {
+		t.Fatalf("FinalHead(empty) = %d, want start", got)
+	}
+	p = &Problem{Start: 0, Requests: []int{5, 900}, Cost: m}
+	if got := (&Plan{Order: []int{5, 900}}).FinalHead(p); got != 901 {
+		t.Fatalf("FinalHead = %d, want 901", got)
+	}
+}
+
 // Reading the last segment leaves the head on it: there is no next
 // segment to advance to.
 func TestPlanFinalHeadClampsAtEnd(t *testing.T) {
