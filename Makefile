@@ -175,8 +175,7 @@ profile:
 # reference decomposition), the executor's replan path, the server's admission queue, the library batcher, the bounded span store, the
 # wide-event ring, the SLO sliding windows, the event-log replay
 # (parse, sort, SLO scoring and write/read round trip of arbitrary
-# bytes), the label-block parser behind MergeLabeled (round trip
-# through metricKey), the library Runner under arbitrary extra
+# bytes), the library Runner under arbitrary extra
 # AdvanceTo calls (against Run), the staging cache's eviction policies,
 # the fleet routing tier, and the fleet's event fold and health fill
 # (against the copy-and-sort fold and the heap-ordered health feed) —
@@ -196,7 +195,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWideEventRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindow$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLogReplay$$' -fuzztime $(FUZZTIME) ./internal/obs/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseLabelBlock$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEviction$$' -fuzztime $(FUZZTIME) ./internal/hsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRouting$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetFoldEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fleet/

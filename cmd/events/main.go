@@ -87,7 +87,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := obs.WriteEventsJSONL(w, events, 0); err != nil {
+	if err := obs.WriteEventsJSONL(w, events); err != nil {
 		log.Fatal(err)
 	}
 }

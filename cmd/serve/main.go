@@ -139,7 +139,11 @@ func main() {
 		// Replay every cell's spans into one live tracer in spec order
 		// — the same order at any worker count — so /tracez shows the
 		// deterministic timeline, then keep serving until interrupted.
-		tracer := obs.NewTracer(*spanCap * len(cells))
+		n := 0
+		for _, c := range cells {
+			n += len(c.Spans)
+		}
+		tracer := obs.NewTracer(n)
 		for _, c := range cells {
 			for _, s := range c.Spans {
 				tracer.Record(s)

@@ -304,9 +304,9 @@ type RunConfig struct {
 	// Seed drives the routing tie-break (see tieBreak); it does not
 	// reseed the shards or the workload.
 	Seed int64
-	// Reg, when non-nil, receives every shard's metrics re-keyed
-	// under shard="N" (Registry.MergeLabeled) plus the fleet's own
-	// routing counters, after the run completes.
+	// Reg, when non-nil, receives every shard's metrics, recorded
+	// under Labels plus shard="N" as the run goes, and the fleet's own
+	// routing counters after the run completes.
 	Reg *obs.Registry
 	// Labels are added to the fleet-level series and passed to every
 	// shard; the sweep passes the cell coordinates here.
@@ -549,13 +549,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			AttrInt("shards", len(f.bases)).
 			AttrInt("drives", drives)
 	}
-	var regs []*obs.Registry
-	if cfg.Reg != nil {
-		regs = make([]*obs.Registry, len(f.bases))
-		for s := range regs {
-			regs[s] = obs.NewRegistry()
-		}
-	}
 	// Wide events feed two post-run consumers: the caller's merged
 	// ring and the health tracker. Either one arms the per-shard
 	// rings; each ring may retain the whole stream, so nothing drops
@@ -581,10 +574,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		if lc.Enabled() {
 			lc.Seed += int64(s) * 97
 		}
-		var reg *obs.Registry
-		if regs != nil {
-			reg = regs[s]
-		}
 		lib := f.bases[s].Clone(tertiary.Config{
 			Profile:     f.cfg.Profile,
 			Tapes:       f.tapes[s],
@@ -594,8 +583,8 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			Lifecycle:   lc,
 			Placement:   f.placements[s],
 			DeadlineSec: cfg.DeadlineSec,
-			Reg:         reg,
-			Labels:      cfg.Labels,
+			Reg:         cfg.Reg,
+			Labels:      shardLabels(cfg.Labels, s),
 			SpanTrace:   trace,
 			SpanParent:  root,
 			Lane:        1 + s*(1+drives),
@@ -699,9 +688,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		}
 	}
 	if cfg.Reg != nil {
-		for s, reg := range regs {
-			cfg.Reg.MergeLabeled(reg, obs.L("shard", strconv.Itoa(s)))
-		}
 		cfg.Reg.Counter("fleet_offered_total", cfg.Labels...).Add(int64(m.Offered))
 		cfg.Reg.Counter("fleet_affinity_hits_total", cfg.Labels...).Add(int64(m.AffinityHits))
 		cfg.Reg.Counter("fleet_cross_shard_reads_total", cfg.Labels...).Add(int64(m.CrossShardReads))
@@ -711,11 +697,16 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			cfg.Reg.Counter("fleet_cache_misses_total", cfg.Labels...).Add(int64(m.CacheMisses))
 		}
 		for s := range res {
-			labels := append(append([]obs.Label(nil), cfg.Labels...), obs.L("shard", strconv.Itoa(s)))
-			cfg.Reg.Counter("fleet_routed_total", labels...).Add(int64(res[s].Routed))
+			cfg.Reg.Counter("fleet_routed_total", shardLabels(cfg.Labels, s)...).Add(int64(res[s].Routed))
 		}
 	}
 	return res, m, nil
+}
+
+// shardLabels returns a copy of labels with shard="s" appended: the
+// labels shard s's series are recorded under.
+func shardLabels(labels []obs.Label, s int) []obs.Label {
+	return append(labels[:len(labels):len(labels)], obs.L("shard", strconv.Itoa(s)))
 }
 
 // routing is one run's routing tier: the policy, the probes it reads,

@@ -247,17 +247,14 @@ var errEventLineTooLong = errors.New("encoded line over the event-log line cap")
 // WriteEventsJSONL renders events one JSON object per line. Field
 // order follows the Event struct and floats use encoding/json's
 // shortest-round-trip formatting, so the output is byte-deterministic
-// for a deterministic event sequence. head <= 0 writes every event;
-// otherwise only the first head. An event whose line would exceed the
-// reader's cap is an error naming it, so every log written reads back.
-func WriteEventsJSONL(w io.Writer, events []Event, head int) error {
-	if head <= 0 || head > len(events) {
-		head = len(events)
-	}
+// for a deterministic event sequence. An event whose line would exceed
+// the reader's cap is an error naming it, so every log written reads
+// back.
+func WriteEventsJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	var line bytes.Buffer
 	enc := json.NewEncoder(&line)
-	for i, ev := range events[:head] {
+	for i, ev := range events {
 		line.Reset()
 		if err := enc.Encode(ev); err != nil {
 			return err

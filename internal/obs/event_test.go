@@ -128,7 +128,7 @@ func TestEventsJSONLRoundTrip(t *testing.T) {
 			ArrivalSec: 5, DoneSec: 5.1, LocateSec: 0.05, TransferSec: 0.05},
 	}
 	var buf bytes.Buffer
-	if err := WriteEventsJSONL(&buf, in, 0); err != nil {
+	if err := WriteEventsJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadEventsJSONL(&buf)
@@ -148,7 +148,7 @@ func TestEventsJSONLLineCap(t *testing.T) {
 	var buf bytes.Buffer
 	long := evAt(1, 1)
 	long.Object = strings.Repeat("<", 300<<10)
-	err := WriteEventsJSONL(&buf, []Event{evAt(2, 0.5), long}, 0)
+	err := WriteEventsJSONL(&buf, []Event{evAt(2, 0.5), long})
 	if !errors.Is(err, errEventLineTooLong) {
 		t.Fatalf("writing a %d-byte object: err = %v, want the line-cap error", len(long.Object), err)
 	}
@@ -158,12 +158,12 @@ func TestEventsJSONLLineCap(t *testing.T) {
 	edge := evAt(1, 1)
 	edge.Object = ""
 	buf.Reset()
-	if err := WriteEventsJSONL(&buf, []Event{edge}, 0); err != nil {
+	if err := WriteEventsJSONL(&buf, []Event{edge}); err != nil {
 		t.Fatal(err)
 	}
 	edge.Object = strings.Repeat("a", maxEventLineBytes-buf.Len())
 	buf.Reset()
-	if err := WriteEventsJSONL(&buf, []Event{edge}, 0); err != nil {
+	if err := WriteEventsJSONL(&buf, []Event{edge}); err != nil {
 		t.Fatalf("line of exactly the cap refused: %v", err)
 	}
 	if buf.Len() != maxEventLineBytes {
@@ -174,29 +174,18 @@ func TestEventsJSONLLineCap(t *testing.T) {
 		t.Fatalf("line of exactly the cap did not round-trip: %d events, err %v", len(back), err)
 	}
 	edge.Object += "a"
-	if err := WriteEventsJSONL(io.Discard, []Event{edge}, 0); !errors.Is(err, errEventLineTooLong) {
+	if err := WriteEventsJSONL(io.Discard, []Event{edge}); !errors.Is(err, errEventLineTooLong) {
 		t.Fatalf("line one byte over the cap: err = %v, want the line-cap error", err)
-	}
-}
-
-func TestEventsJSONLHead(t *testing.T) {
-	in := []Event{evAt(1, 1), evAt(2, 2), evAt(3, 3)}
-	var buf bytes.Buffer
-	if err := WriteEventsJSONL(&buf, in, 2); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(buf.String(), "\n"); n != 2 {
-		t.Fatalf("head 2 wrote %d lines", n)
 	}
 }
 
 func TestEventsJSONLDeterministic(t *testing.T) {
 	in := []Event{evAt(1, 10.5), evAt(2, 1.0/3.0)}
 	var a, b bytes.Buffer
-	if err := WriteEventsJSONL(&a, in, 0); err != nil {
+	if err := WriteEventsJSONL(&a, in); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEventsJSONL(&b, in, 0); err != nil {
+	if err := WriteEventsJSONL(&b, in); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

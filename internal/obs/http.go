@@ -109,27 +109,12 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 // WriteShardsJSON renders the registry's shard-labeled series grouped
 // by shard: {"0": {"fleet_offered": 12, ...}, ...}, keys sorted
 // numerically then lexically, series re-keyed without their shard
-// label. Fleet runs fold per-shard registries in under a shard label
-// (MergeLabeled), and this is the inverse view: one object per shard
-// so a live -listen fleet run shows per-shard state at a glance.
+// label. Fleet runs record every shard's series under a shard label,
+// and this is the per-shard view: one object per shard so a live
+// -listen fleet run shows per-shard state at a glance.
 func (r *Registry) WriteShardsJSON(w io.Writer) error {
-	r.mu.Lock()
-	vals := make(map[string]string, len(r.counts)+len(r.gauges))
-	for k, c := range r.counts {
-		vals[k] = strconv.FormatInt(c.Value(), 10)
-	}
-	for k, g := range r.gauges {
-		vals[k] = formatFloat(g.Value())
-	}
-	r.mu.Unlock()
-
 	shards := make(map[string]map[string]string)
-	for k, v := range vals {
-		name, block := splitKey(k)
-		labels, ok := parseLabelBlock(block)
-		if !ok {
-			continue
-		}
+	add := func(name string, labels []Label, v string) {
 		shard := ""
 		rest := make([]Label, 0, len(labels))
 		for _, l := range labels {
@@ -140,15 +125,23 @@ func (r *Registry) WriteShardsJSON(w io.Writer) error {
 			rest = append(rest, l)
 		}
 		if shard == "" {
-			continue
+			return
 		}
 		m := shards[shard]
 		if m == nil {
 			m = make(map[string]string)
 			shards[shard] = m
 		}
-		m[metricKey(name, rest)] = v
+		m[name+labelBlock(rest)] = v
 	}
+	r.mu.Lock()
+	for _, s := range r.counts {
+		add(s.name, s.labels, strconv.FormatInt(s.m.Value(), 10))
+	}
+	for _, s := range r.gauges {
+		add(s.name, s.labels, formatFloat(s.m.Value()))
+	}
+	r.mu.Unlock()
 
 	ids := make([]string, 0, len(shards))
 	for id := range shards {

@@ -116,3 +116,30 @@ func TestServeBindsAndServes(t *testing.T) {
 		t.Fatalf("GET /metrics via Serve: %s", resp.Status)
 	}
 }
+
+// TestWriteShardsJSON pins the per-shard view: shard-labeled counters
+// and gauges group under their shard (ordered numerically), lose only
+// the shard label, keep escaped values, and unsharded series and
+// histograms stay out.
+func TestWriteShardsJSON(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("served_total", L("shard", "10"), L("q", `a"b\c`)).Add(4)
+	reg.Counter("served_total", L("shard", "2")).Add(3)
+	reg.Gauge("makespan_seconds", L("rate", "90"), L("shard", "2")).Set(1.5)
+	reg.Counter("fleet_offered_total").Add(7)
+	reg.Histogram("latency_seconds", L("shard", "2")).Observe(1)
+	var sb strings.Builder
+	if err := reg.WriteShardsJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "2": {
+    "makespan_seconds{rate=\"90\"}": 1.5,
+    "served_total": 3},
+  "10": {
+    "served_total{q=\"a\\\"b\\\\c\"}": 4}}
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("WriteShardsJSON =\n%s\nwant\n%s", got, want)
+	}
+}

@@ -17,6 +17,7 @@
 package obs
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -34,20 +35,29 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // metricKey renders name plus sorted labels into the canonical series
-// identity, e.g. `served_total{alg="LOSS",policy="fixed-window"}`.
-// Label values are escaped per the Prometheus text exposition format,
-// so the identity doubles as the spec-valid rendering WriteProm emits.
-func metricKey(name string, labels []Label) string {
+// identity, e.g. `served_total{alg="LOSS",policy="fixed-window"}`,
+// and returns the sorted labels with it.
+func metricKey(name string, labels []Label) (string, []Label) {
 	if len(labels) == 0 {
-		return name
+		return name, nil
 	}
 	ls := make([]Label, len(labels))
 	copy(ls, labels)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	return name + labelBlock(ls), ls
+}
+
+// labelBlock renders labels in the order given as `{k="v",...}` ("" for
+// none). Label values are escaped per the Prometheus text exposition
+// format, so a series identity doubles as the spec-valid rendering
+// WriteProm emits.
+func labelBlock(labels []Label) string {
+	if len(labels) == 0 {
+		return ""
+	}
 	var b strings.Builder
-	b.WriteString(name)
 	b.WriteByte('{')
-	for i, l := range ls {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -85,98 +95,6 @@ func promEscape(v string) string {
 		}
 	}
 	return b.String()
-}
-
-// splitKey separates a canonical series identity back into the bare
-// metric name and the rendered label block ("" when unlabeled).
-func splitKey(key string) (name, labelBlock string) {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i], key[i:]
-	}
-	return key, ""
-}
-
-// parseLabelBlock parses a rendered label block back into labels: the
-// inverse of the block metricKey emits, honoring exactly the escapes
-// promEscape produces (`\\`, `\"`, `\n`). An empty block parses to
-// nil. It reports false on malformed blocks, including a raw newline
-// in a value (promEscape always escapes it). It does not insist on
-// metricKey's sorted key order: an unsorted block parses in its own
-// order and renders back sorted.
-func parseLabelBlock(block string) ([]Label, bool) {
-	if block == "" {
-		return nil, true
-	}
-	if len(block) < 2 || block[0] != '{' || block[len(block)-1] != '}' {
-		return nil, false
-	}
-	body := block[1 : len(block)-1]
-	if body == "" {
-		return nil, false // metricKey renders no block for zero labels
-	}
-	var labels []Label
-	for len(body) > 0 {
-		eq := strings.Index(body, `="`)
-		if eq <= 0 {
-			return nil, false
-		}
-		key := body[:eq]
-		rest := body[eq+2:]
-		var val strings.Builder
-		i := 0
-		for {
-			if i >= len(rest) {
-				return nil, false // unterminated value
-			}
-			c := rest[i]
-			if c == '"' {
-				break
-			}
-			if c == '\n' {
-				return nil, false // promEscape never leaves a raw newline
-			}
-			if c == '\\' {
-				if i+1 >= len(rest) {
-					return nil, false
-				}
-				switch rest[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					return nil, false
-				}
-				i += 2
-				continue
-			}
-			val.WriteByte(c)
-			i++
-		}
-		labels = append(labels, Label{Key: key, Value: val.String()})
-		body = rest[i+1:]
-		if len(body) > 0 {
-			if body[0] != ',' || len(body) == 1 {
-				return nil, false
-			}
-			body = body[1:]
-		}
-	}
-	return labels, true
-}
-
-// relabelKey returns the series identity with the extra labels added
-// to its label set. Keys that fail to parse (never produced by
-// metricKey) are returned unchanged.
-func relabelKey(key string, extra []Label) string {
-	name, block := splitKey(key)
-	labels, ok := parseLabelBlock(block)
-	if !ok {
-		return key
-	}
-	return metricKey(name, append(labels, extra...))
 }
 
 // Counter is a monotonically increasing count. Inc and Add are single
@@ -238,148 +156,89 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
 	mu     sync.Mutex
-	counts map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
+	counts map[string]series[Counter]
+	gauges map[string]series[Gauge]
+	hists  map[string]series[Histogram]
+}
+
+// series is one metric with the name and sorted labels of the call
+// that created it; WriteProm and WriteShardsJSON render from these.
+type series[M any] struct {
+	name   string
+	labels []Label
+	m      *M
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
+		counts: make(map[string]series[Counter]),
+		gauges: make(map[string]series[Gauge]),
+		hists:  make(map[string]series[Histogram]),
 	}
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counts[key]
-	if c == nil {
-		c = &Counter{}
-		r.counts[key] = c
-	}
-	return c
+	key, ls := metricKey(name, labels)
+	return lookup(r, r.counts, key, name, ls, newCounter)
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[key]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[key] = g
-	}
-	return g
+	key, ls := metricKey(name, labels)
+	return lookup(r, r.gauges, key, name, ls, newGauge)
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	key := metricKey(name, labels)
+	key, ls := metricKey(name, labels)
+	return lookup(r, r.hists, key, name, ls, newHistogram)
+}
+
+func newCounter() *Counter { return &Counter{} }
+
+func newGauge() *Gauge { return &Gauge{} }
+
+// lookup returns the metric of set under key, creating it with fresh
+// and recording name and sorted labels on first use.
+func lookup[M any](r *Registry, set map[string]series[M], key, name string, labels []Label, fresh func() *M) *M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := r.hists[key]
-	if h == nil {
-		h = newHistogram()
-		r.hists[key] = h
+	s, ok := set[key]
+	if !ok {
+		s = series[M]{name: name, labels: labels, m: fresh()}
+		set[key] = s
 	}
-	return h
+	return s.m
 }
 
-// Merge folds every metric of b into r: counters and histograms
-// accumulate, gauges sum. The sweeps label each cell's series with the
-// cell coordinates, so in practice gauge series never collide and
-// "sum" degenerates to "copy"; summing keeps Merge total and
-// deterministic for the series that do.
+// Merge folds every metric of b into r under the same names and
+// labels: counters and histograms accumulate, gauges sum. The sweeps
+// label each cell's series with the cell coordinates, so in practice
+// gauge series never collide and "sum" degenerates to "copy"; summing
+// keeps Merge total and deterministic for the series that do.
 func (r *Registry) Merge(b *Registry) {
-	r.mergeKeyed(b, nil)
-}
-
-// MergeLabeled folds b into r like Merge, but re-keys every series
-// with the extra labels added first — the fleet folds each shard's
-// registry into the cell registry under shard="N", so identically
-// named shard series land on distinct cluster series instead of
-// summing into mush. The extra keys should be new dimensions: adding
-// a key a series already carries produces a duplicate-key label block.
-// With no extra labels it is exactly Merge.
-func (r *Registry) MergeLabeled(b *Registry, extra ...Label) {
-	r.mergeKeyed(b, extra)
-}
-
-func (r *Registry) mergeKeyed(b *Registry, extra []Label) {
 	if b == nil || b == r {
 		return
 	}
-	rekey := func(k string) string { return k }
-	if len(extra) > 0 {
-		rekey = func(k string) string { return relabelKey(k, extra) }
-	}
+	// Snapshot b's series under its lock only, so r.Merge(b) and
+	// b.Merge(r) running together cannot deadlock.
 	b.mu.Lock()
-	type hsnap struct {
-		key string
-		h   *Histogram
-	}
-	counts := make(map[string]int64, len(b.counts))
-	for k, c := range b.counts {
-		counts[k] = c.Value()
-	}
-	gauges := make(map[string]float64, len(b.gauges))
-	for k, g := range b.gauges {
-		gauges[k] = g.Value()
-	}
-	hists := make([]hsnap, 0, len(b.hists))
-	for k, h := range b.hists {
-		hists = append(hists, hsnap{k, h})
-	}
+	counts := maps.Clone(b.counts)
+	gauges := maps.Clone(b.gauges)
+	hists := maps.Clone(b.hists)
 	b.mu.Unlock()
 
-	for k, v := range counts {
-		r.counterByKey(rekey(k)).Add(v)
+	for k, s := range counts {
+		lookup(r, r.counts, k, s.name, s.labels, newCounter).Add(s.m.Value())
 	}
-	for k, v := range gauges {
-		r.gaugeByKey(rekey(k)).Add(v)
+	for k, s := range gauges {
+		lookup(r, r.gauges, k, s.name, s.labels, newGauge).Add(s.m.Value())
 	}
-	for _, hs := range hists {
-		r.histogramByKey(rekey(hs.key)).merge(hs.h)
+	for k, s := range hists {
+		lookup(r, r.hists, k, s.name, s.labels, newHistogram).merge(s.m)
 	}
-}
-
-func (r *Registry) counterByKey(key string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counts[key]
-	if c == nil {
-		c = &Counter{}
-		r.counts[key] = c
-	}
-	return c
-}
-
-func (r *Registry) gaugeByKey(key string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[key]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[key] = g
-	}
-	return g
-}
-
-func (r *Registry) histogramByKey(key string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[key]
-	if h == nil {
-		h = newHistogram()
-		r.hists[key] = h
-	}
-	return h
 }
 
 // TraceEvent is one recorded operation: what ran, where, when on the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +138,39 @@ func TestRegistryMerge(t *testing.T) {
 	a.Merge(a) // self-merge must be a no-op
 	if got := a.Counter("n").Value(); got != 5 {
 		t.Fatalf("self-merge changed counter to %d", got)
+	}
+
+	// Labeled histograms recorded into two registries and merged into a
+	// fresh one dump exactly like the same observations recorded into
+	// one registry: the merge carries each series' name and labels.
+	observe := func(r *Registry, part int) {
+		for i := 0; i < 40; i++ {
+			if i%2 != part {
+				continue
+			}
+			v := float64(i*i) / 7
+			r.Histogram("sojourn_seconds", L("tape", strconv.Itoa(i%3)), L("alg", "LOSS")).Observe(v)
+			r.Histogram("sojourn_seconds", L("alg", `say "hi"\`), L("shard", "1")).Observe(v / 3)
+			r.Histogram("batch_size").Observe(float64(i % 5))
+		}
+	}
+	one, p0, p1 := NewRegistry(), NewRegistry(), NewRegistry()
+	observe(one, 0)
+	observe(one, 1)
+	observe(p0, 0)
+	observe(p1, 1)
+	merged := NewRegistry()
+	merged.Merge(p0)
+	merged.Merge(p1)
+	var want, got strings.Builder
+	if err := one.WriteProm(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.WriteProm(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("merged labeled histograms dump differently:\n%s\nwant\n%s", got.String(), want.String())
 	}
 }
 

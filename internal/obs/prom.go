@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // WriteProm dumps the registry in the Prometheus text exposition
@@ -17,35 +16,34 @@ import (
 // shortest-round-trip formatting.
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
-	type series struct{ key, val string }
+	type line struct{ key, val string }
 	fams := make(map[string]string) // family name -> type
-	bySeries := make(map[string][]series)
-	for k, c := range r.counts {
-		name, _ := splitKey(k)
-		fams[name] = "counter"
-		bySeries[name] = append(bySeries[name], series{k, strconv.FormatInt(c.Value(), 10)})
+	bySeries := make(map[string][]line)
+	for k, s := range r.counts {
+		fams[s.name] = "counter"
+		bySeries[s.name] = append(bySeries[s.name], line{k, strconv.FormatInt(s.m.Value(), 10)})
 	}
-	for k, g := range r.gauges {
-		name, _ := splitKey(k)
-		fams[name] = "gauge"
-		bySeries[name] = append(bySeries[name], series{k, formatFloat(g.Value())})
+	for k, s := range r.gauges {
+		fams[s.name] = "gauge"
+		bySeries[s.name] = append(bySeries[s.name], line{k, formatFloat(s.m.Value())})
 	}
 	type histSnap struct {
 		key     string
+		labels  []Label
 		buckets []int64
 		count   int
 		sum     float64
 	}
 	histFams := make(map[string][]histSnap)
-	for k, h := range r.hists {
-		name, _ := splitKey(k)
-		fams[name] = "histogram"
+	for k, s := range r.hists {
+		fams[s.name] = "histogram"
+		h := s.m
 		h.mu.Lock()
 		buckets := make([]int64, len(h.buckets))
 		copy(buckets, h.buckets)
-		snap := histSnap{key: k, buckets: buckets, count: h.acc.N(), sum: h.sum}
+		snap := histSnap{key: k, labels: s.labels, buckets: buckets, count: h.acc.N(), sum: h.sum}
 		h.mu.Unlock()
-		histFams[name] = append(histFams[name], snap)
+		histFams[s.name] = append(histFams[s.name], snap)
 	}
 	r.mu.Unlock()
 
@@ -63,7 +61,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			snaps := histFams[name]
 			sort.Slice(snaps, func(i, j int) bool { return snaps[i].key < snaps[j].key })
 			for _, s := range snaps {
-				if err := writePromHist(w, s.key, s.buckets, s.count, s.sum); err != nil {
+				if err := writePromHist(w, name, s.labels, s.buckets, s.count, s.sum); err != nil {
 					return err
 				}
 			}
@@ -80,9 +78,10 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-// writePromHist renders one histogram series under its labeled key.
-func writePromHist(w io.Writer, key string, buckets []int64, count int, sum float64) error {
-	name, labels := splitKey(key)
+// writePromHist renders one histogram series: its cumulative buckets
+// with le appended after the series labels, then _sum and _count.
+func writePromHist(w io.Writer, name string, labels []Label, buckets []int64, count int, sum float64) error {
+	block := labelBlock(labels)
 	cum := int64(0)
 	for i, c := range buckets {
 		cum += c
@@ -90,26 +89,16 @@ func writePromHist(w io.Writer, key string, buckets []int64, count int, sum floa
 		if i < len(histBounds) {
 			le = formatFloat(histBounds[i])
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLabel(labels, "le", le), cum); err != nil {
+		withLE := append(labels[:len(labels):len(labels)], L("le", le))
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelBlock(withLE), cum); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(sum)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, block, formatFloat(sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, count)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, block, count)
 	return err
-}
-
-// withLabel splices one more label into an already-rendered label
-// block ("" means no existing labels), escaping the value per the
-// Prometheus text format like metricKey does.
-func withLabel(block, key, value string) string {
-	extra := key + `="` + promEscape(value) + `"`
-	if block == "" {
-		return "{" + extra + "}"
-	}
-	return strings.TrimSuffix(block, "}") + "," + extra + "}"
 }
 
 // formatFloat renders a value the same way on every run: shortest
@@ -125,15 +114,15 @@ func formatFloat(v float64) string {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
 	entries := make(map[string]string)
-	for k, c := range r.counts {
-		entries[k] = strconv.FormatInt(c.Value(), 10)
+	for k, s := range r.counts {
+		entries[k] = strconv.FormatInt(s.m.Value(), 10)
 	}
-	for k, g := range r.gauges {
-		entries[k] = formatFloat(g.Value())
+	for k, s := range r.gauges {
+		entries[k] = formatFloat(s.m.Value())
 	}
 	hists := make(map[string]*Histogram, len(r.hists))
-	for k, h := range r.hists {
-		hists[k] = h
+	for k, s := range r.hists {
+		hists[k] = s.m
 	}
 	r.mu.Unlock()
 	for k, h := range hists {

@@ -68,7 +68,7 @@ func FuzzEventLogReplay(f *testing.F) {
 		}
 
 		var buf bytes.Buffer
-		if err := WriteEventsJSONL(&buf, events, 0); err != nil {
+		if err := WriteEventsJSONL(&buf, events); err != nil {
 			if !errors.Is(err, errEventLineTooLong) {
 				t.Fatalf("write of an accepted log: %v", err)
 			}

@@ -1083,7 +1083,7 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 		return fmt.Errorf("tertiary: scheduling %d requests on tape %d: %w", len(uniq), serial, err)
 	}
 
-	s.ex.Drive, s.ex.Scheduler, s.ex.Policy = d.dev, s.l.sched, s.cfg.Retry
+	s.ex.Drive, s.ex.Scheduler = d.dev, s.l.sched
 	s.ex.Trace, s.ex.Parent, s.ex.TraceBase = s.trace, d.curBatch, d.base
 	base := d.dev.Clock()
 	er, err := s.ex.Execute(&s.prob, plan)

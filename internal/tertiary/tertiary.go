@@ -26,7 +26,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/locate"
 	"serpentine/internal/obs"
-	"serpentine/internal/sim"
 )
 
 // Object is one catalog entry: a named extent on one cartridge.
@@ -244,8 +243,6 @@ type Config struct {
 	// not yet dispatched); arrivals beyond it are rejected. 0 means
 	// unbounded.
 	QueueCap int
-	// Retry bounds the executor's fault recovery per batch.
-	Retry sim.RetryPolicy
 	// Faults arms every mounted drive with an injector when any rate
 	// is non-zero; each mount derives its own injector seed from
 	// Faults.Seed, the cartridge serial, the drive and the mount
