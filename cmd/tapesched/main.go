@@ -134,13 +134,11 @@ func main() {
 		log.Fatal(err)
 	}
 	est := plan.Estimate(problem)
-	if reg != nil {
-		ls := []obs.Label{obs.L("alg", s.Name())}
-		reg.Gauge("estimate_total_seconds", ls...).Set(est.Total())
-		reg.Gauge("estimate_locate_seconds", ls...).Set(est.Locate)
-		reg.Gauge("estimate_read_seconds", ls...).Set(est.Read)
-		reg.Counter("requests_total", ls...).Add(int64(len(reqs)))
-	}
+	algLabel := obs.L("alg", s.Name())
+	reg.Gauge("estimate_total_seconds", algLabel).Set(est.Total())
+	reg.Gauge("estimate_locate_seconds", algLabel).Set(est.Locate)
+	reg.Gauge("estimate_read_seconds", algLabel).Set(est.Read)
+	reg.Counter("requests_total", algLabel).Add(int64(len(reqs)))
 
 	if *quiet {
 		for _, lbn := range plan.Order {
@@ -173,12 +171,12 @@ func main() {
 		if reg != nil {
 			// Fold every drive primitive into per-op counters and
 			// latency histograms as the schedule executes.
-			dev.AttachTrace(func(ev obs.TraceEvent) {
-				ls := []obs.Label{obs.L("op", ev.Op)}
-				reg.Counter("drive_ops_total", ls...).Add(1)
-				reg.Histogram("drive_op_seconds", ls...).Observe(ev.ElapsedSec)
+			dev.AttachTrace(func(ev drive.Event) {
+				op := obs.L("op", ev.Op.String())
+				reg.Counter("drive_ops_total", op).Add(1)
+				reg.Histogram("drive_op_seconds", op).Observe(ev.ElapsedSec)
 				if ev.Err != "" {
-					reg.Counter("drive_op_errors_total", obs.L("op", ev.Op), obs.L("err", ev.Err)).Add(1)
+					reg.Counter("drive_op_errors_total", op, obs.L("err", ev.Err)).Add(1)
 				}
 			})
 		}
@@ -197,9 +195,7 @@ func main() {
 		}
 		fmt.Fprintf(w, "# measured on emulated drive: %.1f s (estimate off by %+.2f%%)\n",
 			measured, (est.Total()-measured)/measured*100)
-		if reg != nil {
-			reg.Gauge("measured_seconds", obs.L("alg", s.Name())).Set(measured)
-		}
+		reg.Gauge("measured_seconds", algLabel).Set(measured)
 	}
 	if reg != nil {
 		fmt.Fprintln(w, "# metrics")

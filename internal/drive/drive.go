@@ -261,7 +261,7 @@ func (d *Drive) noise() float64 {
 func (d *Drive) Locate(lbn int) (float64, error) {
 	start := d.clock
 	t, err := d.locate(lbn)
-	d.emit("locate", lbn, start, err)
+	d.emit(OpLocate, lbn, start, err)
 	return t, err
 }
 
@@ -347,7 +347,7 @@ func (d *Drive) Read(n int) (float64, error) {
 	start := d.clock
 	seg := d.pos
 	t, err := d.read(n)
-	d.emit("read", seg, start, err)
+	d.emit(OpRead, seg, start, err)
 	return t, err
 }
 
@@ -430,7 +430,7 @@ func (d *Drive) Rewind() float64 {
 	d.clock += t
 	d.stats.Rewinds++
 	d.stats.RewindSec += t
-	d.emit("rewind", 0, start, nil)
+	d.emit(OpRewind, 0, start, nil)
 	return t
 }
 
@@ -467,7 +467,7 @@ func (d *Drive) Recalibrate() float64 {
 	d.stats.RewindSec += RecalibrateSec
 	d.stats.Recalibrations++
 	d.lost = false
-	d.emit("recalibrate", 0, start, nil)
+	d.emit(OpRecalibrate, 0, start, nil)
 	return t
 }
 
@@ -482,7 +482,7 @@ func (d *Drive) Wait(sec float64) {
 	start := d.clock
 	d.clock += sec
 	d.stats.WaitSec += sec
-	d.emit("wait", -1, start, nil)
+	d.emit(OpWait, -1, start, nil)
 }
 
 // ExecuteOrder runs a retrieval schedule: locate to and read each
@@ -527,6 +527,6 @@ func (d *Drive) ReadEntireTape() (float64, error) {
 	d.clock += t
 	d.pos = 0
 	total += t
-	d.emit("fullread", 0, start, nil)
+	d.emit(OpFullRead, 0, start, nil)
 	return total, nil
 }

@@ -4,46 +4,49 @@ import (
 	"errors"
 
 	"serpentine/internal/fault"
-	"serpentine/internal/obs"
 )
 
+// Op is a drive primitive, as the trace hook reports it. The values
+// are dense from 0, so observers keep per-op state in flat arrays
+// indexed by Op instead of keying maps by name on every event.
+type Op uint8
+
+// The primitives, one per public operation, and their count.
+const (
+	OpLocate Op = iota
+	OpRead
+	OpRewind
+	OpRecalibrate
+	OpWait
+	OpFullRead
+	NumOps = iota
+)
+
+var opNames = [NumOps]string{"locate", "read", "rewind", "recalibrate", "wait", "fullread"}
+
+// String returns the primitive's trace name: the op label of the
+// drive metrics and the name of its leaf span.
+func (o Op) String() string { return opNames[o] }
+
+// Event is one completed drive operation: the primitive, its target
+// segment (-1 for none), the drive clock at its start, its virtual
+// duration, and its error class ("" on success).
+type Event struct {
+	ClockSec   float64
+	Op         Op
+	Segment    int
+	ElapsedSec float64
+	Err        string
+}
+
 // TraceFunc observes completed drive operations for the observability
-// subsystem: one obs.TraceEvent per public primitive (locate, read,
-// rewind, recalibrate, wait, fullread), stamped with the virtual
-// clock at the start of the operation, its virtual duration, and an
-// error class for failed attempts. Recalibrate emits both its inner
-// rewind's event and its own, in that order, mirroring the physical
-// sequence.
+// subsystem: one Event per public primitive call. Recalibrate emits
+// both its inner rewind's event and its own, in that order, mirroring
+// the physical sequence.
 //
 // The hook runs synchronously on the drive's (single) operating
 // goroutine, so it must not call back into the drive.
-type TraceFunc func(obs.TraceEvent)
-
-// NumOps is the number of distinct operation names TraceFunc can
-// observe; OpIndex maps each onto a dense index so observers can keep
-// per-op state in flat arrays instead of keying maps by name on every
-// event.
-const NumOps = 6
-
-// OpIndex returns the dense index of a primitive's trace name, or -1
-// for a name outside the fixed set.
-func OpIndex(op string) int {
-	switch op {
-	case "locate":
-		return 0
-	case "read":
-		return 1
-	case "rewind":
-		return 2
-	case "recalibrate":
-		return 3
-	case "wait":
-		return 4
-	case "fullread":
-		return 5
-	}
-	return -1
-}
+type TraceFunc func(Event)
 
 // AttachTrace attaches or (with nil) removes the trace hook; without
 // one (the default) tracing costs nothing on the hot path.
@@ -52,11 +55,11 @@ func (d *Drive) AttachTrace(fn TraceFunc) { d.trace = fn }
 // emit reports one completed operation to the hook, if any. start is
 // the clock reading at the operation's beginning; the elapsed time is
 // whatever the operation charged since.
-func (d *Drive) emit(op string, segment int, start float64, err error) {
+func (d *Drive) emit(op Op, segment int, start float64, err error) {
 	if d.trace == nil {
 		return
 	}
-	d.trace(obs.TraceEvent{
+	d.trace(Event{
 		ClockSec:   start,
 		Op:         op,
 		Segment:    segment,

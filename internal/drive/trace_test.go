@@ -5,7 +5,6 @@ import (
 
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
-	"serpentine/internal/obs"
 )
 
 func traceTape(t *testing.T) *geometry.Tape {
@@ -19,9 +18,9 @@ func traceTape(t *testing.T) *geometry.Tape {
 
 func TestTraceEmitsEveryOp(t *testing.T) {
 	tape := traceTape(t)
-	var evs []obs.TraceEvent
+	var evs []Event
 	d := New(tape)
-	d.AttachTrace(func(ev obs.TraceEvent) { evs = append(evs, ev) })
+	d.AttachTrace(func(ev Event) { evs = append(evs, ev) })
 
 	if _, err := d.Locate(5000); err != nil {
 		t.Fatal(err)
@@ -32,13 +31,16 @@ func TestTraceEmitsEveryOp(t *testing.T) {
 	d.Wait(2.5)
 	d.Rewind()
 	d.Recalibrate()
+	if _, err := d.ReadEntireTape(); err != nil {
+		t.Fatal(err)
+	}
 
 	var ops []string
 	for _, ev := range evs {
-		ops = append(ops, ev.Op)
+		ops = append(ops, ev.Op.String())
 	}
 	// Recalibrate emits its inner rewind first, then itself.
-	want := []string{"locate", "read", "wait", "rewind", "rewind", "recalibrate"}
+	want := []string{"locate", "read", "wait", "rewind", "rewind", "recalibrate", "fullread"}
 	if len(ops) != len(want) {
 		t.Fatalf("ops = %v, want %v", ops, want)
 	}
@@ -66,10 +68,10 @@ func TestTraceEmitsEveryOp(t *testing.T) {
 
 func TestTraceClassifiesFaults(t *testing.T) {
 	tape := traceTape(t)
-	var evs []obs.TraceEvent
+	var evs []Event
 	d := New(tape)
 	d.AttachFaults(fault.New(fault.Config{TransientRate: 1, Seed: 3}))
-	d.AttachTrace(func(ev obs.TraceEvent) { evs = append(evs, ev) })
+	d.AttachTrace(func(ev Event) { evs = append(evs, ev) })
 	if _, err := d.Locate(100); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestTraceClassifiesFaults(t *testing.T) {
 		t.Fatal("expected an injected transient error")
 	}
 	last := evs[len(evs)-1]
-	if last.Op != "read" || last.Err != fault.Transient.String() {
+	if last.Op != OpRead || last.Err != fault.Transient.String() {
 		t.Fatalf("trace event = %+v, want read/%s", last, fault.Transient)
 	}
 	// Out-of-range usage errors classify too.
@@ -109,7 +111,7 @@ func TestTraceDoesNotPerturbTiming(t *testing.T) {
 		d.Rewind()
 		return d
 	}
-	traced := run(func(obs.TraceEvent) {})
+	traced := run(func(Event) {})
 	plain := run(nil)
 	if traced.Clock() != plain.Clock() {
 		t.Fatalf("trace hook changed the clock: %g vs %g", traced.Clock(), plain.Clock())

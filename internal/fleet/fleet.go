@@ -408,15 +408,6 @@ func (d decision) routeName() string {
 	return "routed"
 }
 
-// eventRingAt indexes a possibly-nil ring slice: a fleet run without
-// events or health hands every shard a nil (no-op) ring.
-func eventRingAt(rings []*obs.EventRing, s int) *obs.EventRing {
-	if rings == nil {
-		return nil
-	}
-	return rings[s]
-}
-
 // eventKey is a shard event's place in the merged order: DoneSec,
 // then shard, then per-shard seq, with ±0 comparing equal. (Shard, Seq)
 // is unique — each shard ring numbers its events densely — so the
@@ -550,14 +541,14 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			AttrInt("drives", drives)
 	}
 	// Wide events feed two post-run consumers: the caller's merged
-	// ring and the health tracker. Either one arms the per-shard
-	// rings; each ring may retain the whole stream, so nothing drops
-	// and both consumers see every terminal outcome. Storage starts at twice a shard's even share, which
-	// routing skew rarely outgrows, instead of the whole stream per
-	// shard.
-	var rings []*obs.EventRing
-	if cfg.Events != nil || cfg.Health != nil {
-		rings = make([]*obs.EventRing, len(f.bases))
+	// ring and the health tracker. Either one arms the per-shard rings
+	// (otherwise every slot stays a nil, no-op ring). Each may retain
+	// the whole stream, so both consumers see every terminal outcome;
+	// storage starts at twice a shard's even share, which routing skew
+	// rarely outgrows.
+	armed := cfg.Events != nil || cfg.Health != nil
+	rings := make([]*obs.EventRing, len(f.bases))
+	if armed {
 		for s := range rings {
 			rings[s] = obs.NewGrowingEventRing(len(stream), 2*len(stream)/len(f.bases))
 		}
@@ -588,7 +579,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			SpanTrace:   trace,
 			SpanParent:  root,
 			Lane:        1 + s*(1+drives),
-			Events:      eventRingAt(rings, s),
+			Events:      rings[s],
 			Shard:       s,
 		})
 		tier, err := hsm.NewTier(lib, cfg.Cache)
@@ -672,7 +663,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		root.AttrInt("served", m.Served)
 		root.End(m.Makespan)
 	}
-	if rings != nil {
+	if armed {
 		// Fold the per-shard logs into one stream ordered by terminal
 		// time, exactly as the registries fold in spec order: the merged
 		// log and the tracker state are pure functions of the run,
@@ -687,18 +678,16 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			fillHealth(cfg.Health, keys, len(rings))
 		}
 	}
-	if cfg.Reg != nil {
-		cfg.Reg.Counter("fleet_offered_total", cfg.Labels...).Add(int64(m.Offered))
-		cfg.Reg.Counter("fleet_affinity_hits_total", cfg.Labels...).Add(int64(m.AffinityHits))
-		cfg.Reg.Counter("fleet_cross_shard_reads_total", cfg.Labels...).Add(int64(m.CrossShardReads))
-		cfg.Reg.Counter("fleet_unroutable_total", cfg.Labels...).Add(int64(m.Unroutable))
-		if cfg.Cache.Enabled() {
-			cfg.Reg.Counter("fleet_cache_hits_total", cfg.Labels...).Add(int64(m.CacheHits))
-			cfg.Reg.Counter("fleet_cache_misses_total", cfg.Labels...).Add(int64(m.CacheMisses))
-		}
-		for s := range res {
-			cfg.Reg.Counter("fleet_routed_total", shardLabels(cfg.Labels, s)...).Add(int64(res[s].Routed))
-		}
+	cfg.Reg.Counter("fleet_offered_total", cfg.Labels...).Add(int64(m.Offered))
+	cfg.Reg.Counter("fleet_affinity_hits_total", cfg.Labels...).Add(int64(m.AffinityHits))
+	cfg.Reg.Counter("fleet_cross_shard_reads_total", cfg.Labels...).Add(int64(m.CrossShardReads))
+	cfg.Reg.Counter("fleet_unroutable_total", cfg.Labels...).Add(int64(m.Unroutable))
+	if cfg.Cache.Enabled() {
+		cfg.Reg.Counter("fleet_cache_hits_total", cfg.Labels...).Add(int64(m.CacheHits))
+		cfg.Reg.Counter("fleet_cache_misses_total", cfg.Labels...).Add(int64(m.CacheMisses))
+	}
+	for s := range res {
+		cfg.Reg.Counter("fleet_routed_total", shardLabels(cfg.Labels, s)...).Add(int64(res[s].Routed))
 	}
 	return res, m, nil
 }

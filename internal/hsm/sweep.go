@@ -183,7 +183,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			Drives:     drives,
 			BatchLimit: limit,
 			Reg:        p.Reg,
-			Spans:      p.Spans,
+			SpanTrace:  p.Spans.StartTrace(),
 			Labels:     labels,
 		})
 		var tierCfg Config

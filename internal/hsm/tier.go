@@ -252,33 +252,24 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	lc := lib.Config()
 	t.segBytes = lc.Profile.SegmentBytes
 	t.events, t.shard = lc.Events, lc.Shard
-	if lc.Spans != nil || lc.SpanTrace != nil {
-		trace := lc.SpanTrace
-		if trace == nil {
-			trace = lc.Spans.StartTrace()
-		}
-		root := trace.Start("cache", lc.SpanParent, 0).
+	if lc.SpanTrace != nil {
+		root := lc.SpanTrace.Start("cache", lc.SpanParent, 0).
 			Attr("policy", pol.Name()).
 			AttrInt("capacity_mb", int(cfg.CapacityBytes>>20)).
 			Lane(lc.Lane)
-		lc.SpanTrace, lc.SpanParent = trace, root
-		t.trace, t.root = trace, root
+		t.trace, t.root = lc.SpanTrace, root
+		lc.SpanParent = root
 		lib = lib.Clone(lc)
 		t.lib = lib
 	}
-	reg := lc.Reg
-	if reg == nil {
-		// A throwaway registry keeps the hit path branch-free when the
-		// library run has no registry of its own.
-		reg = obs.NewRegistry()
-	}
-	t.hitC = reg.Counter("cache_hits_total", lc.Labels...)
-	t.missC = reg.Counter("cache_misses_total", lc.Labels...)
-	t.installC = reg.Counter("cache_installs_total", lc.Labels...)
-	t.prefetchC = reg.Counter("cache_prefetch_installs_total", lc.Labels...)
-	t.evictC = reg.Counter("cache_evictions_total", lc.Labels...)
-	t.residentG = reg.Gauge("cache_bytes_resident", lc.Labels...)
-	t.hitHist = reg.Histogram("cache_hit_seconds", lc.Labels...)
+	// Without a registry the handles are nil and every write no-ops.
+	t.hitC = lc.Reg.Counter("cache_hits_total", lc.Labels...)
+	t.missC = lc.Reg.Counter("cache_misses_total", lc.Labels...)
+	t.installC = lc.Reg.Counter("cache_installs_total", lc.Labels...)
+	t.prefetchC = lc.Reg.Counter("cache_prefetch_installs_total", lc.Labels...)
+	t.evictC = lc.Reg.Counter("cache_evictions_total", lc.Labels...)
+	t.residentG = lc.Reg.Gauge("cache_bytes_resident", lc.Labels...)
+	t.hitHist = lc.Reg.Histogram("cache_hit_seconds", lc.Labels...)
 
 	t.objs = lib.Objects()
 	t.slots = make(map[string]int, len(t.objs))

@@ -45,9 +45,9 @@ func TestZeroCacheTierEquivalence(t *testing.T) {
 		regA, regB := obs.NewRegistry(), obs.NewRegistry()
 		trA, trB := obs.NewTracer(1<<14), obs.NewTracer(1<<14)
 		bare := cfg
-		bare.Reg, bare.Spans = regA, trA
+		bare.Reg, bare.SpanTrace = regA, trA.StartTrace()
 		wrapped := cfg
-		wrapped.Reg, wrapped.Spans = regB, trB
+		wrapped.Reg, wrapped.SpanTrace = regB, trB.StartTrace()
 
 		wantComps, wantM, err := cloneFor(base, bare).Run(stream)
 		if err != nil {
@@ -291,6 +291,47 @@ func TestTierPrefetch(t *testing.T) {
 	}
 	if tm.Evictions != 0 {
 		t.Errorf("tight prefetch evicted %d entries", tm.Evictions)
+	}
+}
+
+// TestTierNilRegistryNeutral pins the registry's off switch at the
+// tier: a cached, prefetching, evicting tier run without a registry
+// gives the same completions and metrics as the run with one.
+func TestTierNilRegistryNeutral(t *testing.T) {
+	base := testStore(t)
+	stream, err := tertiary.SweepStream(240, 300, 7, 4, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(reg *obs.Registry) ([]tertiary.Completion, Metrics) {
+		tier, err := NewTier(cloneFor(base, tertiary.Config{Drives: 2, BatchLimit: 8, Reg: reg}), Config{
+			CapacityBytes:     16 * 16 * 32768, // sixteen extents
+			Prefetch:          true,
+			PrefetchThreshold: 6000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps, m, err := tier.Run(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comps, m
+	}
+	reg := obs.NewRegistry()
+	wantComps, wantM := run(reg)
+	gotComps, gotM := run(nil)
+	if wantM.Hits == 0 || wantM.PrefetchInstalls == 0 || wantM.Evictions == 0 {
+		t.Fatalf("fixture too tame: %+v", wantM)
+	}
+	if reg.Counter("cache_hits_total").Value() != int64(wantM.Hits) {
+		t.Fatal("the registry run did not record its hits")
+	}
+	if !reflect.DeepEqual(gotM, wantM) {
+		t.Fatalf("nil-registry metrics = %+v, want %+v", gotM, wantM)
+	}
+	if !reflect.DeepEqual(gotComps, wantComps) {
+		t.Fatal("nil-registry completions differ from the registry run")
 	}
 }
 

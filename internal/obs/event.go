@@ -110,12 +110,8 @@ func (e Event) AttributionSum() float64 {
 // on whether wide events are enabled, and an un-instrumented run pays
 // nothing.
 type EventRing struct {
-	mu      sync.Mutex
-	ring    []Event
-	limit   int // retention bound; ring grows by append up to it
-	next    int
-	total   int64
-	dropped int64
+	mu sync.Mutex
+	r  ring[Event]
 }
 
 // NewEventRing returns a ring retaining the most recent cap events
@@ -123,10 +119,7 @@ type EventRing struct {
 // for a caller that knows how many events are coming, since Add then
 // never reallocates.
 func NewEventRing(cap int) *EventRing {
-	if cap < 1 {
-		cap = 1
-	}
-	return &EventRing{ring: make([]Event, 0, cap), limit: cap}
+	return &EventRing{r: newRing[Event](cap, max(cap, 1))}
 }
 
 // NewGrowingEventRing returns a ring with the same retention bound as
@@ -136,10 +129,7 @@ func NewEventRing(cap int) *EventRing {
 // share of a stream sized by the whole stream, with hint its expected
 // share.
 func NewGrowingEventRing(cap, hint int) *EventRing {
-	if cap < 1 {
-		cap = 1
-	}
-	return &EventRing{ring: make([]Event, 0, min(max(hint, 0), cap)), limit: cap}
+	return &EventRing{r: newRing[Event](cap, hint)}
 }
 
 // Add records one event, evicting the oldest when full. If the event
@@ -151,17 +141,10 @@ func (r *EventRing) Add(ev Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
 	if ev.Seq == 0 {
-		ev.Seq = r.total
+		ev.Seq = r.r.total + 1
 	}
-	if len(r.ring) < r.limit {
-		r.ring = append(r.ring, ev)
-		return
-	}
-	r.dropped++
-	r.ring[r.next] = ev
-	r.next = (r.next + 1) % len(r.ring)
+	r.r.add(ev)
 }
 
 // Events returns the retained events, oldest first.
@@ -171,10 +154,7 @@ func (r *EventRing) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return r.r.snapshot()
 }
 
 // Visit calls fn on every retained event, oldest first. fn reads the
@@ -188,13 +168,7 @@ func (r *EventRing) Visit(fn func(*Event)) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.ring {
-		j := r.next + i
-		if j >= len(r.ring) {
-			j -= len(r.ring)
-		}
-		fn(&r.ring[j])
-	}
+	r.r.visit(fn)
 }
 
 // Total returns how many events were ever added; Dropped how many of
@@ -205,7 +179,7 @@ func (r *EventRing) Total() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.r.total
 }
 
 // Dropped returns the number of evicted events.
@@ -215,7 +189,7 @@ func (r *EventRing) Dropped() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.r.dropped
 }
 
 // Reset empties the ring and clears the vacated backing array so the
@@ -228,11 +202,7 @@ func (r *EventRing) Reset() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	clear(r.ring[:cap(r.ring)])
-	r.ring = r.ring[:0]
-	r.next = 0
-	r.total = 0
-	r.dropped = 0
+	r.r.reset()
 }
 
 // maxEventLineBytes caps one line of a JSONL event log, trailing

@@ -84,8 +84,8 @@ func TestGrowingEventRingMatchesPreallocated(t *testing.T) {
 	} {
 		n := c.n
 		a, b := NewEventRing(4), NewGrowingEventRing(4, c.hint)
-		if cap(b.ring) != c.slots {
-			t.Fatalf("hint %d preallocated %d slots, want %d", c.hint, cap(b.ring), c.slots)
+		if cap(b.r.buf) != c.slots {
+			t.Fatalf("hint %d preallocated %d slots, want %d", c.hint, cap(b.r.buf), c.slots)
 		}
 		for i := 0; i < n; i++ {
 			a.Add(Event{DoneSec: float64(i)})
@@ -109,7 +109,7 @@ func TestEventRingResetClearsBacking(t *testing.T) {
 	if r.Total() != 0 || r.Dropped() != 0 || len(r.Events()) != 0 {
 		t.Fatalf("reset ring not empty: total %d dropped %d kept %d", r.Total(), r.Dropped(), len(r.Events()))
 	}
-	backing := r.ring[:cap(r.ring)]
+	backing := r.r.buf[:cap(r.r.buf)]
 	for i, ev := range backing {
 		if ev.Object != "" || ev.Labels != nil {
 			t.Fatalf("backing[%d] still pins %+v after Reset", i, ev)

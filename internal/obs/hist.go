@@ -26,7 +26,8 @@ const maxExactSamples = 1 << 20
 
 // Histogram is a latency histogram: exponential buckets for the text
 // dump plus retained samples for exact p50/p95/p99 and streaming
-// moments via stats.Accumulator. It is safe for concurrent use.
+// moments via stats.Accumulator. It is safe for concurrent use. A nil
+// *Histogram drops every observation.
 type Histogram struct {
 	mu      sync.Mutex
 	buckets []int64 // counts per histBounds entry; overflow in acc
@@ -42,6 +43,9 @@ func newHistogram() *Histogram {
 // Observe records one value in seconds. Non-finite values are dropped
 // (and counted) by the embedded accumulator, exactly as stats does.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	before := h.acc.N()

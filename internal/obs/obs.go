@@ -99,18 +99,20 @@ func promEscape(v string) string {
 
 // Counter is a monotonically increasing count. Inc and Add are single
 // atomic operations: the hot paths bump counters on every request, and
-// a lock per bump was a measurable share of a library run.
+// a lock per bump was a measurable share of a library run. A nil
+// *Counter, which a nil Registry hands out, takes every write and
+// keeps nothing.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add increases the counter by n; negative n is ignored (counters are
 // monotone by contract).
 func (c *Counter) Add(n int64) {
-	if n <= 0 {
+	if c == nil || n <= 0 {
 		return
 	}
 	c.v.Add(n)
@@ -121,17 +123,22 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous value (queue depth, clock seconds), held
 // as the bits of a float64 so every update is lock-free: Set is one
-// store, Add and Max compare-and-swap until their update lands.
+// store, Add and Max compare-and-swap until their update lands. A nil
+// *Gauge takes every write and keeps nothing.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add shifts the gauge by d.
 func (g *Gauge) Add(d float64) {
-	for {
+	for g != nil {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
 			return
@@ -141,7 +148,7 @@ func (g *Gauge) Add(d float64) {
 
 // Max raises the gauge to v if v is larger (high-water marks).
 func (g *Gauge) Max(v float64) {
-	for {
+	for g != nil {
 		old := g.bits.Load()
 		if !(v > math.Float64frombits(old)) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
@@ -153,7 +160,10 @@ func (g *Gauge) Max(v float64) {
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Registry holds a process's metrics by canonical series identity.
-// The zero value is not usable; call NewRegistry.
+// The zero value is not usable; call NewRegistry. A nil *Registry is
+// the off switch: Counter, Gauge and Histogram return nil handles
+// whose writes do nothing, so a run without a registry records
+// nothing and pays no key rendering.
 type Registry struct {
 	mu     sync.Mutex
 	counts map[string]series[Counter]
@@ -180,18 +190,27 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
+	if r == nil {
+		return nil
+	}
 	key, ls := metricKey(name, labels)
 	return lookup(r, r.counts, key, name, ls, newCounter)
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
+	if r == nil {
+		return nil
+	}
 	key, ls := metricKey(name, labels)
 	return lookup(r, r.gauges, key, name, ls, newGauge)
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
+	if r == nil {
+		return nil
+	}
 	key, ls := metricKey(name, labels)
 	return lookup(r, r.hists, key, name, ls, newHistogram)
 }
@@ -239,20 +258,4 @@ func (r *Registry) Merge(b *Registry) {
 	for k, s := range hists {
 		lookup(r, r.hists, k, s.name, s.labels, newHistogram).merge(s.m)
 	}
-}
-
-// TraceEvent is one recorded operation: what ran, where, when on the
-// virtual clock, for how long, and how it ended.
-type TraceEvent struct {
-	// ClockSec is the virtual-clock time at which the operation
-	// started.
-	ClockSec float64
-	// Op names the operation ("locate", "read", "rewind", ...).
-	Op string
-	// Segment is the operation's target segment, or -1.
-	Segment int
-	// ElapsedSec is the operation's virtual duration.
-	ElapsedSec float64
-	// Err classifies a failed operation ("" on success).
-	Err string
 }

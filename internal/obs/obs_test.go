@@ -42,6 +42,25 @@ func TestCounterGauge(t *testing.T) {
 // exactly representable gauge step lands), negative counter adds stay
 // ignored, and Max keeps the true high-water mark. Run under -race it
 // also checks the lock-free updates are data-race free.
+// TestNilRegistryNoOps pins the off switch: a nil registry hands out
+// nil handles, and every handle write on them is a no-op.
+func TestNilRegistryNoOps(t *testing.T) {
+	var r *Registry
+	c := r.Counter("served_total", L("alg", "LOSS"))
+	g := r.Gauge("queue_depth")
+	h := r.Histogram("latency_seconds", L("tape", "1"))
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out live handles: %v %v %v", c, g, h)
+	}
+	c.Inc()
+	c.Add(3)
+	g.Set(1)
+	g.Add(2)
+	g.Max(5)
+	h.Observe(0.5)
+	h.Observe(math.NaN())
+}
+
 func TestCounterGaugeConcurrent(t *testing.T) {
 	var c Counter
 	var g, hw Gauge

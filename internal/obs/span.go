@@ -51,21 +51,15 @@ func (s Span) DurationSec() float64 { return s.EndSec - s.StartSec }
 // whose methods all no-op, so instrumentation points never branch on
 // whether tracing is enabled.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Span
-	next    int
-	total   int
-	dropped int
-	traces  uint64
+	mu     sync.Mutex
+	r      ring[Span]
+	traces uint64
 }
 
 // NewTracer returns a tracer retaining the most recent capSpans
 // completed spans (minimum 1).
 func NewTracer(capSpans int) *Tracer {
-	if capSpans < 1 {
-		capSpans = 1
-	}
-	return &Tracer{ring: make([]Span, 0, capSpans)}
+	return &Tracer{r: newRing[Span](capSpans, max(capSpans, 1))}
 }
 
 // StartTrace opens a new trace and returns its handle. Trace IDs are
@@ -91,14 +85,7 @@ func (t *Tracer) Record(s Span) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-		return
-	}
-	t.dropped++
-	t.ring[t.next] = s
-	t.next = (t.next + 1) % len(t.ring)
+	t.r.add(s)
 }
 
 // Spans returns the retained spans, oldest first.
@@ -108,10 +95,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return t.r.snapshot()
 }
 
 // Total returns how many spans were ever recorded; Dropped how many
@@ -122,7 +106,7 @@ func (t *Tracer) Total() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return int(t.r.total)
 }
 
 // Dropped returns the number of evicted spans.
@@ -132,7 +116,7 @@ func (t *Tracer) Dropped() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return int(t.r.dropped)
 }
 
 // TraceHandle allocates span IDs for one trace. It is safe for

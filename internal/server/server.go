@@ -78,8 +78,7 @@ type Config struct {
 	// Faults arms the drive with an injector when any rate is
 	// non-zero.
 	Faults fault.Config
-	// Reg receives the run's metrics; nil creates a fresh registry
-	// (exposed in the Result either way).
+	// Reg receives the run's metrics; nil records none.
 	Reg *obs.Registry
 	// Labels are added to every metric series the run emits; the
 	// sweeps pass the cell coordinates here.
@@ -138,9 +137,6 @@ type Result struct {
 	FinalHead int
 	// MaxQueueDepth is the admission queue's high-water mark.
 	MaxQueueDepth int
-
-	// Reg is the registry the run's metrics went to.
-	Reg *obs.Registry
 }
 
 // SojournP returns the p-th percentile sojourn time, or 0 when
@@ -166,8 +162,6 @@ type state struct {
 	exec    *sim.Executor
 	sched   core.Scheduler
 	queue   *AdmissionQueue
-	reg     *obs.Registry
-	labels  []obs.Label
 	readLen int
 
 	arrivals []Request
@@ -245,16 +239,28 @@ func (s *state) admit(until float64) int {
 	return n
 }
 
+// counter, histogram and gauge resolve a series under the run's
+// labels; without a registry they return a nil (no-op) handle before
+// building the label set.
 func (s *state) counter(name string, extra ...obs.Label) *obs.Counter {
-	return s.reg.Counter(name, append(extra, s.labels...)...)
+	if s.cfg.Reg == nil {
+		return nil
+	}
+	return s.cfg.Reg.Counter(name, append(extra, s.cfg.Labels...)...)
 }
 
 func (s *state) histogram(name string, extra ...obs.Label) *obs.Histogram {
-	return s.reg.Histogram(name, append(extra, s.labels...)...)
+	if s.cfg.Reg == nil {
+		return nil
+	}
+	return s.cfg.Reg.Histogram(name, append(extra, s.cfg.Labels...)...)
 }
 
 func (s *state) gauge(name string, extra ...obs.Label) *obs.Gauge {
-	return s.reg.Gauge(name, append(extra, s.labels...)...)
+	if s.cfg.Reg == nil {
+		return nil
+	}
+	return s.cfg.Reg.Gauge(name, append(extra, s.cfg.Labels...)...)
 }
 
 // Run serves the arrival stream to completion and returns the run's
@@ -313,10 +319,6 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 		prev = r.ArrivalSec
 	}
 
-	reg := cfg.Reg
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	drv := drive.New(tape)
 	if cfg.Faults.Enabled() {
 		drv.AttachFaults(fault.New(cfg.Faults))
@@ -329,14 +331,11 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 		exec:     &sim.Executor{Drive: drv, Scheduler: sched},
 		sched:    sched,
 		queue:    NewAdmissionQueue(queueCap),
-		reg:      reg,
-		labels:   cfg.Labels,
 		readLen:  readLen,
 		arrivals: arrivals,
 	}
 	s.res.Alg = sched.Name()
 	s.res.Policy = cfg.Policy
-	s.res.Reg = reg
 	if cfg.Spans != nil {
 		s.trace = cfg.Spans.StartTrace()
 		s.root = s.trace.Start("run", nil, 0).
@@ -346,44 +345,47 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 	// Observability: every drive operation feeds per-op counters and
 	// latency histograms, plus a leaf span under the executing batch.
 	// The drive's clock excludes accounted idle, so s.idle maps it
-	// onto the run's virtual time.
-	drv.AttachTrace(func(ev obs.TraceEvent) {
-		if oi := drive.OpIndex(ev.Op); oi >= 0 {
-			c := s.opsC[oi]
-			if c == nil {
-				c = s.counter("drive_ops_total", obs.L("op", ev.Op))
-				s.opsC[oi] = c
-			}
-			c.Inc()
-			h := s.opsH[oi]
-			if h == nil {
-				h = s.histogram("drive_op_seconds", obs.L("op", ev.Op))
-				s.opsH[oi] = h
-			}
-			h.Observe(ev.ElapsedSec)
-		} else {
-			s.counter("drive_ops_total", obs.L("op", ev.Op)).Inc()
-			s.histogram("drive_op_seconds", obs.L("op", ev.Op)).Observe(ev.ElapsedSec)
-		}
-		if ev.Err != "" {
-			s.counter("drive_errors_total", obs.L("class", ev.Err)).Inc()
-		}
-		if s.trace != nil {
-			sp := s.trace.Start(ev.Op, s.curBatch, ev.ClockSec+s.idle)
-			if ev.Segment >= 0 {
-				sp.AttrInt("segment", ev.Segment)
-			}
-			if ev.Err != "" {
-				sp.Attr("err", ev.Err)
-			}
-			sp.End(ev.ClockSec + ev.ElapsedSec + s.idle)
-		}
-	})
+	// onto the run's virtual time. With neither a registry nor a
+	// trace the drive runs without a hook.
+	if s.cfg.Reg != nil || s.trace != nil {
+		drv.AttachTrace(s.traceOp)
+	}
 
 	if err := s.run(); err != nil {
 		return nil, err
 	}
 	return &s.res, nil
+}
+
+// traceOp is the drive's trace hook.
+func (s *state) traceOp(ev drive.Event) {
+	if s.cfg.Reg != nil {
+		c := s.opsC[ev.Op]
+		if c == nil {
+			c = s.counter("drive_ops_total", obs.L("op", ev.Op.String()))
+			s.opsC[ev.Op] = c
+		}
+		c.Inc()
+		h := s.opsH[ev.Op]
+		if h == nil {
+			h = s.histogram("drive_op_seconds", obs.L("op", ev.Op.String()))
+			s.opsH[ev.Op] = h
+		}
+		h.Observe(ev.ElapsedSec)
+		if ev.Err != "" {
+			s.counter("drive_errors_total", obs.L("class", ev.Err)).Inc()
+		}
+	}
+	if s.trace != nil {
+		sp := s.trace.Start(ev.Op.String(), s.curBatch, ev.ClockSec+s.idle)
+		if ev.Segment >= 0 {
+			sp.AttrInt("segment", ev.Segment)
+		}
+		if ev.Err != "" {
+			sp.Attr("err", ev.Err)
+		}
+		sp.End(ev.ClockSec + ev.ElapsedSec + s.idle)
+	}
 }
 
 // run is the event loop: admit, idle to the next event, cut a batch

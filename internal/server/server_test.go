@@ -28,6 +28,7 @@ func run(t *testing.T, cfg Config, arrivals []Request) *Result {
 }
 
 func TestBatchingWindowEdgeCases(t *testing.T) {
+	rejReg := obs.NewRegistry()
 	cases := []struct {
 		name     string
 		cfg      Config
@@ -101,7 +102,7 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 		},
 		{
 			name: "queue-full rejection",
-			cfg:  Config{Policy: QuiesceThenReplan, QueueCap: 2},
+			cfg:  Config{Policy: QuiesceThenReplan, QueueCap: 2, Reg: rejReg},
 			arrivals: []Request{
 				{ID: 0, Segment: 100000, ArrivalSec: 0},
 				{ID: 1, Segment: 200000, ArrivalSec: 0},
@@ -118,7 +119,7 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 				if r.MaxQueueDepth != 2 {
 					t.Fatalf("max depth=%d, want 2", r.MaxQueueDepth)
 				}
-				if got := r.Reg.Counter("rejected_total").Value(); got != 2 {
+				if got := rejReg.Counter("rejected_total").Value(); got != 2 {
 					t.Fatalf("rejected_total metric = %d, want 2", got)
 				}
 			},
@@ -292,14 +293,15 @@ func TestReplanOnArrivalReplansIncrementally(t *testing.T) {
 		{ID: 2, Segment: 120000, ArrivalSec: 5},
 		{ID: 3, Segment: 510000, ArrivalSec: 6},
 	}
-	res := run(t, Config{Policy: ReplanOnArrival, Scheduler: core.NewSLTF()}, arrivals)
+	reg := obs.NewRegistry()
+	res := run(t, Config{Policy: ReplanOnArrival, Scheduler: core.NewSLTF(), Reg: reg}, arrivals)
 	if res.Served != 4 {
 		t.Fatalf("served=%d, want 4", res.Served)
 	}
 	if res.IncrementalReplans == 0 {
 		t.Fatal("mid-service arrivals never triggered an incremental replan")
 	}
-	if got := res.Reg.Counter("incremental_replans_total").Value(); got != int64(res.IncrementalReplans) {
+	if got := reg.Counter("incremental_replans_total").Value(); got != int64(res.IncrementalReplans) {
 		t.Fatalf("metric says %d incremental replans, result says %d", got, res.IncrementalReplans)
 	}
 }
@@ -312,14 +314,11 @@ func TestServerEmitsObservability(t *testing.T) {
 		{ID: 0, Segment: 100000, ArrivalSec: 0},
 		{ID: 1, Segment: 300000, ArrivalSec: 0},
 	}
-	res := run(t, Config{
+	run(t, Config{
 		Policy: QuiesceThenReplan,
 		Reg:    reg,
 		Labels: []obs.Label{obs.L("cell", "test")},
 	}, arrivals)
-	if res.Reg != reg {
-		t.Fatal("result does not expose the provided registry")
-	}
 	if got := reg.Counter("served_total", obs.L("cell", "test")).Value(); got != 2 {
 		t.Fatalf("served_total = %d, want 2", got)
 	}
@@ -370,7 +369,6 @@ func TestSpanTracingDoesNotPerturbTiming(t *testing.T) {
 		cfg.Spans = obs.NewTracer(1 << 16)
 		traced := run(t, cfg, arrivals)
 
-		bare.Reg, traced.Reg = nil, nil // registries hold pointers, compared via the dumps elsewhere
 		if !reflect.DeepEqual(bare, traced) {
 			t.Fatalf("%s: span tracing perturbed the run:\nbare:   %+v\ntraced: %+v", policy, bare, traced)
 		}

@@ -142,23 +142,21 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Reg != nil {
-		// Record in spec order so the dump is independent of which
-		// worker ran which cell.
-		for _, c := range cells {
-			ls := []obs.Label{obs.L("alg", c.Alg), obs.L("rate", fmt.Sprintf("%g", c.Rate))}
-			r := c.Result
-			cfg.Reg.Counter("served_total", ls...).Add(int64(r.Served))
-			cfg.Reg.Counter("failed_total", ls...).Add(int64(r.FailedRequests))
-			cfg.Reg.Counter("retries_total", ls...).Add(int64(r.Retries))
-			cfg.Reg.Counter("replans_total", ls...).Add(int64(r.Replans))
-			cfg.Reg.Counter("recalibrations_total", ls...).Add(int64(r.Recalibrations))
-			cfg.Reg.Counter("fallbacks_total", ls...).Add(int64(r.Fallbacks))
-			cfg.Reg.Gauge("recovery_seconds", ls...).Set(r.RecoverySec)
-			h := cfg.Reg.Histogram("completion_seconds", ls...)
-			for _, v := range r.Completions {
-				h.Observe(v)
-			}
+	// Record in spec order so the dump is independent of which worker
+	// ran which cell.
+	for _, c := range cells {
+		ls := []obs.Label{obs.L("alg", c.Alg), obs.L("rate", fmt.Sprintf("%g", c.Rate))}
+		r := c.Result
+		cfg.Reg.Counter("served_total", ls...).Add(int64(r.Served))
+		cfg.Reg.Counter("failed_total", ls...).Add(int64(r.FailedRequests))
+		cfg.Reg.Counter("retries_total", ls...).Add(int64(r.Retries))
+		cfg.Reg.Counter("replans_total", ls...).Add(int64(r.Replans))
+		cfg.Reg.Counter("recalibrations_total", ls...).Add(int64(r.Recalibrations))
+		cfg.Reg.Counter("fallbacks_total", ls...).Add(int64(r.Fallbacks))
+		cfg.Reg.Gauge("recovery_seconds", ls...).Set(r.RecoverySec)
+		h := cfg.Reg.Histogram("completion_seconds", ls...)
+		for _, v := range r.Completions {
+			h.Observe(v)
 		}
 	}
 	return cells, nil

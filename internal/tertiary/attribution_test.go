@@ -20,7 +20,7 @@ func attributionFixture(t *testing.T, spans *obs.Tracer) ([]Completion, Metrics)
 	cfg := smallCfg(2)
 	cfg.BatchLimit = 6
 	cfg.Faults = fault.Config{TransientRate: 0.15, OvershootRate: 0.05, LostRate: 0.01, MediaRate: 0.005, Seed: 13}
-	cfg.Spans = spans
+	cfg.SpanTrace = spans.StartTrace()
 	cat := smallCatalog(t, cfg, 12)
 	lib, err := New(cfg, cat)
 	if err != nil {

@@ -26,11 +26,14 @@ func eventCfg(t *testing.T, drives int) (Config, *Catalog) {
 
 // TestWideEventsTimingNeutral pins the nil-handle promise: arming the
 // event ring must not change a single completion or metric — events
-// are pure accounting, never actors in the simulation.
+// are pure accounting, never actors in the simulation. Arming the
+// registry and a trace on top changes neither the run nor its events.
 func TestWideEventsTimingNeutral(t *testing.T) {
-	run := func(ring *obs.EventRing) ([]Completion, Metrics) {
+	run := func(ring *obs.EventRing, reg *obs.Registry, trace *obs.TraceHandle) ([]Completion, Metrics) {
 		cfg, cat := eventCfg(t, 1)
 		cfg.Events = ring
+		cfg.Reg = reg
+		cfg.SpanTrace = trace
 		lib, err := New(cfg, cat)
 		if err != nil {
 			t.Fatal(err)
@@ -41,9 +44,9 @@ func TestWideEventsTimingNeutral(t *testing.T) {
 		}
 		return done, m
 	}
-	d0, m0 := run(nil)
+	d0, m0 := run(nil, nil, nil)
 	ring := obs.NewEventRing(256)
-	d1, m1 := run(ring)
+	d1, m1 := run(ring, nil, nil)
 	if !reflect.DeepEqual(m0, m1) {
 		t.Fatalf("arming events changed metrics:\n%+v\n%+v", m0, m1)
 	}
@@ -52,6 +55,21 @@ func TestWideEventsTimingNeutral(t *testing.T) {
 	}
 	if ring.Total() == 0 {
 		t.Fatal("armed ring recorded nothing")
+	}
+	full := obs.NewEventRing(256)
+	reg, tracer := obs.NewRegistry(), obs.NewTracer(1<<14)
+	d2, m2 := run(full, reg, tracer.StartTrace())
+	if !reflect.DeepEqual(m0, m2) {
+		t.Fatalf("arming the registry and a trace changed metrics:\n%+v\n%+v", m0, m2)
+	}
+	if !reflect.DeepEqual(d0, d2) {
+		t.Fatal("arming the registry and a trace changed completions")
+	}
+	if !reflect.DeepEqual(ring.Events(), full.Events()) {
+		t.Fatal("arming the registry and a trace changed the wide events")
+	}
+	if reg.Counter("served_total").Value() != int64(m2.Served) || tracer.Total() == 0 {
+		t.Fatal("armed registry or trace recorded nothing")
 	}
 }
 

@@ -50,7 +50,8 @@ type driveState struct {
 
 	// dl is the drive's metric label; opsC caches the per-op counters
 	// so the trace hook's fast path renders no metric keys. traceFn is
-	// the hook itself, built once and re-attached on every exchange.
+	// the hook itself, built once and re-attached on every exchange;
+	// it stays nil when the run has neither a registry nor a trace.
 	dl      obs.Label
 	opsC    [drive.NumOps]*obs.Counter
 	traceFn drive.TraceFunc
@@ -95,7 +96,6 @@ type runState struct {
 	settled  bool
 	wakeAt   float64
 	finished bool
-	reg      *obs.Registry
 	trace    *obs.TraceHandle
 	root     *obs.SpanHandle
 	done     []Completion
@@ -161,21 +161,33 @@ type requeueBatch struct {
 	ps      []pending
 }
 
+// counter, histogram and gauge resolve a series under the run's
+// labels; without a registry they return a nil (no-op) handle before
+// building the label set.
 func (s *runState) counter(name string, extra ...obs.Label) *obs.Counter {
-	return s.reg.Counter(name, append(extra, s.cfg.Labels...)...)
+	if s.cfg.Reg == nil {
+		return nil
+	}
+	return s.cfg.Reg.Counter(name, append(extra, s.cfg.Labels...)...)
 }
 
 func (s *runState) histogram(name string, extra ...obs.Label) *obs.Histogram {
-	return s.reg.Histogram(name, append(extra, s.cfg.Labels...)...)
+	if s.cfg.Reg == nil {
+		return nil
+	}
+	return s.cfg.Reg.Histogram(name, append(extra, s.cfg.Labels...)...)
 }
 
 func (s *runState) gauge(name string, extra ...obs.Label) *obs.Gauge {
-	return s.reg.Gauge(name, append(extra, s.cfg.Labels...)...)
+	if s.cfg.Reg == nil {
+		return nil
+	}
+	return s.cfg.Reg.Gauge(name, append(extra, s.cfg.Labels...)...)
 }
 
 func (s *runState) mountsCounter(cart int) *obs.Counter {
 	c := s.cMounts[cart]
-	if c == nil {
+	if c == nil && s.cfg.Reg != nil {
 		c = s.counter("mounts_total", obs.L("tape", strconv.FormatInt(s.l.serials[cart], 10)))
 		s.cMounts[cart] = c
 	}
@@ -184,7 +196,7 @@ func (s *runState) mountsCounter(cart int) *obs.Counter {
 
 func (s *runState) latencyHist(cart int) *obs.Histogram {
 	h := s.hLatency[cart]
-	if h == nil {
+	if h == nil && s.cfg.Reg != nil {
 		h = s.histogram("latency_seconds", obs.L("tape", strconv.FormatInt(s.l.serials[cart], 10)))
 		s.hLatency[cart] = h
 	}
@@ -303,10 +315,6 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 	if queueCap <= 0 {
 		queueCap = math.MaxInt / 2
 	}
-	reg := l.cfg.Reg
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	s := &runState{
 		l:        l,
 		cfg:      l.cfg,
@@ -315,7 +323,7 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		q:        newBatchQueue(l.serials),
 		drives:   make([]driveState, l.cfg.Drives),
 		loadedBy: make([]int, len(l.serials)),
-		reg:      reg,
+		trace:    l.cfg.SpanTrace,
 		done:     make([]Completion, 0, len(arrivals)),
 		cMounts:  make([]*obs.Counter, len(l.serials)),
 		hLatency: make([]*obs.Histogram, len(l.serials)),
@@ -330,7 +338,9 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		d.id = i
 		d.idle = true
 		d.dl = obs.L("drive", strconv.Itoa(i))
-		d.traceFn = s.driveTraceFn(d)
+		if s.cfg.Reg != nil || s.trace != nil {
+			d.traceFn = s.driveTraceFn(d)
+		}
 	}
 	if l.cfg.Lifecycle.Enabled() {
 		s.lc = fault.NewLifecycle(l.cfg.Lifecycle)
@@ -340,11 +350,6 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		for i := range s.drives {
 			s.drives[i].outCounted = -1
 		}
-	}
-	if l.cfg.SpanTrace != nil {
-		s.trace = l.cfg.SpanTrace
-	} else if l.cfg.Spans != nil {
-		s.trace = l.cfg.Spans.StartTrace()
 	}
 	if s.trace != nil {
 		s.root = s.trace.Start("run", l.cfg.SpanParent, 0).Lane(l.cfg.Lane).
@@ -809,33 +814,30 @@ func (s *runState) exchange(d *driveState, cart int, now float64) (rewind, wait,
 // the per-op counters and histograms and a leaf span under the
 // drive's executing batch. Tracing never perturbs drive timing. The
 // hook is built once per drive and re-attached on every exchange; its
-// metric handles are cached in flat arrays, so with spans disabled
-// the per operation cost is two handle increments — no key rendering,
-// no map lookups, no allocation.
+// metric handles are cached in flat arrays indexed by drive.Op, so
+// with spans disabled the per operation cost is two handle increments
+// — no key rendering, no map lookups, no allocation.
 func (s *runState) driveTraceFn(d *driveState) drive.TraceFunc {
-	return func(ev obs.TraceEvent) {
-		if oi := drive.OpIndex(ev.Op); oi >= 0 {
-			c := d.opsC[oi]
+	return func(ev drive.Event) {
+		if s.cfg.Reg != nil {
+			c := d.opsC[ev.Op]
 			if c == nil {
-				c = s.counter("drive_ops_total", obs.L("op", ev.Op), d.dl)
-				d.opsC[oi] = c
+				c = s.counter("drive_ops_total", obs.L("op", ev.Op.String()), d.dl)
+				d.opsC[ev.Op] = c
 			}
 			c.Inc()
-			h := s.hOpSec[oi]
+			h := s.hOpSec[ev.Op]
 			if h == nil {
-				h = s.histogram("drive_op_seconds", obs.L("op", ev.Op))
-				s.hOpSec[oi] = h
+				h = s.histogram("drive_op_seconds", obs.L("op", ev.Op.String()))
+				s.hOpSec[ev.Op] = h
 			}
 			h.Observe(ev.ElapsedSec)
-		} else {
-			s.counter("drive_ops_total", obs.L("op", ev.Op), d.dl).Inc()
-			s.histogram("drive_op_seconds", obs.L("op", ev.Op)).Observe(ev.ElapsedSec)
-		}
-		if ev.Err != "" {
-			s.counter("drive_errors_total", obs.L("class", ev.Err), d.dl).Inc()
+			if ev.Err != "" {
+				s.counter("drive_errors_total", obs.L("class", ev.Err), d.dl).Inc()
+			}
 		}
 		if s.trace != nil {
-			sp := s.trace.Start(ev.Op, d.curBatch, d.base+ev.ClockSec)
+			sp := s.trace.Start(ev.Op.String(), d.curBatch, d.base+ev.ClockSec)
 			if ev.Segment >= 0 {
 				sp.AttrInt("segment", ev.Segment)
 			}

@@ -170,7 +170,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			Faults:     faults,
 			Lifecycle:  lifecycle,
 			Reg:        p.Reg,
-			Spans:      p.Spans,
+			SpanTrace:  p.Spans.StartTrace(),
 			Labels: []obs.Label{
 				obs.L("rate", fmt.Sprintf("%g", rate)),
 				obs.L("drives", strconv.Itoa(drives)),

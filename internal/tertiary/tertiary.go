@@ -269,25 +269,22 @@ type Config struct {
 	// enforced. The recommended budget is sim.DefaultRequestTimeoutSec,
 	// the same constant bounding the executor's per-request drive time.
 	DeadlineSec float64
-	// Reg receives the run's metrics; nil creates a fresh registry.
+	// Reg receives the run's metrics; nil records none (a nil
+	// registry hands out no-op handles, and the run skips the drive
+	// trace hook's metric half).
 	Reg *obs.Registry
 	// Labels are added to every metric series the run emits; the
 	// sweep passes the cell coordinates here.
 	Labels []obs.Label
-	// Spans, when non-nil, records the run as hierarchical
-	// virtual-time spans: the run, per-drive batches on their own
-	// lanes, robot waits and exchanges, the executor's recovery
-	// phases, every drive primitive as a leaf, and one span per
-	// request from arrival to completion carrying its latency
-	// attribution. Tracing is pure accounting and changes no
-	// simulated timing bit.
-	Spans *obs.Tracer
-	// SpanTrace, when non-nil, records the run's spans into this
-	// existing trace instead of starting a new one on Spans: the fleet
-	// layer passes its own trace handle so every shard's run span nests
-	// under the fleet span. SpanParent, when non-nil, becomes the run
-	// root span's parent — it must outlive the run. Zero values leave
-	// single-library tracing exactly as before.
+	// SpanTrace, when non-nil, records the run as hierarchical
+	// virtual-time spans in this trace: the run, per-drive batches on
+	// their own lanes, robot waits and exchanges, the executor's
+	// recovery phases, every drive primitive as a leaf, and one span
+	// per request carrying its latency attribution. A Tracer's
+	// StartTrace() is nil (off) on a nil Tracer; the fleet passes its
+	// own trace so shard runs nest under the fleet span. Tracing
+	// changes no simulated timing bit. SpanParent, when non-nil, is
+	// the run span's parent and must outlive the run.
 	SpanTrace  *obs.TraceHandle
 	SpanParent *obs.SpanHandle
 	// Lane offsets every span lane the run assigns: the run span lands

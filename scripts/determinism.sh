@@ -15,6 +15,9 @@
 #   cache         the staging-tier sweep (results/cache.txt)
 #   slo           the wide-event log and its SLO report
 #                 (results/events.jsonl, results/slo.txt)
+#   metrics       the registry dumps of library -metrics, serve
+#                 -metrics prom and chaos -metrics prom (not committed:
+#                 compared across worker counts only)
 set -eu
 
 tmp=$(mktemp -d)
@@ -67,8 +70,19 @@ slo)
 	go run ./cmd/slo -events "$tmp/events-1.jsonl" >"$tmp/slo.txt"
 	cmp "$tmp/slo.txt" results/slo.txt
 	;;
+metrics)
+	for run in "library -metrics" "serve -metrics prom" "chaos -metrics prom"; do
+		# shellcheck disable=SC2086 # split the command from its flags
+		set -- $run
+		cmd=$1
+		shift
+		go run "./cmd/$cmd" -workers 1 "$@" >"$tmp/$cmd-1.txt"
+		go run "./cmd/$cmd" -workers 8 "$@" >"$tmp/$cmd-8.txt"
+		cmp "$tmp/$cmd-1.txt" "$tmp/$cmd-8.txt"
+	done
+	;;
 *)
-	echo "usage: $0 {results|chaos|online|library|trace|availability|fleet|cache|slo}" >&2
+	echo "usage: $0 {results|chaos|online|library|trace|availability|fleet|cache|slo|metrics}" >&2
 	exit 2
 	;;
 esac
