@@ -298,11 +298,13 @@ func (d *Drive) locate(lbn int) (float64, error) {
 // move executes the physical positioning to lbn — the fault-free
 // locate — charging the clock and stats.
 func (d *Drive) move(lbn int) float64 {
-	t := d.truth.LocateTime(d.pos, lbn)
+	var t float64
 	if lbn != d.pos {
-		pl := d.tape.View().Place(lbn)
-		from := d.tape.View().Place(d.pos)
-		mo := d.truth.Maneuver(d.pos, lbn)
+		// The truth view shares the tape's geometry, so its placements
+		// are the tape's own.
+		mv := d.truth.Motion(d.pos, lbn)
+		t = mv.Sec
+		pl, from, mo := mv.To, mv.From, mv.Maneuver
 		if mo.Case == locate.Case1 {
 			// A short forward motion is mostly just reading: no
 			// landing maneuver, no end-zone error, only slight speed

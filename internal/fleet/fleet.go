@@ -20,7 +20,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 
 	"serpentine/internal/fault"
@@ -316,17 +315,18 @@ type RunConfig struct {
 	// lane block (shard s starts at lane 1 + s·(1+Drives)).
 	Spans *obs.Tracer
 	// Events, when non-nil, receives one wide event per request after
-	// the run: each shard collects its own (stamped with shard, route
-	// and the attribution vector) into a private ring, and the fold
-	// merges them in (DoneSec, Shard, Seq) order with Labels attached
-	// — the same spec-order folding the registries get, so the merged
-	// log is identical at any worker count.
+	// the run: the fold merges the shards' terminal records in
+	// (DoneSec, Shard, Seq) order and projects each entry onto its
+	// event (stamped with shard, route and the attribution vector) with
+	// Labels attached — the same spec-order folding the registries get,
+	// so the merged log is identical at any worker count.
 	Events *obs.EventRing
-	// Health, when non-nil, is filled from the event stream after the
-	// run: every event, in the same (DoneSec, Shard, Seq) order the
-	// Events fold uses, scores its shard (key "shard=N") and, when a
-	// drive was involved, its drive (key "shard=N/drive=D"). Routing
-	// never reads it, so arming it changes no decision.
+	// Health, when non-nil, is filled after the run in the same walk
+	// over the shards' terminal records, in the same (DoneSec, Shard,
+	// Seq) order, as the Events fold: every request scores its shard
+	// (key "shard=N") and, when a drive was involved, its drive (key
+	// "shard=N/drive=D"). Routing never reads it, so arming it changes
+	// no decision.
 	Health *obs.HealthTracker
 }
 
@@ -408,102 +408,55 @@ func (d decision) routeName() string {
 	return "routed"
 }
 
-// eventKey is a shard event's place in the merged order: DoneSec,
-// then shard, then per-shard seq, with ±0 comparing equal. (Shard, Seq)
-// is unique — each shard ring numbers its events densely — so the
-// order is total, and any comparison sort over these keys yields one
-// determined sequence.
-type eventKey struct {
-	done  float64
-	seq   int64
-	shard int32
-}
-
-func keyOf(ev *obs.Event) eventKey {
-	return eventKey{done: ev.DoneSec, seq: ev.Seq, shard: int32(ev.Shard)}
-}
-
-func (a eventKey) compare(b eventKey) int {
-	switch {
-	case a.done < b.done:
-		return -1
-	case b.done < a.done:
-		return 1
-	case a.shard != b.shard:
-		return int(a.shard - b.shard)
-	case a.seq < b.seq:
-		return -1
-	case b.seq < a.seq:
-		return 1
-	}
-	return 0
-}
-
-// foldKey locates one shard event in place for the fold's sort.
-type foldKey struct {
-	eventKey
-	ev *obs.Event
-}
-
-// sortEvents returns keys to every event of the per-shard rings in
-// eventKey order: the one sort both post-run consumers, foldEvents and
-// fillHealth, walk. It sorts compact keys pointing into the rings
-// rather than the events themselves, so the keys are valid until the
-// next Add to a ring.
-func sortEvents(rings []*obs.EventRing) []foldKey {
-	n := 0
-	for _, r := range rings {
-		n += int(r.Total())
-	}
-	keys := make([]foldKey, 0, n)
-	for _, r := range rings {
-		r.Visit(func(ev *obs.Event) {
-			keys = append(keys, foldKey{eventKey: keyOf(ev), ev: ev})
-		})
-	}
-	slices.SortFunc(keys, func(a, b foldKey) int { return a.compare(b.eventKey) })
-	return keys
-}
-
-// foldEvents appends the sorted events to dst with labels attached to
-// each: the post-run fold into RunConfig.Events.
-func foldEvents(dst *obs.EventRing, keys []foldKey, labels []obs.Label) {
-	for _, k := range keys {
-		ev := *k.ev
-		if len(labels) > 0 {
-			ev.Labels = append([]obs.Label(nil), labels...)
+// foldRecords merges the shards' terminal records, each sorted by
+// (Done, Seq), k-way in (Done, Shard, Seq) order, a total order since
+// (Shard, Seq) is unique: on equal Done (±0 alike) the lowest shard's
+// head goes first. The one walk feeds both post-run consumers: dst,
+// when non-nil, gets each entry's wide event (built by event, keeping
+// its per-shard Seq) with labels attached, and health, when non-nil,
+// scores each entry under "shard=N" and, when a drive served or failed
+// it, "shard=N/drive=D", in the terminal-time order it requires.
+func foldRecords(recs [][]tertiary.Terminal, event func(shard int, t *tertiary.Terminal) obs.Event,
+	dst *obs.EventRing, labels []obs.Label, health *obs.HealthTracker) {
+	heads := make([]int, len(recs))
+	keys := make([][]string, len(recs)) // shard key, then drive d's at d+1, each rendered once
+	for {
+		s := -1
+		for k, rec := range recs {
+			if heads[k] < len(rec) && (s < 0 || rec[heads[k]].Done < recs[s][heads[s]].Done) {
+				s = k
+			}
 		}
-		dst.Add(ev)
-	}
-}
-
-// fillHealth scores the sorted events in the tracker, in terminal-time
-// order as its rolling windows require: each under its shard (key
-// "shard=N") and, when a drive served or failed it, under that drive
-// (key "shard=N/drive=D"). Key strings are rendered once per shard and
-// drive.
-func fillHealth(tracker *obs.HealthTracker, keys []foldKey, shards int) {
-	shardKeys := make([]string, shards)
-	driveKeys := make([][]string, shards)
-	for s := range shardKeys {
-		shardKeys[s] = "shard=" + strconv.Itoa(s)
-	}
-	for _, k := range keys {
-		good := k.ev.Outcome == obs.OutcomeServed
-		tracker.Observe(shardKeys[k.shard], k.done, good)
-		d := k.ev.Drive
-		if d < 0 {
+		if s < 0 {
+			return
+		}
+		t := &recs[s][heads[s]]
+		heads[s]++
+		if dst != nil {
+			ev := event(s, t)
+			if len(labels) > 0 {
+				ev.Labels = append([]obs.Label(nil), labels...)
+			}
+			dst.Add(ev)
+		}
+		if health == nil {
 			continue
 		}
-		dk := driveKeys[k.shard]
-		for len(dk) <= d {
-			dk = append(dk, "")
+		ks, good := keys[s], t.Outcome == tertiary.OutcomeServed
+		if ks == nil {
+			ks = []string{"shard=" + strconv.Itoa(s)}
 		}
-		if dk[d] == "" {
-			dk[d] = shardKeys[k.shard] + "/drive=" + strconv.Itoa(d)
+		health.Observe(ks[0], t.Done, good)
+		if d := int(t.Drive) + 1; d > 0 {
+			for len(ks) <= d {
+				ks = append(ks, "")
+			}
+			if ks[d] == "" {
+				ks[d] = ks[0] + "/drive=" + strconv.Itoa(d-1)
+			}
+			health.Observe(ks[d], t.Done, good)
 		}
-		driveKeys[k.shard] = dk
-		tracker.Observe(dk[d], k.done, good)
+		keys[s] = ks
 	}
 }
 
@@ -540,20 +493,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			AttrInt("shards", len(f.bases)).
 			AttrInt("drives", drives)
 	}
-	// Wide events feed two post-run consumers: the caller's merged
-	// ring and the health tracker. Either one arms the per-shard rings
-	// (otherwise every slot stays a nil, no-op ring). Each may retain
-	// the whole stream, so both consumers see every terminal outcome;
-	// storage starts at twice a shard's even share, which routing skew
-	// rarely outgrows.
-	armed := cfg.Events != nil || cfg.Health != nil
-	rings := make([]*obs.EventRing, len(f.bases))
-	if armed {
-		for s := range rings {
-			rings[s] = obs.NewGrowingEventRing(len(stream), 2*len(stream)/len(f.bases))
-		}
-	}
-
 	// Every shard library is wrapped in an hsm staging tier. With
 	// cfg.Cache disabled the tier is a strict pass-through — no cache,
 	// no extra metrics, every call delegated to the shard's Runner —
@@ -579,7 +518,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			SpanTrace:   trace,
 			SpanParent:  root,
 			Lane:        1 + s*(1+drives),
-			Events:      rings[s],
 			Shard:       s,
 		})
 		tier, err := hsm.NewTier(lib, cfg.Cache)
@@ -663,20 +601,15 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		root.AttrInt("served", m.Served)
 		root.End(m.Makespan)
 	}
-	if armed {
-		// Fold the per-shard logs into one stream ordered by terminal
-		// time, exactly as the registries fold in spec order: the merged
-		// log and the tracker state are pure functions of the run,
-		// identical at any worker count. Per-shard Seqs survive the fold
-		// (the caller's ring only stamps zero Seqs), so (Shard, Seq)
-		// still names the source slot.
-		keys := sortEvents(rings)
-		if cfg.Events != nil {
-			foldEvents(cfg.Events, keys, cfg.Labels)
+	if cfg.Events != nil || cfg.Health != nil {
+		// Like the registries' spec-order fold, the merged log and the
+		// tracker state are identical at any worker count.
+		recs := make([][]tertiary.Terminal, len(runners))
+		for s, r := range runners {
+			recs[s] = r.Terminals()
 		}
-		if cfg.Health != nil {
-			fillHealth(cfg.Health, keys, len(rings))
-		}
+		foldRecords(recs, func(s int, t *tertiary.Terminal) obs.Event { return runners[s].Event(t) },
+			cfg.Events, cfg.Labels, cfg.Health)
 	}
 	cfg.Reg.Counter("fleet_offered_total", cfg.Labels...).Add(int64(m.Offered))
 	cfg.Reg.Counter("fleet_affinity_hits_total", cfg.Labels...).Add(int64(m.AffinityHits))

@@ -1,23 +1,25 @@
 package fleet
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
 
 	"serpentine/internal/obs"
+	"serpentine/internal/tertiary"
 )
 
 // This file keeps the event plane's original implementations as
 // test-only oracles, the way the core package keeps refOPT: the fold
 // that copied every shard log and sorted the full events, and the
 // health feed that buffered whole events in a heap and released them
-// in terminal-time order. The shipped sortEvents, foldEvents and
-// fillHealth read the rings in place through compact keys and must
-// reproduce both exactly — the feed as it ends a run, pumped once at
-// +Inf.
+// in terminal-time order. The shipped foldRecords merges the shards'
+// sorted terminal records and must reproduce both exactly — the feed
+// as it ends a run, pumped once at +Inf.
 
 // eventBefore is the merged log's order: DoneSec, then shard, then
 // per-shard seq.
@@ -115,12 +117,21 @@ func (hf *refHealthFeed) pop() obs.Event {
 // both signed zeros and an infinity.
 var foldDoneTimes = []float64{math.Copysign(0, -1), 0, 0.5, 1, 1, 2.25, 7, math.Inf(1)}
 
+// foldOutcomes maps a logged outcome back onto the record's enum.
+var foldOutcomes = map[string]tertiary.Outcome{
+	obs.OutcomeServed: tertiary.OutcomeServed, obs.OutcomeFailed: tertiary.OutcomeFailed,
+	obs.OutcomeRejected: tertiary.OutcomeRejected, obs.OutcomeShed: tertiary.OutcomeShed,
+}
+
 // FuzzFleetFoldEquivalence builds random per-shard event logs — DoneSec
 // ties across shards, ±0, every outcome, cache and drive pseudo-IDs —
-// and checks both post-run consumers of one sort against their
+// and checks both consumers of the one merge walk against their
 // oracles: the health fill must leave the same tracker scores as the
 // heap feed pumped once at +Inf, and the fold must produce a merged log
 // reflect.DeepEqual to the copy-all-then-sort fold's, labels included.
+// The walk reads each log as the terminal record Finish leaves: one
+// entry per event, sorted by (Done, Seq), projecting back onto the
+// logged event.
 func FuzzFleetFoldEquivalence(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{1, 7, 7, 7, 0, 0, 0, 255, 1, 2})
@@ -136,7 +147,7 @@ func FuzzFleetFoldEquivalence(f *testing.F) {
 		}
 		rings := make([]*obs.EventRing, shards)
 		for s := range rings {
-			rings[s] = obs.NewGrowingEventRing(len(data), len(data)/shards)
+			rings[s] = obs.NewEventRing(len(data))
 		}
 		outcomes := []string{obs.OutcomeServed, obs.OutcomeServed, obs.OutcomeFailed, obs.OutcomeShed}
 		for i, b := range data[1:] {
@@ -150,18 +161,29 @@ func FuzzFleetFoldEquivalence(f *testing.F) {
 				DoneSec: foldDoneTimes[int(b>>5)%len(foldDoneTimes)],
 			})
 		}
-		keys := sortEvents(rings)
-
+		recs := make([][]tertiary.Terminal, shards)
+		logs := make([][]obs.Event, shards)
+		for s, r := range rings {
+			logs[s] = r.Events()
+			for _, ev := range logs[s] {
+				recs[s] = append(recs[s], tertiary.Terminal{
+					Done: ev.DoneSec, Seq: ev.Seq, Drive: int32(ev.Drive), Cache: ev.Cache,
+					Outcome: foldOutcomes[ev.Outcome],
+				})
+			}
+			slices.SortStableFunc(recs[s], func(a, b tertiary.Terminal) int { return cmp.Compare(a.Done, b.Done) })
+		}
+		event := func(s int, t *tertiary.Terminal) obs.Event { return logs[s][t.Seq-1] }
+		got, want := obs.NewEventRing(len(data)), obs.NewEventRing(len(data))
 		tracker, refTracker := obs.NewHealthTracker(10, 100), obs.NewHealthTracker(10, 100)
-		fillHealth(tracker, keys, shards)
+		foldRecords(recs, event, got, labels, tracker)
+
 		ref := &refHealthFeed{tracker: refTracker, rings: rings}
 		ref.pump(math.Inf(1))
 		if got, want := tracker.Scores(), refTracker.Scores(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("tracker scores %v, oracle %v", got, want)
 		}
 
-		got, want := obs.NewEventRing(len(data)), obs.NewEventRing(len(data))
-		foldEvents(got, keys, labels)
 		refFoldEvents(want, rings, labels)
 		if g, w := got.Events(), want.Events(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("fold diverged from the oracle:\ngot  %+v\nwant %+v", g, w)

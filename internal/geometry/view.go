@@ -238,7 +238,12 @@ func (v *View) section(lbn int) int {
 // Place returns the placement of segment lbn. It panics if lbn is out
 // of range; schedulers validate requests before calling.
 func (v *View) Place(lbn int) Placement {
-	s := &v.secs[v.SectionIndex(lbn)]
+	return v.PlaceIn(&v.secs[v.SectionIndex(lbn)], lbn)
+}
+
+// PlaceIn is Place for a caller already holding lbn's section record
+// s, as SectionOf(lbn) returns it: it skips the section lookup.
+func (v *View) PlaceIn(s *Section, lbn int) Placement {
 	l := int(s.Logical)
 	phys := l
 	if s.Dir == Reverse {

@@ -2,31 +2,27 @@ package hsm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"serpentine/internal/obs"
 	"serpentine/internal/tertiary"
 )
 
-// TestInstallHeapPopClearsTail pins the stale-tail retention fix:
-// popping an install must zero the vacated backing slot so the heap
-// never pins popped object IDs. Pops come out in (at, seq) order.
-func TestInstallHeapPopClearsTail(t *testing.T) {
-	h := &installHeap{}
-	for i, id := range []string{"c", "a", "d", "b"} {
-		at := float64(i % 2) // c and d at 0, a and b at 1
-		h.push(install{at: at, seq: int64(4 - i), obj: tertiary.Object{ID: id}})
+// TestInstallQueueLandsInOrder pins the landing order of pending
+// cache fills: by time, then record entry, whatever the push order,
+// and only those due.
+func TestInstallQueueLandsInOrder(t *testing.T) {
+	q := &installQueue{}
+	for i, rec := range []int32{3, 1, 4, 2} {
+		q.push(install{at: float64(i % 2), rec: rec}) // 3 and 4 at 0, 1 and 2 at 1
 	}
-	for _, want := range []string{"d", "c", "b", "a"} {
-		if got := h.pop(); got.obj.ID != want {
-			t.Fatalf("pop = %q, want %q", got.obj.ID, want)
-		}
-		tail := (*h)[len(*h):cap(*h)]
-		for j, s := range tail {
-			if s.obj.ID != "" {
-				t.Fatalf("vacated slot %d still pins install %q", j, s.obj.ID)
-			}
-		}
+	var got []int32
+	for _, now := range []float64{-1, 0, 1} {
+		q.land(now, func(in install) { got = append(got, in.rec) })
+	}
+	if want := []int32{3, 4, 1, 2}; !slices.Equal(got, want) || len(*q) != 0 {
+		t.Fatalf("landed %v with %d pending, want %v and none", got, len(*q), want)
 	}
 }
 

@@ -18,6 +18,7 @@
 package hsm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -30,7 +31,7 @@ import (
 
 // CacheDriveID is the DriveID a cache-hit completion carries: the
 // staging disk is not one of the library's transports.
-const CacheDriveID = -1
+const CacheDriveID = tertiary.CacheDriveID
 
 // The staging disk prices a hit as a fixed per-access overhead (seek
 // plus request handling) plus a transfer at its streaming rate, a
@@ -104,68 +105,37 @@ func (m Metrics) HitRate() float64 {
 	return float64(m.Hits) / float64(m.Hits+m.Misses)
 }
 
-// install is one pending cache fill: a fetch completion whose data
-// lands in the cache at its Done time.
+// install is one pending cache fill: the fetch at entry rec of the
+// runner's terminal record, landing at its Done time, at. Entries are
+// in emission order until Finish, so rec breaks ties on at and the
+// landing order is total. An install holds no pointers, so a landed
+// one pins nothing.
 type install struct {
-	at   float64
-	seq  int64
-	slot int
-	obj  tertiary.Object
+	at  float64
+	rec int32
 }
 
-// installHeap is a binary min-heap of pending installs on (at, seq):
-// arrival of the data, record order breaking ties — fully
-// deterministic, since no two installs share a seq.
-type installHeap []install
+// installQueue holds the pending installs in landing order, (at, rec).
+type installQueue []install
 
-func (h installHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (q *installQueue) push(in install) {
+	i, _ := slices.BinarySearchFunc(*q, in, func(a, b install) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rec, b.rec))
+	})
+	*q = slices.Insert(*q, i, in)
 }
 
-func (h *installHeap) push(in install) {
-	*h = append(*h, in)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+// land hands every install due by now to apply, in landing order, and
+// drops them. Most calls land nothing; they leave the slice header,
+// and so the GC's write barrier, alone.
+func (q *installQueue) land(now float64, apply func(install)) {
+	n := 0
+	for ; n < len(*q) && (*q)[n].at <= now; n++ {
+		apply((*q)[n])
 	}
-}
-
-// pop removes the earliest install. It clears the vacated tail slot
-// before shrinking: the backing array would otherwise pin the popped
-// install's object until overwritten — the same stale-tail retention
-// class the admission queue's compaction once had.
-func (h *installHeap) pop() install {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = install{}
-	q = q[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q.less(l, small) {
-			small = l
-		}
-		if r < n && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
+	if n > 0 {
+		*q = slices.Delete(*q, 0, n)
 	}
-	*h = q
-	return top
 }
 
 // Tier is a staging cache wrapped around one library's incremental
@@ -188,23 +158,14 @@ type Tier struct {
 	// objs is the catalog in layout order (Library.Objects): an
 	// object's index there is its cache slot, and a cartridge's objects
 	// are one contiguous run of it, the run prefetch walks.
-	objs  []tertiary.Object
-	slots map[string]int
+	objs []tertiary.Object
 
-	installs  installHeap
-	harvested int
-	seq       int64
+	installs  installQueue
+	harvested int     // terminal record entries harvested so far
 	last      float64 // latest offered arrival
 	lastDone  float64 // latest hit completion
 
-	hits []tertiary.Completion
-	m    Metrics
-
-	// events and shard mirror the library config's wide-event wiring:
-	// cache hits complete outside the library loop, so the tier emits
-	// their wide events itself.
-	events *obs.EventRing
-	shard  int
+	m Metrics
 
 	trace *obs.TraceHandle
 	root  *obs.SpanHandle
@@ -251,7 +212,6 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 
 	lc := lib.Config()
 	t.segBytes = lc.Profile.SegmentBytes
-	t.events, t.shard = lc.Events, lc.Shard
 	if lc.SpanTrace != nil {
 		root := lc.SpanTrace.Start("cache", lc.SpanParent, 0).
 			Attr("policy", pol.Name()).
@@ -272,10 +232,6 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	t.hitHist = lc.Reg.Histogram("cache_hit_seconds", lc.Labels...)
 
 	t.objs = lib.Objects()
-	t.slots = make(map[string]int, len(t.objs))
-	for i, o := range t.objs {
-		t.slots[o.ID] = i
-	}
 
 	r, err := lib.StartRun()
 	if err != nil {
@@ -299,12 +255,7 @@ func (t *Tier) Cached(slot int) bool {
 }
 
 // slot returns the object's cache slot, -1 for an uncataloged ID.
-func (t *Tier) slot(id string) int {
-	if i, ok := t.slots[id]; ok {
-		return i
-	}
-	return -1
-}
+func (t *Tier) slot(id string) int { return t.lib.Slot(id) }
 
 // objBytes is the extent's size under the library's profile.
 func (t *Tier) objBytes(o tertiary.Object) int64 {
@@ -328,39 +279,42 @@ func (t *Tier) AdvanceTo(ts float64) error {
 	return nil
 }
 
-// absorb harvests the library's newly recorded completions into the
-// install heap and applies the installs due by now. Completions are
+// absorb harvests the library's newly recorded fetches into the
+// install queue and applies the installs due by now. Fetches are
 // recorded at batch dispatch time with Done timestamps that may lie
-// ahead; after AdvanceTo(now) every completion with Done <= now has
-// been recorded, so the applied set is exact.
+// ahead; after AdvanceTo(now) every fetch with Done <= now has been
+// recorded, so the applied set is exact.
 func (t *Tier) absorb(now float64) {
-	done := t.runner.Completed()
-	for i := t.harvested; i < len(done); i++ {
-		c := &done[i]
-		t.seq++
-		t.installs.push(install{at: c.Done, seq: t.seq, slot: t.slot(c.ObjectID), obj: c.Object})
+	rec := t.runner.Terminals()
+	for i := t.harvested; i < len(rec); i++ {
+		e := &rec[i]
+		if e.Outcome != tertiary.OutcomeServed || e.Cache {
+			continue
+		}
+		t.installs.push(install{at: e.Done, rec: int32(i)})
 	}
-	t.harvested = len(done)
-	for len(t.installs) > 0 && t.installs[0].at <= now {
-		t.apply(t.installs.pop())
-	}
+	t.harvested = len(rec)
+	t.installs.land(now, t.apply)
 }
 
 // apply lands one fetched extent in the cache and, when configured,
 // prefetches the rest of its coalesced run. A resident extent is only
 // refreshed, so its re-fetch price is never computed.
 func (t *Tier) apply(in install) {
-	if in.slot < 0 {
+	e := &t.runner.Terminals()[in.rec]
+	slot := t.runner.Slot(e)
+	if slot < 0 {
 		return // not in this library's catalog: nothing to stage
 	}
-	if !t.cache.Touch(in.slot) &&
-		t.cache.Install(in.slot, t.objs[in.slot].ID, t.objBytes(in.obj), t.refetchSec(in.obj)) {
+	obj := t.runner.Completion(e).Object // the catalog copy or a replica
+	if !t.cache.Touch(slot) &&
+		t.cache.Install(slot, t.objs[slot].ID, t.objBytes(obj), t.refetchSec(obj)) {
 		t.m.Installs++
 		t.installC.Inc()
 	}
 	t.syncCacheCounters()
 	if t.cfg.Prefetch {
-		t.prefetch(in.slot, in.obj)
+		t.prefetch(slot, obj)
 	}
 }
 
@@ -375,30 +329,17 @@ func (t *Tier) apply(in install) {
 // An extent is priced only once free capacity is known to hold it:
 // most run neighbours are resident already or do not fit.
 func (t *Tier) prefetch(slot int, o tertiary.Object) {
-	idx := slot
-	if c := t.objs[slot]; c.Tape != o.Tape || c.Start != o.Start || c.ID != o.ID {
-		// The fetched extent is not the catalog copy (a replica read):
-		// look it up in layout order as (Tape, Start, ID).
-		idx = sort.Search(len(t.objs), func(i int) bool {
-			c := t.objs[i]
-			if c.Tape != o.Tape {
-				return c.Tape > o.Tape
-			}
-			if c.Start != o.Start {
-				return c.Start >= o.Start
-			}
-			return c.ID >= o.ID
-		})
-		if idx >= len(t.objs) || t.objs[idx].Tape != o.Tape || t.objs[idx].ID != o.ID {
-			return // a replica extent not in this catalog's layout
-		}
+	if c := t.objs[slot]; c.Tape != o.Tape || c.Start != o.Start {
+		// A replica read. A replica carries its object's ID on another
+		// cartridge than the catalog copy, so it is not in the layout.
+		return
 	}
 	segs := o.Segments
 	if segs <= 0 {
 		segs = 1
 	}
 	runEnd := o.Start + segs
-	for j := idx + 1; j < len(t.objs) && t.objs[j].Tape == o.Tape; j++ {
+	for j := slot + 1; j < len(t.objs) && t.objs[j].Tape == o.Tape; j++ {
 		next := t.objs[j]
 		if next.Start-runEnd >= t.thresh {
 			return
@@ -477,15 +418,9 @@ func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 	transfer := float64(t.objBytes(obj)) / diskBytesPerSec
 	svc := diskLatencySec + transfer
 	done := req.Arrival + svc
-	t.hits = append(t.hits, tertiary.Completion{
-		Request: req,
-		Object:  obj,
-		Done:    done,
-		DriveID: CacheDriveID,
-		Attribution: tertiary.Attribution{
-			LocateSec:   diskLatencySec,
-			TransferSec: transfer,
-		},
+	t.runner.RecordHit(req, obj, route, done, tertiary.Attribution{
+		LocateSec:   diskLatencySec,
+		TransferSec: transfer,
 	})
 	t.m.Hits++
 	t.m.HitSojournSec += svc
@@ -497,22 +432,6 @@ func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 	}
 	t.hitC.Inc()
 	t.hitHist.Observe(svc)
-	if t.events != nil {
-		t.events.Add(obs.Event{
-			Shard:       t.shard,
-			Object:      req.ObjectID,
-			Tape:        obj.Tape,
-			Drive:       CacheDriveID,
-			Class:       req.Class(),
-			Outcome:     obs.OutcomeServed,
-			Cache:       true,
-			Route:       route,
-			ArrivalSec:  req.Arrival,
-			DoneSec:     done,
-			LocateSec:   diskLatencySec,
-			TransferSec: transfer,
-		})
-	}
 	if t.trace != nil {
 		t.trace.Start("hit", t.root, req.Arrival).
 			Attr("object", req.ObjectID).
@@ -521,11 +440,10 @@ func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 }
 
 // Finish drains the wrapped loop, applies every remaining install, and
-// returns the merged completions — library
-// fetches and cache hits together in completion-time order, a hit
-// ahead of a fetch completing at the same instant — with the tier
-// metrics. For a disabled tier this is exactly the
-// Runner's Finish.
+// returns the completions — library fetches and cache hits together in
+// completion-time order, a hit ahead of a fetch completing at the same
+// instant (the runner's record holds both) — with the tier metrics.
+// For a disabled tier this is exactly the Runner's Finish.
 func (t *Tier) Finish() ([]tertiary.Completion, Metrics, error) {
 	if t.cache == nil {
 		comps, lm, err := t.runner.Finish()
@@ -535,8 +453,8 @@ func (t *Tier) Finish() ([]tertiary.Completion, Metrics, error) {
 		return nil, Metrics{}, fmt.Errorf("hsm: double Finish")
 	}
 	t.finished = true
-	// Drain the loop before Finish sorts the completion record: the
-	// harvest index is only valid against record order.
+	// Drain the loop before Finish sorts the terminal record: the
+	// harvest index is only valid against emission order.
 	if err := t.runner.AdvanceTo(math.Inf(1)); err != nil {
 		return nil, Metrics{}, err
 	}
@@ -551,50 +469,13 @@ func (t *Tier) Finish() ([]tertiary.Completion, Metrics, error) {
 	if t.lastDone > t.m.Makespan {
 		t.m.Makespan = t.lastDone
 	}
-	all := mergeByDone(t.hits, comps)
 	if t.root != nil {
 		t.root.AttrInt("hits", t.m.Hits).
 			AttrInt("misses", t.m.Misses).
 			AttrInt("evictions", t.m.Evictions).
 			End(t.m.Makespan)
 	}
-	return all, t.m, nil
-}
-
-// byDone orders completions by completion time.
-func byDone(a, b tertiary.Completion) int {
-	switch {
-	case a.Done < b.Done:
-		return -1
-	case b.Done < a.Done:
-		return 1
-	}
-	return 0
-}
-
-// mergeByDone returns hits and fetches in one list ordered by Done,
-// exactly as a stable sort of hits followed by fetches would: on equal
-// Done, hits come first and each list keeps its own order. fetches
-// arrive stably sorted from the Runner; hits are in offer order, which
-// is already Done order whenever every hit prices the same, so they
-// are stably sorted only when they are not.
-func mergeByDone(hits, fetches []tertiary.Completion) []tertiary.Completion {
-	if !slices.IsSortedFunc(hits, byDone) {
-		slices.SortStableFunc(hits, byDone)
-	}
-	all := make([]tertiary.Completion, 0, len(hits)+len(fetches))
-	i, j := 0, 0
-	for i < len(hits) && j < len(fetches) {
-		if fetches[j].Done < hits[i].Done {
-			all = append(all, fetches[j])
-			j++
-		} else {
-			all = append(all, hits[i])
-			i++
-		}
-	}
-	all = append(all, hits[i:]...)
-	return append(all, fetches[j:]...)
+	return comps, t.m, nil
 }
 
 // Run serves a whole stream through the tier, the way Library.Run

@@ -26,11 +26,8 @@ type Explanation struct {
 
 // Explain decomposes the locate from src to dst.
 func (m *Model) Explain(src, dst int) Explanation {
-	e := Explanation{
-		Src:      m.view.Place(src),
-		Dst:      m.view.Place(dst),
-		Maneuver: m.Maneuver(src, dst),
-	}
+	mv := m.Motion(src, dst)
+	e := Explanation{Src: mv.From, Dst: mv.To, Maneuver: mv.Maneuver}
 	mo := e.Maneuver
 	switch mo.Case {
 	case CaseNone:

@@ -170,3 +170,36 @@ func BenchmarkCostMatrix(b *testing.B) {
 	}
 	b.ReportMetric(float64(n*n), "cells")
 }
+
+// TestMotionMatchesParts pins the one-pass locate entry the drive
+// emulator uses: on section-boundary probes and random segment pairs
+// of both bench tapes and a personality-skewed truth view, Motion
+// returns exactly LocateTime, Maneuver and the view's placements of
+// both endpoints, the same pair included.
+func TestMotionMatchesParts(t *testing.T) {
+	models := benchTapes(t)
+	models = append(models, NewModel(geometry.MustGenerate(geometry.DLT4000(), 3).TruthView()))
+	for mi, m := range models {
+		probes := probeSegments(m, 64, int64(11+mi))
+		rng := rand48.New(int64(29 + mi))
+		for i := 0; i < 4000; i++ {
+			src, dst := probes[rng.Intn(len(probes))], rng.Intn(m.Segments())
+			if i%2 == 0 {
+				src, dst = dst, src
+			}
+			if i%97 == 0 {
+				dst = src
+			}
+			got := m.Motion(src, dst)
+			want := Motion{
+				Sec:      m.LocateTime(src, dst),
+				Maneuver: m.Maneuver(src, dst),
+				From:     m.View().Place(src),
+				To:       m.View().Place(dst),
+			}
+			if got != want {
+				t.Fatalf("model %d: Motion(%d, %d) = %+v, parts give %+v", mi, src, dst, got, want)
+			}
+		}
+	}
+}

@@ -244,7 +244,10 @@ func (m *Model) Maneuver(src, dst int) Maneuver {
 	if src == dst {
 		return Maneuver{Case: CaseNone}
 	}
-	mo := m.decompose(m.view.Place(src), m.view.Place(dst))
+	return m.decompose(m.view.Place(src), m.view.Place(dst)).maneuver()
+}
+
+func (mo motion) maneuver() Maneuver {
 	return Maneuver{
 		Case:         mo.c,
 		TrackSwap:    mo.trackSwap,
@@ -252,6 +255,28 @@ func (m *Model) Maneuver(src, dst int) Maneuver {
 		ScanSections: mo.scanDist,
 		ReadSections: mo.readDist,
 	}
+}
+
+// Motion is one locate evaluated whole: LocateTime, Maneuver and the
+// view's Place of both endpoints, bit for bit.
+type Motion struct {
+	Sec      float64
+	Maneuver Maneuver
+	From, To geometry.Placement
+}
+
+// Motion evaluates the locate from src to dst, looking each endpoint's
+// section up once where its three parts would look it up three times.
+func (m *Model) Motion(src, dst int) Motion {
+	ss, ds := m.view.SectionOf(src), m.view.SectionOf(dst)
+	mv := Motion{From: m.view.PlaceIn(ss, src), To: m.view.PlaceIn(ds, dst)}
+	if src == dst {
+		mv.Maneuver.Case = CaseNone
+		return mv
+	}
+	mv.Sec = m.locate(ss, mv.From.Pos, src, ds, mv.To.Pos, dst)
+	mv.Maneuver = m.decompose(mv.From, mv.To).maneuver()
+	return mv
 }
 
 // LocateTime returns the modeled time, in seconds, to position the

@@ -106,30 +106,23 @@ func (e Event) AttributionSum() float64 {
 // retaining the most recent cap events in emission order. It is safe
 // for concurrent use; within one single-threaded simulation the store
 // content is a pure function of the run. A nil *EventRing is a valid
-// no-op sink — every method no-ops — so emission points never branch
-// on whether wide events are enabled, and an un-instrumented run pays
-// nothing.
+// no-op sink — every method no-ops — so callers never branch on
+// whether wide events are enabled.
+//
+// A run keeps its outcomes in its own record (tertiary.Terminal) and
+// projects events into a ring only once it finishes. A ring belongs
+// where a reader outside the run holds the events: a caller keeping a
+// log, or a live endpoint (Serve) reading while runs write to it.
 type EventRing struct {
 	mu sync.Mutex
 	r  ring[Event]
 }
 
 // NewEventRing returns a ring retaining the most recent cap events
-// (minimum 1), with all cap slots allocated up front: the right shape
-// for a caller that knows how many events are coming, since Add then
-// never reallocates.
+// (minimum 1), with all cap slots allocated up front, so Add never
+// reallocates.
 func NewEventRing(cap int) *EventRing {
-	return &EventRing{r: newRing[Event](cap, max(cap, 1))}
-}
-
-// NewGrowingEventRing returns a ring with the same retention bound as
-// NewEventRing(cap) that allocates only hint slots up front (clamped
-// to [0, cap]) and grows by append past them: for a bound that is a
-// safe ceiling rather than an expected count, such as a fleet shard's
-// share of a stream sized by the whole stream, with hint its expected
-// share.
-func NewGrowingEventRing(cap, hint int) *EventRing {
-	return &EventRing{r: newRing[Event](cap, hint)}
+	return &EventRing{r: newRing[Event](cap)}
 }
 
 // Add records one event, evicting the oldest when full. If the event

@@ -74,29 +74,6 @@ func TestEventRingVisit(t *testing.T) {
 	}
 }
 
-// TestGrowingEventRingMatchesPreallocated pins that a growing ring is
-// the preallocated ring with lazy storage: same retention, eviction,
-// sequence numbers and counters for any add count around the bound,
-// whatever its up-front hint.
-func TestGrowingEventRingMatchesPreallocated(t *testing.T) {
-	for _, c := range []struct{ n, hint, slots int }{
-		{0, 0, 0}, {1, 0, 0}, {3, 2, 2}, {4, -1, 0}, {5, 2, 2}, {9, 99, 4},
-	} {
-		n := c.n
-		a, b := NewEventRing(4), NewGrowingEventRing(4, c.hint)
-		if cap(b.r.buf) != c.slots {
-			t.Fatalf("hint %d preallocated %d slots, want %d", c.hint, cap(b.r.buf), c.slots)
-		}
-		for i := 0; i < n; i++ {
-			a.Add(Event{DoneSec: float64(i)})
-			b.Add(Event{DoneSec: float64(i)})
-		}
-		if !reflect.DeepEqual(a.Events(), b.Events()) || a.Total() != b.Total() || a.Dropped() != b.Dropped() {
-			t.Fatalf("after %d adds: preallocated %+v, growing %+v", n, a.Events(), b.Events())
-		}
-	}
-}
-
 // TestEventRingResetClearsBacking pins the stale-tail retention fix:
 // after Reset the backing array must hold no event strings or label
 // slices from before.

@@ -1,9 +1,9 @@
 package obs
 
 // ring is the bounded store behind EventRing and Tracer: it retains
-// the most recent limit values in add order, growing its backing by
-// append up to limit and overwriting the oldest slot past it. It does
-// no locking; each owner guards it with its own mutex.
+// the most recent limit values in add order, filling its backing up to
+// limit and overwriting the oldest slot past it. It does no locking;
+// each owner guards it with its own mutex.
 type ring[T any] struct {
 	buf     []T
 	limit   int
@@ -12,11 +12,11 @@ type ring[T any] struct {
 	dropped int64
 }
 
-// newRing returns a ring retaining limit values (minimum 1) with
-// prealloc slots allocated up front (clamped to [0, limit]).
-func newRing[T any](limit, prealloc int) ring[T] {
+// newRing returns a ring retaining limit values (minimum 1), with all
+// of its slots allocated up front.
+func newRing[T any](limit int) ring[T] {
 	limit = max(limit, 1)
-	return ring[T]{buf: make([]T, 0, min(max(prealloc, 0), limit)), limit: limit}
+	return ring[T]{buf: make([]T, 0, limit), limit: limit}
 }
 
 // add stores v, evicting the oldest value when full.

@@ -4,7 +4,6 @@ import "testing"
 
 // TestRingPreallocation pins what NewEventRing and NewTracer allocate
 // up front: every slot of their bound, at least one.
-// TestGrowingEventRingMatchesPreallocated covers NewGrowingEventRing.
 func TestRingPreallocation(t *testing.T) {
 	for _, c := range []struct{ bound, want int }{{-3, 1}, {0, 1}, {1, 1}, {7, 7}} {
 		if got := cap(NewEventRing(c.bound).r.buf); got != c.want {

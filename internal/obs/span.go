@@ -59,7 +59,7 @@ type Tracer struct {
 // NewTracer returns a tracer retaining the most recent capSpans
 // completed spans (minimum 1).
 func NewTracer(capSpans int) *Tracer {
-	return &Tracer{r: newRing[Span](capSpans, max(capSpans, 1))}
+	return &Tracer{r: newRing[Span](capSpans)}
 }
 
 // StartTrace opens a new trace and returns its handle. Trace IDs are

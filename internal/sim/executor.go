@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"serpentine/internal/core"
@@ -87,7 +88,9 @@ func (p RetryPolicy) backoff(k int) float64 {
 	return b
 }
 
-// ExecResult accounts one plan execution on the drive.
+// ExecResult accounts one plan execution on the drive. Served,
+// Completions and Detail are the executor's own buffers, valid until
+// its next Execute: a caller that keeps them past that copies them.
 type ExecResult struct {
 	// Served lists the segments retrieved successfully, in service
 	// order (the plan order, re-shuffled by any replans).
@@ -184,6 +187,10 @@ type Executor struct {
 	level int         // current degradation tier for this execution
 	pol   RetryPolicy // Policy with defaults resolved, set per Execute
 	rem   []int       // reusable remaining-requests buffer
+
+	served []int // the result's buffers, resliced on every Execute
+	comps  []float64
+	detail []ServeDetail
 }
 
 // serve verdicts.
@@ -232,6 +239,13 @@ func (ex *Executor) Execute(p *core.Problem, plan core.Plan) (ExecResult, error)
 		readLen = 1
 	}
 	start := ex.Drive.Clock()
+	// Each request is served at most once: buffers at plan size never
+	// regrow.
+	n := len(plan.Order)
+	ex.served = slices.Grow(ex.served[:0], n)
+	ex.comps = slices.Grow(ex.comps[:0], n)
+	ex.detail = slices.Grow(ex.detail[:0], n)
+	res.Served, res.Completions, res.Detail = ex.served, ex.comps, ex.detail
 
 	// A whole-tape READ plan on a fault-free drive is a streaming
 	// pass, not a locate sequence; keep that execution path so READ
@@ -261,12 +275,6 @@ func (ex *Executor) Execute(p *core.Problem, plan core.Plan) (ExecResult, error)
 	}
 	remaining := ex.rem[:len(plan.Order)]
 	copy(remaining, plan.Order)
-	// The served/completion slices are returned to the caller, so they
-	// are freshly allocated — but at final size, so the loop below
-	// never regrows them.
-	res.Served = make([]int, 0, len(plan.Order))
-	res.Completions = make([]float64, 0, len(plan.Order))
-	res.Detail = make([]ServeDetail, 0, len(plan.Order))
 	// strikes counts replan-triggering failures per segment: a
 	// segment that survives a replan and again exhausts its retries
 	// is abandoned rather than replanned forever.

@@ -365,3 +365,25 @@ func TestExecutorSpansDoNotPerturbTiming(t *testing.T) {
 		t.Fatalf("no serve spans recorded among %d spans", len(spans))
 	}
 }
+
+// TestExecutorResultAllocs pins that a warmed executor reuses its
+// result buffers: once it has run a plan of a given size, executing
+// another plan no larger allocates nothing. The result is valid only
+// until the next Execute, so every caller copies what it keeps.
+func TestExecutorResultAllocs(t *testing.T) {
+	m, d := execFixture(t, 1, fault.Config{})
+	p, plan := schedulePlan(t, m, core.NewLOSS(), 0, []int{100000, 5000, 400000, 250123, 611111, 42})
+	ex := &Executor{Drive: d}
+	if _, err := ex.Execute(p, plan); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		res, err := ex.Execute(p, plan)
+		if err != nil || len(res.Served) != len(plan.Order) {
+			t.Fatalf("served %d of %d: %v", len(res.Served), len(plan.Order), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed Execute allocates %.2f times per call, want 0", allocs)
+	}
+}

@@ -25,10 +25,11 @@ func NewPlacement() *Placement {
 	return &Placement{extra: make(map[string][]Object)}
 }
 
-// Put appends replica extents for the object, in failover order. The
-// replicas are validated against the catalog and the library's tapes
-// when the library is built: every replica must live on a tape
-// distinct from the primary's and from the object's other replicas.
+// Put appends replica extents for the object, in failover order; each
+// replica takes the object's ID. The replicas are validated against
+// the catalog and the library's tapes when the library is built: every
+// replica must live on a tape distinct from the primary's and from the
+// object's other replicas.
 func (p *Placement) Put(id string, replicas ...Object) error {
 	if id == "" {
 		return errors.New("tertiary: placement for empty object ID")
@@ -37,9 +38,7 @@ func (p *Placement) Put(id string, replicas ...Object) error {
 		return fmt.Errorf("tertiary: placement for %s without replicas", id)
 	}
 	for i := range replicas {
-		if replicas[i].ID == "" {
-			replicas[i].ID = id
-		}
+		replicas[i].ID = id
 	}
 	p.extra[id] = append(p.extra[id], replicas...)
 	return nil

@@ -98,8 +98,12 @@ type runState struct {
 	finished bool
 	trace    *obs.TraceHandle
 	root     *obs.SpanHandle
-	done     []Completion
 	m        Metrics
+
+	// rec is the terminal record (see Terminals); hits holds the cache
+	// hits' requests, which its Cache entries refer to.
+	rec  []Terminal
+	hits []pending
 
 	// ex is the run's one recovering executor, re-pointed at the
 	// mounted drive per size class; prob is the reusable scheduling
@@ -259,7 +263,10 @@ func (s *runState) stepTo(until float64) error {
 	}
 }
 
-// close checks no request was stranded and folds up the run summary.
+// close checks no request was stranded, folds up the run summary,
+// fills Config.Events in emission order (the ring numbers them), and
+// sorts the terminal record by (Done, Seq), returning the completions
+// projected from it.
 func (s *runState) close() ([]Completion, Metrics, error) {
 	s.finished = true
 	if stranded := s.q.len(); stranded > 0 || s.next < len(s.arrivals) {
@@ -267,13 +274,19 @@ func (s *runState) close() ([]Completion, Metrics, error) {
 			stranded+len(s.arrivals)-s.next)
 	}
 	s.finish()
-	return s.done, s.m, nil
+	for i := 0; s.cfg.Events != nil && i < len(s.rec); i++ {
+		ev := s.event(&s.rec[i])
+		ev.Seq = 0
+		s.cfg.Events.Add(ev)
+	}
+	sort.Sort(byDoneSeq(s.rec))
+	return s.completions(), s.m, nil
 }
 
 // resolve validates one request against the catalog and the library's
 // deadline policy, returning it as a pending entry.
 func (l *Library) resolve(i int, r Request) (pending, bool, error) {
-	o, ok := l.catalog.Get(r.ObjectID)
+	o, slot, ok := l.catalog.lookup(r.ObjectID)
 	if !ok {
 		return pending{}, false, fmt.Errorf("tertiary: request for unknown object %q", r.ObjectID)
 	}
@@ -290,7 +303,7 @@ func (l *Library) resolve(i int, r Request) (pending, bool, error) {
 	if r.Deadline == 0 && l.cfg.DeadlineSec > 0 {
 		r.Deadline = r.Arrival + l.cfg.DeadlineSec
 	}
-	return pending{req: r, obj: o, cart: ci}, r.Deadline > 0, nil
+	return pending{req: r, obj: o, cart: ci, slot: int32(slot)}, r.Deadline > 0, nil
 }
 
 // newRun validates the configuration (a Clone skips New's checks) and
@@ -310,6 +323,9 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		arrivals = append(arrivals, p)
 	}
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].req.Arrival < arrivals[j].req.Arrival })
+	for i := range arrivals {
+		arrivals[i].ref = int32(i)
+	}
 
 	queueCap := l.cfg.QueueCap
 	if queueCap <= 0 {
@@ -324,7 +340,7 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		drives:   make([]driveState, l.cfg.Drives),
 		loadedBy: make([]int, len(l.serials)),
 		trace:    l.cfg.SpanTrace,
-		done:     make([]Completion, 0, len(arrivals)),
+		rec:      make([]Terminal, 0, len(arrivals)),
 		cMounts:  make([]*obs.Counter, len(l.serials)),
 		hLatency: make([]*obs.Histogram, len(l.serials)),
 	}
@@ -392,13 +408,13 @@ func (s *runState) admit(until float64) {
 		s.next++
 		if s.breaker != nil && !s.breaker.admits(p.req.BestEffort) {
 			s.shedRequests(1)
-			s.emitTerminal(p, obs.OutcomeShed, obs.EventNoDrive, p.req.Arrival)
+			s.unserved(&p, OutcomeShed, obs.EventNoDrive, p.req.Arrival)
 			continue
 		}
 		if s.lost(p.cart) {
 			if !s.redirect(&p) {
 				s.failRequests(1)
-				s.emitTerminal(p, obs.OutcomeFailed, obs.EventNoDrive, p.req.Arrival)
+				s.unserved(&p, OutcomeFailed, obs.EventNoDrive, p.req.Arrival)
 				continue
 			}
 		}
@@ -408,7 +424,7 @@ func (s *runState) admit(until float64) {
 				s.cRejected = s.counter("rejected_total")
 			}
 			s.cRejected.Inc()
-			s.emitTerminal(p, obs.OutcomeRejected, obs.EventNoDrive, p.req.Arrival)
+			s.unserved(&p, OutcomeRejected, obs.EventNoDrive, p.req.Arrival)
 			continue
 		}
 		s.q.push(p)
@@ -510,59 +526,6 @@ func (s *runState) redirect(p *pending) bool {
 			return true
 		}
 	}
-}
-
-// emitTerminal records the wide event for a request ending in a
-// non-served terminal state at virtual time at: the whole wait since
-// arrival books as queue time (minus any rescue time already accrued,
-// which keeps its own column), so the attribution vector telescopes
-// to the sojourn for every outcome. driveID is the drive involved in
-// the final decision, or obs.EventNoDrive when none was.
-func (s *runState) emitTerminal(p pending, outcome string, driveID int, at float64) {
-	if s.cfg.Events == nil {
-		return
-	}
-	s.cfg.Events.Add(obs.Event{
-		Shard:      s.cfg.Shard,
-		Object:     p.req.ObjectID,
-		Tape:       p.obj.Tape,
-		Drive:      driveID,
-		Class:      p.req.Class(),
-		Outcome:    outcome,
-		Route:      p.route,
-		Replica:    p.replica,
-		ArrivalSec: p.req.Arrival,
-		DoneSec:    at,
-		QueueSec:   at - p.req.Arrival - p.rescueSec,
-		RescueSec:  p.rescueSec,
-	})
-}
-
-// emitServed records the wide event for one completion, copying the
-// attribution vector the completion carries.
-func (s *runState) emitServed(p pending, driveID int, done float64, attr Attribution) {
-	if s.cfg.Events == nil {
-		return
-	}
-	s.cfg.Events.Add(obs.Event{
-		Shard:       s.cfg.Shard,
-		Object:      p.req.ObjectID,
-		Tape:        p.obj.Tape,
-		Drive:       driveID,
-		Class:       p.req.Class(),
-		Outcome:     obs.OutcomeServed,
-		Route:       p.route,
-		Replica:     p.replica,
-		ArrivalSec:  p.req.Arrival,
-		DoneSec:     done,
-		QueueSec:    attr.QueueSec,
-		RobotSec:    attr.RobotSec,
-		MountSec:    attr.MountSec,
-		LocateSec:   attr.LocateSec,
-		TransferSec: attr.TransferSec,
-		RetrySec:    attr.RetrySec,
-		RescueSec:   attr.RescueSec,
-	})
 }
 
 // failRequests counts n requests abandoned permanently.
@@ -703,7 +666,7 @@ func (s *runState) handleRequeue(rq *requeueBatch) {
 	for _, p := range rq.ps {
 		if s.lost(p.cart) && !s.redirect(&p) {
 			s.failRequests(1)
-			s.emitTerminal(p, obs.OutcomeFailed, obs.EventNoDrive, s.now)
+			s.unserved(&p, OutcomeFailed, obs.EventNoDrive, s.now)
 			continue
 		}
 		s.q.push(p)
@@ -872,7 +835,7 @@ func (s *runState) serve(d *driveState, cart int, now float64) (bool, error) {
 		for _, p := range batch {
 			if p.req.Deadline > 0 && now > p.req.Deadline {
 				s.shedRequests(1)
-				s.emitTerminal(p, obs.OutcomeShed, obs.EventNoDrive, now)
+				s.unserved(&p, OutcomeShed, obs.EventNoDrive, now)
 				continue
 			}
 			kept = append(kept, p)
@@ -1031,7 +994,7 @@ func (s *runState) loseCartridge(d *driveState, cart int, now float64, batch []p
 			redirected = append(redirected, p)
 		} else {
 			s.failRequests(1)
-			s.emitTerminal(p, obs.OutcomeFailed, obs.EventNoDrive, tripEnd)
+			s.unserved(&p, OutcomeFailed, obs.EventNoDrive, tripEnd)
 		}
 	}
 	if len(redirected) > 0 {
@@ -1122,13 +1085,7 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 				RetrySec:    det.RetrySec,
 				RescueSec:   p.rescueSec,
 			}
-			s.done = append(s.done, Completion{
-				Request: p.req, Object: p.obj,
-				Done:        done,
-				DriveID:     d.id,
-				Attribution: attr,
-			})
-			s.emitServed(p, d.id, done, attr)
+			s.terminal(&p, OutcomeServed, d.id, done, attr)
 			if p.replica > 0 {
 				s.m.ReplicaReads++
 				if s.cReplica == nil {
@@ -1185,7 +1142,7 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 					redirected = append(redirected, p)
 				} else {
 					s.failRequests(1)
-					s.emitTerminal(p, obs.OutcomeFailed, d.id, failAbs)
+					s.unserved(&p, OutcomeFailed, d.id, failAbs)
 				}
 			}
 			if len(redirected) > 0 {
@@ -1194,8 +1151,8 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 			}
 		default:
 			s.failRequests(len(s.slots[si]))
-			for _, p := range s.slots[si] {
-				s.emitTerminal(p, obs.OutcomeFailed, d.id, failAbs)
+			for i := range s.slots[si] {
+				s.unserved(&s.slots[si][i], OutcomeFailed, d.id, failAbs)
 			}
 		}
 		delete(s.slotOf, seg)
@@ -1212,7 +1169,8 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 }
 
 // finish retires the wear of still-loaded cartridges and folds the
-// completions into the summary metrics.
+// library's own completions, in emission order, into the summary
+// metrics.
 func (s *runState) finish() {
 	for i := range s.drives {
 		d := &s.drives[i]
@@ -1224,19 +1182,22 @@ func (s *runState) finish() {
 		s.gauge("drive_busy_seconds", d.dl).Set(d.busy)
 	}
 	var latSum float64
-	for _, c := range s.done {
+	for i := range s.rec {
+		t := &s.rec[i]
+		if t.Outcome != OutcomeServed || t.Cache {
+			continue
+		}
 		s.m.Served++
-		lat := c.Latency()
+		lat := t.Done - s.arrivals[t.Ref].req.Arrival
 		latSum += lat
 		if lat > s.m.MaxLatency {
 			s.m.MaxLatency = lat
 		}
-		s.m.BytesRead += int64(c.Object.segments()) * s.cfg.Profile.SegmentBytes
+		s.m.BytesRead += int64(s.object(t).segments()) * s.cfg.Profile.SegmentBytes
 	}
 	if s.m.Served > 0 {
 		s.m.MeanLatency = latSum / float64(s.m.Served)
 	}
-	sort.SliceStable(s.done, func(i, j int) bool { return s.done[i].Done < s.done[j].Done })
 	s.gauge("makespan_seconds").Set(s.m.Makespan)
 	s.gauge("queue_depth_max").Max(float64(s.m.MaxQueueDepth))
 	s.gauge("robot_busy_seconds").Set(s.m.RobotBusySec)

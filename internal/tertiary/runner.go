@@ -3,6 +3,8 @@ package tertiary
 import (
 	"fmt"
 	"math"
+
+	"serpentine/internal/obs"
 )
 
 // Runner is the library's event loop opened for external driving: the
@@ -77,7 +79,7 @@ func (r *Runner) OfferRouted(req Request, route string) error {
 			req.Arrival, r.last, s.now)
 	}
 	r.last = req.Arrival
-	p.route = route
+	p.route, p.ref = route, int32(len(s.arrivals))
 	s.hasDeadlines = s.hasDeadlines || dl
 	s.arrivals = append(s.arrivals, p)
 	s.settled = false
@@ -108,7 +110,8 @@ func (r *Runner) AdvanceTo(t float64) error {
 }
 
 // Finish drains the loop to quiescence and returns the completions (in
-// completion order) and the run metrics, exactly as Run would.
+// completion order) and the run metrics, exactly as Run would. It
+// sorts the terminal record into (Done, Seq) order (see Terminals).
 func (r *Runner) Finish() ([]Completion, Metrics, error) {
 	if r.s.finished {
 		return nil, Metrics{}, fmt.Errorf("tertiary: double Finish")
@@ -122,15 +125,48 @@ func (r *Runner) Finish() ([]Completion, Metrics, error) {
 // Now returns the runner's current virtual time.
 func (r *Runner) Now() float64 { return r.s.now }
 
-// Completed returns the completions recorded so far, in record order:
-// the deterministic order the event loop appended them at dispatch
-// time, not completion order, and with Done timestamps that may still
-// lie ahead of the clock (a batch's completions are priced when it
-// dispatches). The slice is the loop's own backing store — read-only,
-// growing across AdvanceTo calls, and re-sorted into completion order
-// by Finish, so incremental consumers (the staging tier harvesting
-// fetch returns) must drain it by index before calling Finish.
-func (r *Runner) Completed() []Completion { return r.s.done }
+// Completed projects the served entries recorded so far onto
+// completions, in record order (see Terminals).
+func (r *Runner) Completed() []Completion {
+	var out []Completion
+	for i := range r.s.rec {
+		if t := &r.s.rec[i]; t.Outcome == OutcomeServed {
+			out = append(out, r.s.completion(t))
+		}
+	}
+	return out
+}
+
+// Terminals returns the run's terminal record, cache hits included.
+// Until Finish it is in emission order, the order the loop decided the
+// outcomes in: a batch's completions are priced when it dispatches, so
+// Done may lie ahead of the clock. Finish sorts it by (Done, Seq). The
+// slice is the runner's own: read-only, valid until the next advance,
+// offer or hit, so an incremental reader drains it by index.
+func (r *Runner) Terminals() []Terminal { return r.s.rec }
+
+// Slot is the slot (Library.Slot) of a library entry's catalog object,
+// resolved when the request was offered; -1 for a cache hit.
+func (r *Runner) Slot(t *Terminal) int { return int(r.s.request(t).slot) }
+
+// Completion projects a served entry of the record onto a Completion.
+func (r *Runner) Completion(t *Terminal) Completion { return r.s.completion(t) }
+
+// Event projects an entry of the record onto its wide event, stamped
+// with the library's shard and the entry's Seq.
+func (r *Runner) Event(t *Terminal) obs.Event { return r.s.event(t) }
+
+// RecordHit enters a staging-tier cache hit into the terminal record:
+// req for the catalog object obj, routed as route, served off disk at
+// done. It draws the next emission ordinal, so hits and the library's
+// own outcomes share one sequence. The event loop never sees the
+// request, so no probe or metric changes.
+func (r *Runner) RecordHit(req Request, obj Object, route string, done float64, attr Attribution) {
+	s := r.s
+	s.hits = append(s.hits, pending{req: req, obj: obj, route: route, ref: int32(len(s.hits)), slot: -1})
+	s.terminal(&s.hits[len(s.hits)-1], OutcomeServed, CacheDriveID, done, attr)
+	s.rec[len(s.rec)-1].Cache = true
+}
 
 // QueueDepth is the pending backlog: requests admitted to the
 // per-cartridge backlog but not yet dispatched to a drive, plus those

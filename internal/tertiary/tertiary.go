@@ -16,10 +16,13 @@
 package tertiary
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
@@ -47,14 +50,20 @@ func (o Object) segments() int {
 	return o.Segments
 }
 
-// Catalog maps object IDs to extents.
+// Catalog maps object IDs to extents, and lists them in layout order
+// (Tape, Start, ID): an object's position there is its slot, the index
+// a run's per-object tables share (a staging tier's residency, a
+// fleet's directory). The list is sorted once, when a library is built
+// over the catalog (New), and kept sorted by every Put after that.
 type Catalog struct {
-	objects map[string]Object
+	slots  map[string]int // ID -> position in layout
+	layout []Object
+	sorted bool
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{objects: make(map[string]Object)}
+	return &Catalog{slots: make(map[string]int)}
 }
 
 // Put registers or replaces an object.
@@ -62,37 +71,68 @@ func (c *Catalog) Put(o Object) error {
 	if o.ID == "" {
 		return errors.New("tertiary: object with empty ID")
 	}
-	c.objects[o.ID] = o
+	if k, ok := c.slots[o.ID]; ok {
+		c.layout[k] = o
+	} else {
+		c.slots[o.ID] = len(c.layout)
+		c.layout = append(c.layout, o)
+	}
+	if c.sorted {
+		c.sort()
+	}
 	return nil
+}
+
+// sort puts the list in layout order. A catalog put front to back,
+// cartridge by cartridge, is in order already and keeps its slots.
+func (c *Catalog) sort() {
+	if !slices.IsSortedFunc(c.layout, layoutOrder) {
+		slices.SortFunc(c.layout, layoutOrder)
+		for i, o := range c.layout {
+			c.slots[o.ID] = i
+		}
+	}
+	c.sorted = true
+}
+
+// layoutOrder is physical layout order, (Tape, Start, ID): the order a
+// staging tier prefetches along.
+func layoutOrder(a, b Object) int {
+	if a.Tape != b.Tape {
+		return cmp.Compare(a.Tape, b.Tape)
+	}
+	if a.Start != b.Start {
+		return cmp.Compare(a.Start, b.Start)
+	}
+	return strings.Compare(a.ID, b.ID)
 }
 
 // Get looks an object up.
 func (c *Catalog) Get(id string) (Object, bool) {
-	o, ok := c.objects[id]
+	o, _, ok := c.lookup(id)
 	return o, ok
 }
 
-// Len returns the number of cataloged objects.
-func (c *Catalog) Len() int { return len(c.objects) }
-
-// All returns every cataloged object sorted by (Tape, Start, ID) —
-// physical layout order, the order a staging tier prefetches along.
-func (c *Catalog) All() []Object {
-	out := make([]Object, 0, len(c.objects))
-	for _, o := range c.objects {
-		out = append(out, o)
+// lookup is Get with the object's slot, -1 for an uncataloged ID.
+func (c *Catalog) lookup(id string) (Object, int, bool) {
+	i, ok := c.slots[id]
+	if !ok {
+		return Object{}, -1, false
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Tape != b.Tape {
-			return a.Tape < b.Tape
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	})
-	return out
+	return c.layout[i], i, true
+}
+
+// Len returns the number of cataloged objects.
+func (c *Catalog) Len() int { return len(c.layout) }
+
+// All returns every cataloged object in layout order, sorting the list
+// on the first call (see Catalog). The slice is the catalog's own:
+// read-only, and valid until the next Put.
+func (c *Catalog) All() []Object {
+	if !c.sorted {
+		c.sort()
+	}
+	return c.layout
 }
 
 // Request is one read of a cataloged object.
@@ -406,14 +446,14 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 		l.models = append(l.models, model)
 	}
 	// Validate the catalog against the tapes.
-	for id, o := range catalog.objects {
+	for _, o := range catalog.All() {
 		tape, ok := l.tape(o.Tape)
 		if !ok {
-			return nil, fmt.Errorf("tertiary: object %s on unknown tape %d", id, o.Tape)
+			return nil, fmt.Errorf("tertiary: object %s on unknown tape %d", o.ID, o.Tape)
 		}
 		if o.Start < 0 || o.Start+o.segments() > tape.Segments() {
 			return nil, fmt.Errorf("tertiary: object %s extent [%d,%d) outside tape %d",
-				id, o.Start, o.Start+o.segments(), o.Tape)
+				o.ID, o.Start, o.Start+o.segments(), o.Tape)
 		}
 	}
 	if err := cfg.Placement.validate(l); err != nil {
@@ -429,8 +469,16 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 func (l *Library) Config() Config { return l.cfg }
 
 // Objects returns the catalog's entries in layout order (see
-// Catalog.All).
+// Catalog.All): the catalog's own slice, which callers must not
+// modify.
 func (l *Library) Objects() []Object { return l.catalog.All() }
+
+// Slot returns the object's slot, its index in Objects(), and -1 for
+// an uncataloged ID.
+func (l *Library) Slot(id string) int {
+	_, i, _ := l.catalog.lookup(id)
+	return i
+}
 
 // RefetchSec is the modeled cost of fetching the object from tape
 // again: a locate from the load point to the extent plus the extent's
@@ -487,4 +535,9 @@ type pending struct {
 	// ("affinity", "cross-shard", ...), carried through to the wide
 	// event; "" outside a fleet.
 	route string
+	// ref is the request's index in the run's arrivals: what its
+	// terminal record entry names it by. slot is its catalog object's
+	// slot (Library.Slot).
+	ref  int32
+	slot int32
 }
