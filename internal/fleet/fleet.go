@@ -20,6 +20,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"serpentine/internal/fault"
@@ -69,17 +70,20 @@ type copyGroup struct {
 
 // Fleet is a built cluster: per-shard base libraries sharing their
 // read-only stores, per-shard replica placements, and the routing
-// directory mapping every object to the shards holding its copies,
-// indexed by the object's (tape, object) position — routing parses a
-// request's ID back into that index and indexes everything after it. A
-// Fleet is immutable after New; Run clones per-shard libraries for
-// each run, so one Fleet serves concurrent runs (the sweep's cells).
+// directory mapping every object to the shards holding its copies and
+// its cache slot on each. Routing looks a request's ID up once, in
+// index (keyed by the IDs New wrote); the shard and slot it picks carry
+// the request through the shard's staging tier to its runner, which
+// reads the object at that slot instead of hashing the ID again. A Fleet is
+// immutable after New; Run clones per-shard libraries for each run, so
+// one Fleet serves concurrent runs (the sweep's cells).
 type Fleet struct {
 	cfg        StoreConfig
 	bases      []*tertiary.Library
 	placements []*tertiary.Placement
 	tapes      [][]int64
-	dir        [][]copyGroup // by objectIndex
+	index      map[string]int // object ID -> position in dir
+	dir        [][]copyGroup
 }
 
 // New builds the fleet store: generates every cartridge, deals them
@@ -138,6 +142,7 @@ func New(cfg StoreConfig) (*Fleet, error) {
 		bases:      make([]*tertiary.Library, cfg.Shards),
 		placements: make([]*tertiary.Placement, cfg.Shards),
 		tapes:      make([][]int64, cfg.Shards),
+		index:      make(map[string]int, cfg.TapeCount*cfg.Objects),
 		dir:        make([][]copyGroup, 0, cfg.TapeCount*cfg.Objects),
 	}
 	serial := func(t int) int64 { return int64(3000 + t) }
@@ -152,7 +157,9 @@ func New(cfg StoreConfig) (*Fleet, error) {
 	}
 	for t := 0; t < cfg.TapeCount; t++ {
 		for o := 0; o < cfg.Objects; o++ {
-			id := objectID(t, o)
+			// The sweeps' naming, so a one-shard fleet's catalog is
+			// identical to tertiary.Sweep's.
+			id := tertiary.SweepObjectID(t, o)
 			var groups []copyGroup
 			// reps collects, per shard, the same-shard replica extents
 			// behind the shard's catalog copy.
@@ -202,7 +209,8 @@ func New(cfg StoreConfig) (*Fleet, error) {
 					}
 				}
 			}
-			f.dir = append(f.dir, groups) // at index t*Objects + o
+			f.index[id] = len(f.dir)
+			f.dir = append(f.dir, groups)
 		}
 	}
 
@@ -217,8 +225,7 @@ func New(cfg StoreConfig) (*Fleet, error) {
 		}
 		f.bases[s] = base
 		for slot, o := range base.Objects() {
-			oi, _ := f.objectIndex(o.ID)
-			groups := f.dir[oi]
+			groups := f.dir[f.index[o.ID]]
 			for j := range groups {
 				if groups[j].shard == s {
 					groups[j].slot = slot
@@ -231,48 +238,6 @@ func New(cfg StoreConfig) (*Fleet, error) {
 
 // Shards returns the cluster size.
 func (f *Fleet) Shards() int { return len(f.bases) }
-
-// objectID matches the single-library sweeps' naming, so a one-shard
-// fleet's catalog is identical to tertiary.Sweep's.
-func objectID(tape, obj int) string {
-	return "t" + strconv.Itoa(tape) + "/o" + strconv.Itoa(obj)
-}
-
-// objectIndex inverts objectID onto the directory: the index of the
-// object the ID names, t·Objects + o, and false for any string
-// objectID does not produce for this store — a malformed ID, a
-// non-canonical number (sign, leading zero) or a position outside the
-// store. Every directory entry is named by objectID, so this is exactly
-// the directory lookup, without hashing the string.
-func (f *Fleet) objectIndex(id string) (int, bool) {
-	if len(id) < 4 || id[0] != 't' {
-		return 0, false
-	}
-	tape, rest, ok := leadingInt(id[1:])
-	if !ok || len(rest) < 3 || rest[0] != '/' || rest[1] != 'o' {
-		return 0, false
-	}
-	obj, rest, ok := leadingInt(rest[2:])
-	if !ok || rest != "" || tape >= f.cfg.TapeCount || obj >= f.cfg.Objects {
-		return 0, false
-	}
-	return tape*f.cfg.Objects + obj, true
-}
-
-// leadingInt parses the canonical decimal (strconv.Itoa's form for a
-// non-negative int: no sign, no leading zero) at the front of s and
-// returns the rest. At most 9 digits, which cannot overflow.
-func leadingInt(s string) (int, string, bool) {
-	n, i := 0, 0
-	for i < len(s) && i < 10 && '0' <= s[i] && s[i] <= '9' {
-		n = n*10 + int(s[i]-'0')
-		i++
-	}
-	if i == 0 || i > 9 || (s[0] == '0' && i > 1) {
-		return 0, s, false
-	}
-	return n, s[i:], true
-}
 
 // RunConfig describes one fleet run: the per-shard serving
 // configuration plus the routing tier's policy and seed. Schedulers
@@ -647,7 +612,7 @@ type routing struct {
 // and picks the best, breaking score ties by a pure function of
 // (seed, request ordinal).
 func (f *Fleet) route(rt *routing, ordinal int, req tertiary.Request) (decision, error) {
-	oi, ok := f.objectIndex(req.ObjectID)
+	oi, ok := f.index[req.ObjectID]
 	if !ok {
 		return decision{}, fmt.Errorf("fleet: request for unknown object %q", req.ObjectID)
 	}
@@ -690,7 +655,10 @@ func (f *Fleet) route(rt *routing, ordinal int, req tertiary.Request) (decision,
 		// stream.
 		return decision{shard: groups[0].shard, slot: groups[0].slot, unroutable: true}, nil
 	}
-	scores := append(rt.scores[:0], make([]float64, len(cands))...)
+	// Grow and clear rather than append a make: the race detector's
+	// instrumentation allocates that make, and routing must not.
+	scores := slices.Grow(rt.scores[:0], len(cands))[:len(cands)]
+	clear(scores)
 	rt.scores = scores
 	rt.policy.Score(ordinal, len(rt.runners), cands, scores)
 	idx, ok := pickBest(scores, rt.seed, ordinal)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"serpentine/internal/fault"
+	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
 	"serpentine/internal/tertiary"
 )
@@ -425,11 +426,10 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestObjectIndex pins the directory lookup routing uses: every ID
-// objectID mints for the store resolves to its (tape, object)
-// position, and any other string — malformed, non-canonical or out of
-// range — is unknown, exactly as a map keyed by the minted IDs would
-// answer.
+// TestObjectIndex pins the directory lookup routing uses: every ID the
+// store was built with resolves to its (tape, object) position,
+// t·Objects + o, and any other string — malformed, non-canonical or out
+// of range — is unknown.
 func TestObjectIndex(t *testing.T) {
 	fl, err := New(StoreConfig{Shards: 2, TapeCount: 12, Objects: 11, ObjectSegments: 8})
 	if err != nil {
@@ -437,8 +437,9 @@ func TestObjectIndex(t *testing.T) {
 	}
 	for tape := 0; tape < 12; tape++ {
 		for obj := 0; obj < 11; obj++ {
-			if i, ok := fl.objectIndex(objectID(tape, obj)); !ok || i != tape*11+obj {
-				t.Fatalf("objectIndex(%q) = (%d, %v), want (%d, true)", objectID(tape, obj), i, ok, tape*11+obj)
+			id := tertiary.SweepObjectID(tape, obj)
+			if i, ok := fl.index[id]; !ok || i != tape*11+obj {
+				t.Fatalf("index[%q] = (%d, %v), want (%d, true)", id, i, ok, tape*11+obj)
 			}
 		}
 	}
@@ -447,8 +448,64 @@ func TestObjectIndex(t *testing.T) {
 		"t01/o2", "t1/o02", "t-1/o2", "t+1/o2", "t1/o-2", "t 1/o2", "t1/o 2",
 		"t12/o0", "t0/o11", "t1/o1234567890", "t99999999999/o0", "t1/o2/o3",
 	} {
-		if i, ok := fl.objectIndex(id); ok {
-			t.Errorf("objectIndex(%q) = %d, want unknown", id, i)
+		if i, ok := fl.index[id]; ok {
+			t.Errorf("index[%q] = %d, want unknown", id, i)
 		}
+	}
+}
+
+// TestRouteAllocs pins that routing a request allocates nothing once
+// the run's candidate and score buffers have grown: the directory
+// lookup, the probes and the policy all work in place.
+func TestRouteAllocs(t *testing.T) {
+	fl, err := New(StoreConfig{Shards: 4, TapeCount: 8, Objects: 64, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := Stream(240, 200, 3, 8, 64, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &routing{policy: Affinity{}, seed: 1}
+	for s, base := range fl.bases {
+		lib := base.Clone(tertiary.Config{
+			Profile: fl.cfg.Profile, Tapes: fl.tapes[s], Drives: 2, Placement: fl.placements[s],
+		})
+		tier, err := hsm.NewTier(lib, hsm.Config{CapacityBytes: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.tiers = append(rt.tiers, tier)
+		rt.runners = append(rt.runners, tier.Runner())
+	}
+	// Warm up: serve the stream's first half, so the buffers have
+	// grown and the shards are mid-run, with cartridges mounted and
+	// extents cached.
+	half := len(stream) / 2
+	for i, req := range stream[:half] {
+		for _, tier := range rt.tiers {
+			if err := tier.AdvanceTo(req.Arrival); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := fl.route(rt, i, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.tiers[d.shard].OfferRouted(req, d.slot, d.routeName()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := half
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := fl.route(rt, i, stream[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i++; i == len(stream) {
+			i = half
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("route allocates %.1f times per request, want 0", allocs)
 	}
 }

@@ -45,7 +45,7 @@ func Stream(ratePerHour float64, n int, seed int64, tapeCount, objects int, loca
 			tape = prevTape
 		}
 		prevTape = tape
-		stream[i] = tertiary.Request{ObjectID: objectID(tape, obj), Arrival: arrivals[i]}
+		stream[i] = tertiary.Request{ObjectID: tertiary.SweepObjectID(tape, obj), Arrival: arrivals[i]}
 	}
 	return stream, nil
 }

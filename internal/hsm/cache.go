@@ -1,14 +1,15 @@
 package hsm
 
 // Cache is the bounded-bytes staging store: the resident object
-// extents, indexed by slot, with one eviction policy deciding who pays
-// when capacity runs out. A slot is a small dense integer the caller
-// assigns each object once (the tier uses the object's position in its
-// catalog's layout order), so the per-request residency probe and hit
-// are a slice index, not a string-keyed lookup. It is pure bookkeeping
-// — no clocks, no I/O — so the tier above can price hits and evictions
-// however its transfer model says. Like the rest of the serving layer
-// it belongs to one goroutine.
+// extents, keyed by slot alone, with one eviction policy deciding who
+// pays when capacity runs out. A slot is a small dense integer the
+// caller assigns each object once (the tier uses the object's position
+// in its catalog's layout order), so the per-request residency probe
+// and hit are a slice index, not a string-keyed lookup, and an entry
+// holds no ID: every policy breaks ties on install order (Entry.Seq).
+// It is pure bookkeeping — no clocks, no I/O — so the tier above can
+// price hits and evictions however its transfer model says. Like the
+// rest of the serving layer it belongs to one goroutine.
 type Cache struct {
 	capacity int64
 	resident int64
@@ -17,8 +18,7 @@ type Cache struct {
 	policy   Policy
 	seq      int64
 
-	evictions    int
-	bytesEvicted int64
+	evictions int
 }
 
 // NewCache returns an empty cache of the given byte capacity;
@@ -66,7 +66,7 @@ func (c *Cache) Touch(slot int) bool {
 // already-resident object is touched instead (the install refreshes
 // it). Objects larger than the whole cache are not admitted. Returns
 // whether a new entry was installed.
-func (c *Cache) Install(slot int, id string, bytes int64, cost float64) bool {
+func (c *Cache) Install(slot int, bytes int64, cost float64) bool {
 	if c.Touch(slot) {
 		return false
 	}
@@ -76,27 +76,27 @@ func (c *Cache) Install(slot int, id string, bytes int64, cost float64) bool {
 	for !c.Fits(bytes) {
 		c.evictOne()
 	}
-	c.add(slot, id, bytes, cost)
+	c.add(slot, bytes, cost)
 	return true
 }
 
 // InstallIfRoom admits the object only when free capacity already
 // holds it — the prefetch path: opportunistic installs never evict
 // demand-resident data. Returns whether a new entry was installed.
-func (c *Cache) InstallIfRoom(slot int, id string, bytes int64, cost float64) bool {
+func (c *Cache) InstallIfRoom(slot int, bytes int64, cost float64) bool {
 	if c.Contains(slot) || !c.Fits(bytes) {
 		return false
 	}
-	c.add(slot, id, bytes, cost)
+	c.add(slot, bytes, cost)
 	return true
 }
 
-func (c *Cache) add(slot int, id string, bytes int64, cost float64) {
+func (c *Cache) add(slot int, bytes int64, cost float64) {
 	if slot >= len(c.entries) {
 		c.entries = append(c.entries, make([]*Entry, slot+1-len(c.entries))...)
 	}
 	c.seq++
-	e := &Entry{ID: id, Bytes: bytes, Cost: cost, Seq: c.seq, slot: slot}
+	e := &Entry{Bytes: bytes, Cost: cost, Seq: c.seq, slot: slot}
 	c.entries[slot] = e
 	c.n++
 	c.resident += bytes
@@ -111,10 +111,7 @@ func (c *Cache) evictOne() {
 	c.n--
 	c.resident -= e.Bytes
 	c.evictions++
-	c.bytesEvicted += e.Bytes
 }
 
-// Evictions and BytesEvicted report the cache's lifetime eviction
-// accounting.
-func (c *Cache) Evictions() int      { return c.evictions }
-func (c *Cache) BytesEvicted() int64 { return c.bytesEvicted }
+// Evictions reports the cache's lifetime eviction count.
+func (c *Cache) Evictions() int { return c.evictions }

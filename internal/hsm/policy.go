@@ -7,8 +7,6 @@ import "fmt"
 // ones keep their bookkeeping on the entry itself (intrusive list links
 // and a reference bit), so no policy operation looks anything up.
 type Entry struct {
-	// ID names the cached object (the catalog object ID).
-	ID string
 	// Bytes is the entry's resident size.
 	Bytes int64
 	// Cost is the modeled re-fetch cost in virtual seconds — the

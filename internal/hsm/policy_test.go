@@ -26,10 +26,10 @@ func (c *namedCache) slot(id string) int {
 func (c *namedCache) Contains(id string) bool { return c.Cache.Contains(c.slot(id)) }
 func (c *namedCache) Touch(id string) bool    { return c.Cache.Touch(c.slot(id)) }
 func (c *namedCache) Install(id string, bytes int64, cost float64) bool {
-	return c.Cache.Install(c.slot(id), id, bytes, cost)
+	return c.Cache.Install(c.slot(id), bytes, cost)
 }
 func (c *namedCache) InstallIfRoom(id string, bytes int64, cost float64) bool {
-	return c.Cache.InstallIfRoom(c.slot(id), id, bytes, cost)
+	return c.Cache.InstallIfRoom(c.slot(id), bytes, cost)
 }
 
 // fill builds a cache under the named policy and installs the ids in

@@ -52,15 +52,12 @@ type Config struct {
 	Policy string
 	// Prefetch, on a miss's fetch return, also installs the objects
 	// ahead of it on the same cartridge while successive extents start
-	// within PrefetchThreshold segments of the run's end — the whole
-	// coalesced segment run the library would have read in one motion.
-	// Prefetch installs are opportunistic: they fill free capacity but
-	// never evict demand-resident data.
+	// within core.DefaultCoalesceThreshold segments (the paper's
+	// T=1410) of the run's end — the whole coalesced segment run the
+	// library would have read in one motion. Prefetch installs are
+	// opportunistic: they fill free capacity but never evict
+	// demand-resident data.
 	Prefetch bool
-	// PrefetchThreshold is the coalescing gap in segments; 0 selects
-	// core.DefaultCoalesceThreshold (the paper's T=1410). Negative
-	// values are rejected.
-	PrefetchThreshold int
 }
 
 // Enabled reports whether the tier caches at all.
@@ -80,11 +77,8 @@ type Metrics struct {
 	// PrefetchInstalls the run-extension installs behind them.
 	Installs         int
 	PrefetchInstalls int
-	// Evictions and BytesEvicted account capacity pressure;
-	// BytesResident is the end-of-run residency.
-	Evictions     int
-	BytesEvicted  int64
-	BytesResident int64
+	// Evictions counts entries evicted under capacity pressure.
+	Evictions int
 	// Makespan is the run's end: the later of the library's makespan
 	// and the last hit completion.
 	Makespan float64
@@ -147,7 +141,6 @@ type Tier struct {
 	runner *tertiary.Runner
 	lib    *tertiary.Library
 	cfg    Config
-	thresh int
 
 	cache    *Cache
 	segBytes int64
@@ -187,9 +180,6 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	if cfg.CapacityBytes < 0 {
 		return nil, fmt.Errorf("hsm: cache capacity %d bytes", cfg.CapacityBytes)
 	}
-	if cfg.PrefetchThreshold < 0 {
-		return nil, fmt.Errorf("hsm: prefetch threshold %d segments", cfg.PrefetchThreshold)
-	}
 	t := &Tier{lib: lib, cfg: cfg}
 	if !cfg.Enabled() {
 		r, err := lib.StartRun()
@@ -202,10 +192,6 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
-	}
-	t.thresh = cfg.PrefetchThreshold
-	if t.thresh == 0 {
-		t.thresh = core.DefaultCoalesceThreshold
 	}
 	t.cache = NewCache(cfg.CapacityBytes, pol)
 	_, t.priced = pol.(*costAware)
@@ -253,9 +239,6 @@ func (t *Tier) Runner() *tertiary.Runner { return t.runner }
 func (t *Tier) Cached(slot int) bool {
 	return t.cache != nil && t.cache.Contains(slot)
 }
-
-// slot returns the object's cache slot, -1 for an uncataloged ID.
-func (t *Tier) slot(id string) int { return t.lib.Slot(id) }
 
 // objBytes is the extent's size under the library's profile.
 func (t *Tier) objBytes(o tertiary.Object) int64 {
@@ -306,9 +289,8 @@ func (t *Tier) apply(in install) {
 	if slot < 0 {
 		return // not in this library's catalog: nothing to stage
 	}
-	obj := t.runner.Completion(e).Object // the catalog copy or a replica
-	if !t.cache.Touch(slot) &&
-		t.cache.Install(slot, t.objs[slot].ID, t.objBytes(obj), t.refetchSec(obj)) {
+	obj := t.runner.Object(e) // the catalog copy or a replica
+	if !t.cache.Touch(slot) && t.cache.Install(slot, t.objBytes(obj), t.refetchSec(obj)) {
 		t.m.Installs++
 		t.installC.Inc()
 	}
@@ -341,11 +323,11 @@ func (t *Tier) prefetch(slot int, o tertiary.Object) {
 	runEnd := o.Start + segs
 	for j := slot + 1; j < len(t.objs) && t.objs[j].Tape == o.Tape; j++ {
 		next := t.objs[j]
-		if next.Start-runEnd >= t.thresh {
+		if next.Start-runEnd >= core.DefaultCoalesceThreshold {
 			return
 		}
 		if b := t.objBytes(next); !t.cache.Contains(j) && t.cache.Fits(b) {
-			t.cache.InstallIfRoom(j, next.ID, b, t.refetchSec(next))
+			t.cache.InstallIfRoom(j, b, t.refetchSec(next))
 			t.m.PrefetchInstalls++
 			t.prefetchC.Inc()
 		}
@@ -371,27 +353,28 @@ func (t *Tier) syncCacheCounters() {
 		t.m.Evictions += d
 		t.evictC.Add(int64(d))
 	}
-	t.m.BytesEvicted = t.cache.BytesEvicted()
-	t.m.BytesResident = t.cache.Resident()
 	t.residentG.Set(float64(t.cache.Resident()))
 }
 
 // Offer routes one request: a resident object completes at disk cost,
 // anything else falls through to the library's admission — so only
 // misses consume the library's queue capacity. Offers must be
-// nondecreasing in arrival time, like the Runner's.
+// nondecreasing in arrival time, like the Runner's. Offer looks the
+// object's ID up in the catalog once; everything after it goes by slot.
 func (t *Tier) Offer(req tertiary.Request) error {
-	return t.OfferRouted(req, t.slot(req.ObjectID), "")
+	return t.OfferRouted(req, t.lib.Slot(req.ObjectID), "")
 }
 
 // OfferRouted is Offer for a caller that has already resolved the
-// object's slot (its index in the library's Objects(), -1 when
-// uncataloged), carrying the routing tier's decision for the request:
-// pure annotation, stamped onto the request's wide event (by the tier
-// for a hit, by the library for a miss) and nothing else.
+// object's slot (Library.Slot: its index in the library's Objects(),
+// -1 when uncataloged), carrying the routing tier's decision for the
+// request: pure annotation, stamped onto the request's wide event (by
+// the tier for a hit, by the library for a miss) and nothing else. The
+// slot keys the cache and is passed on to the runner, which rejects a
+// slot that does not hold the request's object.
 func (t *Tier) OfferRouted(req tertiary.Request, slot int, route string) error {
 	if t.cache == nil {
-		return t.runner.OfferRouted(req, route)
+		return t.runner.OfferRouted(req, slot, route)
 	}
 	if t.finished {
 		return fmt.Errorf("hsm: offer after Finish")
@@ -405,23 +388,25 @@ func (t *Tier) OfferRouted(req tertiary.Request, slot int, route string) error {
 	t.last = req.Arrival
 	t.absorb(req.Arrival)
 	if t.cache.Touch(slot) {
-		t.hit(req, t.objs[slot], route)
-		return nil
+		return t.hit(req, slot, route)
 	}
 	t.m.Misses++
 	t.missC.Inc()
-	return t.runner.OfferRouted(req, route)
+	return t.runner.OfferRouted(req, slot, route)
 }
 
-// hit completes the request off the staging disk.
-func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
-	transfer := float64(t.objBytes(obj)) / diskBytesPerSec
+// hit completes the request for the object in slot off the staging
+// disk.
+func (t *Tier) hit(req tertiary.Request, slot int, route string) error {
+	transfer := float64(t.objBytes(t.objs[slot])) / diskBytesPerSec
 	svc := diskLatencySec + transfer
 	done := req.Arrival + svc
-	t.runner.RecordHit(req, obj, route, done, tertiary.Attribution{
+	if err := t.runner.RecordHit(req, slot, route, done, tertiary.Attribution{
 		LocateSec:   diskLatencySec,
 		TransferSec: transfer,
-	})
+	}); err != nil {
+		return err
+	}
 	t.m.Hits++
 	t.m.HitSojournSec += svc
 	if svc > t.m.MaxHitSojourn {
@@ -437,6 +422,7 @@ func (t *Tier) hit(req tertiary.Request, obj tertiary.Object, route string) {
 			Attr("object", req.ObjectID).
 			End(done)
 	}
+	return nil
 }
 
 // Finish drains the wrapped loop, applies every remaining install, and

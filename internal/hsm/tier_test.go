@@ -15,7 +15,20 @@ import (
 // 128 objects each, 16-segment extents.
 func testStore(t *testing.T) *tertiary.Library {
 	t.Helper()
-	base, err := tertiary.SweepStore(geometry.DLT4000(), 4, 128, 16, 0, 0)
+	return sweepStore(t, 128)
+}
+
+// prefetchStore is testStore with 512 objects per cartridge: a catalog
+// stride of ~1.2k segments, under the coalescing threshold T=1410, so
+// every consecutive pair of a cartridge's objects is one coalesced run.
+func prefetchStore(t *testing.T) *tertiary.Library {
+	t.Helper()
+	return sweepStore(t, 512)
+}
+
+func sweepStore(t *testing.T, objects int) *tertiary.Library {
+	t.Helper()
+	base, err := tertiary.SweepStore(geometry.DLT4000(), 4, objects, 16, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +250,10 @@ func TestTierHitsBypassQueueCap(t *testing.T) {
 // cartridge pulls the objects ahead of it within the threshold into
 // free capacity, forward only, never evicting.
 func TestTierPrefetch(t *testing.T) {
-	base := testStore(t)
-	// This store's catalog stride is ~5.1k segments — wider than the
-	// default T=1410 — so the test raises the threshold to make every
-	// consecutive pair one run.
+	base := prefetchStore(t)
 	tier, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), Config{
-		CapacityBytes:     1 << 30,
-		Prefetch:          true,
-		PrefetchThreshold: 6000,
+		CapacityBytes: 1 << 30,
+		Prefetch:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,13 +268,13 @@ func TestTierPrefetch(t *testing.T) {
 	if m.PrefetchInstalls == 0 {
 		t.Fatal("no prefetch installs despite free capacity and a coalesced run ahead")
 	}
-	if !tier.Cached(tier.slot("t0/o100")) || !tier.Cached(tier.slot("t0/o101")) {
+	if !tier.Cached(base.Slot("t0/o100")) || !tier.Cached(base.Slot("t0/o101")) {
 		t.Error("fetched extent or its successor not resident after prefetch")
 	}
-	if tier.Cached(tier.slot("t0/o99")) {
+	if tier.Cached(base.Slot("t0/o99")) {
 		t.Error("prefetch ran backwards: t0/o99 resident")
 	}
-	if tier.Cached(tier.slot("t1/o100")) {
+	if tier.Cached(base.Slot("t1/o100")) {
 		t.Error("prefetch crossed cartridges: t1/o100 resident")
 	}
 	if m.Evictions != 0 {
@@ -275,9 +284,8 @@ func TestTierPrefetch(t *testing.T) {
 	// Under a tight capacity prefetch fills the room it finds and
 	// stops: still no evictions.
 	tight, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), Config{
-		CapacityBytes:     3 * 16 * 32768, // three extents
-		Prefetch:          true,
-		PrefetchThreshold: 6000,
+		CapacityBytes: 3 * 16 * 32768, // three extents
+		Prefetch:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,16 +306,15 @@ func TestTierPrefetch(t *testing.T) {
 // tier: a cached, prefetching, evicting tier run without a registry
 // gives the same completions and metrics as the run with one.
 func TestTierNilRegistryNeutral(t *testing.T) {
-	base := testStore(t)
-	stream, err := tertiary.SweepStream(240, 300, 7, 4, 128)
+	base := prefetchStore(t)
+	stream, err := tertiary.SweepStream(240, 300, 7, 4, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(reg *obs.Registry) ([]tertiary.Completion, Metrics) {
 		tier, err := NewTier(cloneFor(base, tertiary.Config{Drives: 2, BatchLimit: 8, Reg: reg}), Config{
-			CapacityBytes:     16 * 16 * 32768, // sixteen extents
-			Prefetch:          true,
-			PrefetchThreshold: 6000,
+			CapacityBytes: 16 * 16 * 32768, // sixteen extents
+			Prefetch:      true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -344,8 +351,6 @@ func TestNewTierRejectsNegativeConfig(t *testing.T) {
 		cfg  Config
 	}{
 		{"capacity", Config{CapacityBytes: -1}},
-		{"prefetch threshold", Config{CapacityBytes: 1 << 20, Prefetch: true, PrefetchThreshold: -1}},
-		{"prefetch threshold, no cache", Config{PrefetchThreshold: -1410}},
 	} {
 		if _, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), tc.cfg); err == nil {
 			t.Errorf("%s: NewTier accepted %+v", tc.name, tc.cfg)

@@ -68,8 +68,6 @@ type ChainResult struct {
 	// FinalHead is the head position after the last batch.
 	FinalHead int
 
-	// Executed reports whether the run executed on a drive.
-	Executed bool
 	// Served and FailedRequests partition the measured requests by
 	// outcome; estimate mode serves everything by definition.
 	Served         int
@@ -135,7 +133,6 @@ func BatchChain(cfg ChainConfig) (ChainResult, error) {
 	}
 
 	var res ChainResult
-	res.Executed = exec != nil
 	head := 0
 	if exec != nil {
 		head = cfg.Drive.Position()

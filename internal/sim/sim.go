@@ -9,13 +9,11 @@ package sim
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"serpentine/internal/core"
+	"serpentine/internal/grid"
 	"serpentine/internal/locate"
 	"serpentine/internal/stats"
 	"serpentine/internal/workload"
@@ -116,7 +114,8 @@ type Config struct {
 	// <0.5% over 5 seeds).
 	Seed int64
 	// Workers bounds the parallel trial runners; 0 selects
-	// GOMAXPROCS. Use 1 for clean CPU timing (Figure 6).
+	// GOMAXPROCS. Use 1 for clean CPU timing (Figure 6). The results
+	// are bit-identical at any worker count.
 	Workers int
 	// Verify re-checks that every schedule is a permutation of its
 	// requests (slower; used by tests).
@@ -177,12 +176,10 @@ func Run(cfg Config) (*Result, error) {
 	if optMax == 0 {
 		optMax = 12
 	}
-	workers := cfg.effectiveWorkers()
-
 	begin := time.Now()
 	res := &Result{Config: cfg}
 	for _, n := range lengths {
-		lr, err := runLength(cfg, n, trials(n), optMax, workers)
+		lr, err := runLength(cfg, n, trials(n), optMax)
 		if err != nil {
 			return nil, err
 		}
@@ -192,25 +189,21 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// effectiveWorkers resolves the configured worker count: positive
-// values are taken as given, anything else selects GOMAXPROCS.
-func (cfg *Config) effectiveWorkers() int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// trialBlock is the trial count of one grid cell of runLength. It is a
+// constant, never derived from the worker count, so the blocks and the
+// order they merge in are the same however many workers run them. At 4,
+// the 8 trials the scaled Figure 4 runs at its longest lengths still
+// split over two workers.
+const trialBlock = 4
 
-// runLength runs all trials at one schedule length, fanning trials
-// out over workers. Each worker keeps its working state — the Problem
-// value handed to schedulers and a dense slice of per-algorithm
-// partial accumulators — alive across all of its trials, claims
-// trials off a shared atomic counter, and merges its partials into
-// the shared result exactly once at the end, so the accumulator lock
-// is touched once per worker rather than once per trial.
-func runLength(cfg Config, n, trials, optMax, workers int) (LengthResult, error) {
+// runLength runs all trials at one schedule length on grid.Run, in
+// blocks of trialBlock consecutive trials. Each block keeps one Problem
+// across its trials and reduces them into its own per-algorithm
+// partials; the blocks then merge in index order, so the result is
+// bit-identical at any worker count.
+func runLength(cfg Config, n, trials, optMax int) (LengthResult, error) {
 	// The schedulers active at this length, in configuration order;
-	// worker partials index this slice directly instead of hashing
+	// block partials index this slice directly instead of hashing
 	// names per trial.
 	active := make([]core.Scheduler, 0, len(cfg.Schedulers))
 	lr := LengthResult{N: n, Alg: make(map[string]*AlgResult)}
@@ -222,53 +215,30 @@ func runLength(cfg Config, n, trials, optMax, workers int) (LengthResult, error)
 		lr.Alg[s.Name()] = &AlgResult{}
 	}
 
-	// Trials do not go through grid.Run: a length runs up to 100,000
-	// of them, and each worker reduces its trials into its own
-	// accumulators and merges once, instead of keeping one result per
-	// trial for a spec-order merge.
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]AlgResult, len(active))
-			// One Problem per worker, reused across trials and
-			// schedulers; only Start and Requests change per trial.
-			p := &core.Problem{Cost: cfg.Model}
-			for {
-				trial := int(next.Add(1)) - 1
-				if trial >= trials {
-					break
-				}
-				if err := runTrial(cfg, n, trial, active, local, p); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-					return
-				}
+	blocks := max(0, trials+trialBlock-1) / trialBlock
+	parts := make([]AlgResult, blocks*len(active))
+	err := grid.Run(cfg.Workers, blocks, func(b int) error {
+		local := parts[b*len(active) : (b+1)*len(active)]
+		// Only Start and Requests change per trial and scheduler.
+		p := &core.Problem{Cost: cfg.Model}
+		for trial := b * trialBlock; trial < min((b+1)*trialBlock, trials); trial++ {
+			if err := runTrial(cfg, n, trial, active, local, p); err != nil {
+				return err
 			}
-			mu.Lock()
-			for i := range local {
-				dst := lr.Alg[active[i].Name()]
-				dst.Total.Merge(&local[i].Total)
-				dst.PerLocate.Merge(&local[i].PerLocate)
-				dst.CPU += local[i].CPU
-				dst.Schedules += local[i].Schedules
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+		}
+		return nil
+	})
+	if err != nil {
 		return lr, err
-	default:
+	}
+	for b := 0; b < blocks; b++ {
+		for i, s := range active {
+			src, dst := &parts[b*len(active)+i], lr.Alg[s.Name()]
+			dst.Total.Merge(&src.Total)
+			dst.PerLocate.Merge(&src.PerLocate)
+			dst.CPU += src.CPU
+			dst.Schedules += src.Schedules
+		}
 	}
 	return lr, nil
 }
@@ -290,7 +260,7 @@ func skipAtLength(s core.Scheduler, n, optMax int) bool {
 }
 
 // runTrial generates one request set and runs every active scheduler
-// on it, reusing the worker's Problem and accumulating into its
+// on it, reusing the block's Problem and accumulating into its
 // partials. The t0/cpu stopwatch brackets only the Schedule call, so
 // the Figure 6 CPU-per-schedule metric excludes request generation,
 // verification and estimation.

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,24 +105,41 @@ func TestStartModeMatters(t *testing.T) {
 	}
 }
 
+// TestResultReproducibleAcrossWorkerCounts pins sim.Run's determinism
+// to the bit: every length's per-algorithm statistics are identical at
+// 1, 2 and 8 workers, and across two runs at 8. The trial count is not
+// a multiple of the block size, so a short last block merges too.
 func TestResultReproducibleAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) float64 {
+	run := func(workers int) []uint64 {
 		res, err := Run(Config{
 			Model:      dltModel(t),
-			Schedulers: []core.Scheduler{core.NewSLTF()},
-			Lengths:    []int{32},
-			Trials:     func(int) int { return 30 },
+			Schedulers: []core.Scheduler{core.NewSLTF(), core.NewLOSS()},
+			Lengths:    []int{16, 32},
+			Trials:     func(int) int { return 61 },
 			Seed:       5,
 			Workers:    workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := res.MeanPerLocate("SLTF", 32)
-		return v
+		var bits []uint64
+		for _, lr := range res.Lengths {
+			for _, name := range res.AlgNames() {
+				a := lr.Alg[name]
+				for _, v := range []float64{a.Total.Mean(), a.Total.Variance(), a.PerLocate.Mean(),
+					a.PerLocate.Variance(), a.PerLocate.Min(), a.PerLocate.Max()} {
+					bits = append(bits, math.Float64bits(v))
+				}
+				bits = append(bits, uint64(a.Schedules))
+			}
+		}
+		return bits
 	}
-	if a, b := run(1), run(4); math.Abs(a-b) > 1e-9 {
-		t.Fatalf("results differ by worker count: %.6f vs %.6f", a, b)
+	want := run(1)
+	for _, workers := range []int{2, 8, 8} {
+		if got := run(workers); !slices.Equal(got, want) {
+			t.Fatalf("results at %d workers differ from 1 worker:\n%x\n%x", workers, got, want)
+		}
 	}
 }
 

@@ -2,33 +2,15 @@ package sim
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"serpentine/internal/core"
 )
 
-// Workers <= 0 must resolve to GOMAXPROCS; positive values are taken
-// literally.
-func TestEffectiveWorkers(t *testing.T) {
-	for _, c := range []struct{ in, want int }{
-		{0, runtime.GOMAXPROCS(0)},
-		{-2, runtime.GOMAXPROCS(0)},
-		{1, 1},
-		{7, 7},
-	} {
-		cfg := Config{Workers: c.in}
-		if got := cfg.effectiveWorkers(); got != c.want {
-			t.Errorf("effectiveWorkers(Workers=%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 // A single-worker run is the clean Figure 6 timing configuration: one
-// goroutine reuses its Problem and the pooled scheduler arenas across
-// every trial, the CPU stopwatch covers schedule generation only, and
-// the accumulated counts must come out exact. Its statistics must
-// agree with a parallel run of the same seed.
+// goroutine runs every trial block, the CPU stopwatch covers schedule
+// generation only, and the accumulated counts must come out exact. Its
+// statistics must equal a parallel run's of the same seed bit for bit.
 func TestSingleWorkerCPUTiming(t *testing.T) {
 	run := func(workers int) *Result {
 		res, err := Run(Config{
@@ -67,10 +49,10 @@ func TestSingleWorkerCPUTiming(t *testing.T) {
 			if !okA || !okB {
 				t.Fatalf("%s n=%d missing from a run", name, n)
 			}
-			// The trials are seeded per (length, trial) pair, so only
-			// floating-point merge order can differ across worker
-			// counts.
-			if math.Abs(a-b) > 1e-9*math.Abs(a) {
+			// The trials are seeded per (length, trial) pair and the
+			// trial blocks merge in index order, so not even the last
+			// bit depends on the worker count.
+			if math.Float64bits(a) != math.Float64bits(b) {
 				t.Errorf("%s n=%d: single-worker mean %.12f differs from parallel %.12f", name, n, a, b)
 			}
 		}

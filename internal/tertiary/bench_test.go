@@ -36,7 +36,7 @@ func buildBenchCell(b *testing.B, drives, batchLimit, requests int) benchCell {
 		stride := tape.Segments() / objects
 		for o := 0; o < objects; o++ {
 			if err := catalog.Put(Object{
-				ID:       sweepObjectID(t, o),
+				ID:       SweepObjectID(t, o),
 				Tape:     serial,
 				Start:    o * stride,
 				Segments: objSegs,

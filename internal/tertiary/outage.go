@@ -164,7 +164,7 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 						Segments: objSegs,
 					}
 				}
-				if err := pl.Put(sweepObjectID(t, o), reps...); err != nil {
+				if err := pl.Put(SweepObjectID(t, o), reps...); err != nil {
 					return nil, err
 				}
 			}

@@ -283,12 +283,26 @@ func (s *runState) close() ([]Completion, Metrics, error) {
 	return s.completions(), s.m, nil
 }
 
-// resolve validates one request against the catalog and the library's
-// deadline policy, returning it as a pending entry.
-func (l *Library) resolve(i int, r Request) (pending, bool, error) {
-	o, slot, ok := l.catalog.lookup(r.ObjectID)
-	if !ok {
-		return pending{}, false, fmt.Errorf("tertiary: request for unknown object %q", r.ObjectID)
+// object returns the catalog object in slot (Library.Slot), checking
+// that it is the one r names: a caller that resolved the ID once hands
+// the slot on instead of the ID being looked up again.
+func (l *Library) object(r Request, slot int) (Object, error) {
+	if slot < 0 {
+		return Object{}, fmt.Errorf("tertiary: request for unknown object %q", r.ObjectID)
+	}
+	if objs := l.catalog.All(); slot < len(objs) && objs[slot].ID == r.ObjectID {
+		return objs[slot], nil
+	}
+	return Object{}, fmt.Errorf("tertiary: slot %d does not hold object %q", slot, r.ObjectID)
+}
+
+// resolve validates request i, for the object in slot, against the
+// catalog and the library's deadline policy, returning it as a pending
+// entry.
+func (l *Library) resolve(i int, r Request, slot int) (pending, bool, error) {
+	o, err := l.object(r, slot)
+	if err != nil {
+		return pending{}, false, err
 	}
 	ci, ok := l.index[o.Tape]
 	if !ok {
@@ -315,7 +329,7 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 	arrivals := make([]pending, 0, len(requests))
 	hasDeadlines := false
 	for i, r := range requests {
-		p, dl, err := l.resolve(i, r)
+		p, dl, err := l.resolve(i, r, l.Slot(r.ObjectID))
 		if err != nil {
 			return nil, err
 		}
@@ -716,7 +730,6 @@ func (s *runState) exchange(d *driveState, cart int, now float64) (rewind, wait,
 		// on which drive asked.
 		if stall := s.lc.RobotStall(s.m.RobotMoves); stall > 0 {
 			exDur += stall
-			s.m.RobotStalls++
 			if s.cStalls == nil {
 				s.cStalls = s.counter("robot_stalls_total")
 			}

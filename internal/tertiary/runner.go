@@ -57,20 +57,25 @@ func (l *Library) StartRun() (*Runner, error) {
 // nondecreasing in arrival time and never earlier than the clock the
 // runner has already advanced to — the event loop, like time, does not
 // rewind. The request is admitted (or rejected, shed, redirected) when
-// the loop next advances past its arrival time, or at Finish.
+// the loop next advances past its arrival time, or at Finish. Offer
+// looks the object's ID up in the catalog; a caller that has its slot
+// already uses OfferRouted.
 func (r *Runner) Offer(req Request) error {
-	return r.OfferRouted(req, "")
+	return r.OfferRouted(req, r.s.l.Slot(req.ObjectID), "")
 }
 
-// OfferRouted is Offer carrying the routing tier's decision for the
-// request ("affinity", "cross-shard", ...): pure annotation, stamped
-// onto the request's wide event and nothing else.
-func (r *Runner) OfferRouted(req Request, route string) error {
+// OfferRouted is Offer for a caller that has already resolved the
+// object's slot (Library.Slot), carrying the routing tier's decision
+// for the request ("affinity", "cross-shard", ...): pure annotation,
+// stamped onto the request's wide event and nothing else. The slot is
+// read off the catalog layout, not looked up again, and a slot that
+// does not hold the request's object is an error.
+func (r *Runner) OfferRouted(req Request, slot int, route string) error {
 	s := r.s
 	if s.finished {
 		return fmt.Errorf("tertiary: offer after Finish")
 	}
-	p, dl, err := s.l.resolve(len(s.arrivals), req)
+	p, dl, err := s.l.resolve(len(s.arrivals), req, slot)
 	if err != nil {
 		return err
 	}
@@ -149,23 +154,30 @@ func (r *Runner) Terminals() []Terminal { return r.s.rec }
 // resolved when the request was offered; -1 for a cache hit.
 func (r *Runner) Slot(t *Terminal) int { return int(r.s.request(t).slot) }
 
-// Completion projects a served entry of the record onto a Completion.
-func (r *Runner) Completion(t *Terminal) Completion { return r.s.completion(t) }
+// Object is the extent an entry's request last targeted: its catalog
+// object, or the replica it was redirected to.
+func (r *Runner) Object(t *Terminal) Object { return r.s.object(t) }
 
 // Event projects an entry of the record onto its wide event, stamped
 // with the library's shard and the entry's Seq.
 func (r *Runner) Event(t *Terminal) obs.Event { return r.s.event(t) }
 
 // RecordHit enters a staging-tier cache hit into the terminal record:
-// req for the catalog object obj, routed as route, served off disk at
-// done. It draws the next emission ordinal, so hits and the library's
-// own outcomes share one sequence. The event loop never sees the
-// request, so no probe or metric changes.
-func (r *Runner) RecordHit(req Request, obj Object, route string, done float64, attr Attribution) {
+// req for the catalog object in slot, routed as route, served off disk
+// at done. Like OfferRouted it rejects a slot that does not hold the
+// request's object. It draws the next emission ordinal, so hits and
+// the library's own outcomes share one sequence. The event loop never
+// sees the request, so no probe or metric changes.
+func (r *Runner) RecordHit(req Request, slot int, route string, done float64, attr Attribution) error {
 	s := r.s
+	obj, err := s.l.object(req, slot)
+	if err != nil {
+		return err
+	}
 	s.hits = append(s.hits, pending{req: req, obj: obj, route: route, ref: int32(len(s.hits)), slot: -1})
 	s.terminal(&s.hits[len(s.hits)-1], OutcomeServed, CacheDriveID, done, attr)
 	s.rec[len(s.rec)-1].Cache = true
+	return nil
 }
 
 // QueueDepth is the pending backlog: requests admitted to the

@@ -43,7 +43,7 @@ func mustSweepCatalog(t *testing.T, catalog *Catalog, serials []int64, objects, 
 	for ti, serial := range serials {
 		for o := 0; o < objects; o++ {
 			if err := catalog.Put(Object{
-				ID:       sweepObjectID(ti, o),
+				ID:       SweepObjectID(ti, o),
 				Tape:     serial,
 				Start:    o * 2048,
 				Segments: objSegs,
@@ -168,7 +168,8 @@ func TestRunnerProbes(t *testing.T) {
 }
 
 // TestRunnerErrors pins the misuse surface: offers behind the clock,
-// unknown objects, use after Finish.
+// unknown objects, slots that do not hold the request's object, use
+// after Finish.
 func TestRunnerErrors(t *testing.T) {
 	lib, stream := buildTwinLibrary(t, 1, 4)
 	r, err := lib.StartRun()
@@ -177,6 +178,21 @@ func TestRunnerErrors(t *testing.T) {
 	}
 	if err := r.Offer(Request{ObjectID: "no-such", Arrival: 1}); err == nil {
 		t.Error("unknown object accepted")
+	}
+	// A slot is trusted only when it holds the request's object.
+	slot := lib.Slot(stream[0].ObjectID)
+	other := (slot + 1) % len(lib.Objects())
+	for _, bad := range []int{-1, other, len(lib.Objects())} {
+		req := Request{ObjectID: stream[0].ObjectID, Arrival: 1}
+		if err := r.OfferRouted(req, bad, ""); err == nil {
+			t.Errorf("offer at slot %d for the object in slot %d accepted", bad, slot)
+		}
+		if err := r.RecordHit(req, bad, "", 2, Attribution{}); err == nil {
+			t.Errorf("hit at slot %d for the object in slot %d accepted", bad, slot)
+		}
+	}
+	if len(r.Terminals()) != 0 || r.QueueDepth() != 0 {
+		t.Fatal("a rejected offer or hit left a trace")
 	}
 	if err := r.Offer(Request{ObjectID: stream[0].ObjectID, Arrival: 100}); err != nil {
 		t.Fatal(err)

@@ -248,7 +248,7 @@ func SweepStore(profile geometry.Params, tapeCount, objects, objSegs int, mountS
 		}
 		for o := 0; o < objects; o++ {
 			if err := catalog.Put(Object{
-				ID:       sweepObjectID(t, o),
+				ID:       SweepObjectID(t, o),
 				Tape:     serial,
 				Start:    o * stride,
 				Segments: objSegs,
@@ -283,12 +283,16 @@ func sweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int)
 	stream := make([]Request, n)
 	for i := range stream {
 		flat := pick.Batch(1)[0]
-		stream[i] = Request{ObjectID: sweepObjectID(flat/objects, flat%objects), Arrival: arrivals[i]}
+		stream[i] = Request{ObjectID: SweepObjectID(flat/objects, flat%objects), Arrival: arrivals[i]}
 	}
 	return stream, nil
 }
 
-func sweepObjectID(tape, obj int) string {
+// SweepObjectID names object obj on the sweeps' cartridge tape,
+// "t<tape>/o<obj>": the one writer of the IDs every synthetic store and
+// stream uses, so a fleet built over the same shape catalogs exactly
+// the IDs SweepStore does.
+func SweepObjectID(tape, obj int) string {
 	return "t" + strconv.Itoa(tape) + "/o" + strconv.Itoa(obj)
 }
 

@@ -51,10 +51,13 @@ func (o Object) segments() int {
 }
 
 // Catalog maps object IDs to extents, and lists them in layout order
-// (Tape, Start, ID): an object's position there is its slot, the index
-// a run's per-object tables share (a staging tier's residency, a
-// fleet's directory). The list is sorted once, when a library is built
-// over the catalog (New), and kept sorted by every Put after that.
+// (Tape, Start, ID): an object's position there is its slot. A
+// request's ID is looked up once, where it enters (Library.Slot, or a
+// fleet's directory); after that the slot carries it: a staging tier
+// keys its cache by it, and a runner reads the object at it
+// (Runner.OfferRouted). The list is sorted once, when a library is
+// built over the catalog (New), and kept sorted by every Put after
+// that.
 type Catalog struct {
 	slots  map[string]int // ID -> position in layout
 	layout []Object
@@ -109,17 +112,11 @@ func layoutOrder(a, b Object) int {
 
 // Get looks an object up.
 func (c *Catalog) Get(id string) (Object, bool) {
-	o, _, ok := c.lookup(id)
-	return o, ok
-}
-
-// lookup is Get with the object's slot, -1 for an uncataloged ID.
-func (c *Catalog) lookup(id string) (Object, int, bool) {
 	i, ok := c.slots[id]
 	if !ok {
-		return Object{}, -1, false
+		return Object{}, false
 	}
-	return c.layout[i], i, true
+	return c.layout[i], true
 }
 
 // Len returns the number of cataloged objects.
@@ -206,11 +203,9 @@ type Metrics struct {
 	ReplicaReads int
 	// LostCartridges counts cartridges the robot permanently lost
 	// (failed fetches); DriveFailures counts drive outages that
-	// affected operation; RobotStalls counts arm stalls that extended
-	// an exchange.
+	// affected operation.
 	LostCartridges int
 	DriveFailures  int
-	RobotStalls    int
 	// Makespan is the virtual time the last drive went idle.
 	Makespan float64
 	// MeanLatency and MaxLatency summarize response times.
@@ -476,8 +471,10 @@ func (l *Library) Objects() []Object { return l.catalog.All() }
 // Slot returns the object's slot, its index in Objects(), and -1 for
 // an uncataloged ID.
 func (l *Library) Slot(id string) int {
-	_, i, _ := l.catalog.lookup(id)
-	return i
+	if i, ok := l.catalog.slots[id]; ok {
+		return i
+	}
+	return -1
 }
 
 // RefetchSec is the modeled cost of fetching the object from tape

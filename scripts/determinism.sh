@@ -18,6 +18,8 @@
 #   metrics       the registry dumps of library -metrics, serve
 #                 -metrics prom and chaos -metrics prom (not committed:
 #                 compared across worker counts only)
+#   schedbench    the Figure 4 simulation (results/fig4.txt), less its
+#                 first line, which carries the elapsed wall time
 set -eu
 
 tmp=$(mktemp -d)
@@ -81,8 +83,16 @@ metrics)
 		cmp "$tmp/$cmd-1.txt" "$tmp/$cmd-8.txt"
 	done
 	;;
+schedbench)
+	for w in 1 8; do
+		go run ./cmd/schedbench -start random -divisor 500 -workers "$w" | tail -n +2 >"$tmp/fig4-$w.txt"
+	done
+	tail -n +2 results/fig4.txt >"$tmp/fig4.txt"
+	cmp "$tmp/fig4-1.txt" "$tmp/fig4-8.txt"
+	cmp "$tmp/fig4-1.txt" "$tmp/fig4.txt"
+	;;
 *)
-	echo "usage: $0 {results|chaos|online|library|trace|availability|fleet|cache|slo|metrics}" >&2
+	echo "usage: $0 {results|chaos|online|library|trace|availability|fleet|cache|slo|metrics|schedbench}" >&2
 	exit 2
 	;;
 esac
