@@ -27,7 +27,7 @@ import (
 	"serpentine/internal/fault"
 	"serpentine/internal/grid"
 	"serpentine/internal/obs"
-	"serpentine/internal/sim"
+	"serpentine/internal/server"
 )
 
 func main() {
@@ -51,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := sim.ChaosConfig{
+	cfg := server.ChaosConfig{
 		Serial:    *serial,
 		BatchSize: *batch,
 		Batches:   *batches,
@@ -90,7 +90,7 @@ func main() {
 		log.Fatalf("unknown -metrics format %q (want prom or json)", *metrics)
 	}
 
-	cells, err := sim.ChaosSweep(cfg)
+	cells, err := server.ChaosSweep(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func main() {
 	defer w.Flush()
 	fmt.Fprintf(w, "# chaos: %d-request batches, %d measured batches/cell, base mix transient=%g overshoot=%g lost=%g media=%g, seed %d\n\n",
 		*batch, *batches-*warmup, *transient, *overshoot, *lost, *media, *seed)
-	if err := sim.WriteChaos(w, cells); err != nil {
+	if err := server.WriteChaos(w, cells); err != nil {
 		log.Fatal(err)
 	}
 	if reg != nil {

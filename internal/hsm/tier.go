@@ -242,11 +242,7 @@ func (t *Tier) Cached(slot int) bool {
 
 // objBytes is the extent's size under the library's profile.
 func (t *Tier) objBytes(o tertiary.Object) int64 {
-	segs := o.Segments
-	if segs <= 0 {
-		segs = 1
-	}
-	return int64(segs) * t.segBytes
+	return int64(o.Len()) * t.segBytes
 }
 
 // AdvanceTo advances the wrapped loop to t, then harvests fetch
@@ -316,11 +312,7 @@ func (t *Tier) prefetch(slot int, o tertiary.Object) {
 		// cartridge than the catalog copy, so it is not in the layout.
 		return
 	}
-	segs := o.Segments
-	if segs <= 0 {
-		segs = 1
-	}
-	runEnd := o.Start + segs
+	runEnd := o.Start + o.Len()
 	for j := slot + 1; j < len(t.objs) && t.objs[j].Tape == o.Tape; j++ {
 		next := t.objs[j]
 		if next.Start-runEnd >= core.DefaultCoalesceThreshold {
@@ -331,7 +323,7 @@ func (t *Tier) prefetch(slot int, o tertiary.Object) {
 			t.m.PrefetchInstalls++
 			t.prefetchC.Inc()
 		}
-		if end := next.Start + max(next.Segments, 1); end > runEnd {
+		if end := next.Start + next.Len(); end > runEnd {
 			runEnd = end
 		}
 	}

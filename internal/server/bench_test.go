@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"serpentine/internal/core"
 	"serpentine/internal/workload"
 )
 
@@ -30,4 +31,23 @@ func BenchmarkServerSteadyState(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "reqs/s")
+}
+
+// BenchmarkChaosCell runs one default chaos cell — LOSS at the
+// default fault mix x1, twelve chained batches of 96 — and reports
+// the simulated-request throughput.
+func BenchmarkChaosCell(b *testing.B) {
+	cfg := ChaosConfig{Schedulers: []core.Scheduler{core.NewLOSS()}, Rates: []float64{1}, Seed: 1, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cells, err := ChaosSweep(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if w := cells[0].Window; w.Served+w.Failed != 10*96 {
+			b.Fatalf("measured %d+%d of %d", w.Served, w.Failed, 10*96)
+		}
+	}
+	b.ReportMetric(float64(12*96)*float64(b.N)/b.Elapsed().Seconds(), "reqs/s")
 }

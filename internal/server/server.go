@@ -113,30 +113,48 @@ type Result struct {
 	Service      stats.Accumulator
 	ServiceTimes []float64
 
-	// Batches counts cut batches; BatchDurations their executed
-	// virtual durations, in order.
-	Batches        int
-	BatchDurations []float64
+	// Cuts records every cut batch, in order.
+	Cuts []Cut
 
 	// IncrementalReplans counts re-schedules forced by arrivals
-	// landing during service (ReplanOnArrival only). The executor's
-	// own fault-recovery work is totalled alongside.
+	// landing during service (ReplanOnArrival only); Replans totals
+	// the executor's own fault-recovery re-plans.
 	IncrementalReplans int
-	Retries            int
 	Replans            int
-	Recalibrations     int
-	Fallbacks          int
-	RecoverySec        float64
 
 	// MakespanSec is the virtual time from zero to the last
-	// completion; BusySec the drive's share of it; IdleSec the rest.
+	// completion; BusySec the drive's share of it.
 	MakespanSec float64
 	BusySec     float64
-	IdleSec     float64
-	// FinalHead is the head position after the last batch.
-	FinalHead int
 	// MaxQueueDepth is the admission queue's high-water mark.
 	MaxQueueDepth int
+}
+
+// Cut is one cut batch: the requests it grew to, how they ended, how
+// long its service span took, and the executor's recovery work within
+// it. A sum of cuts is itself a Cut.
+type Cut struct {
+	Size, Served, Failed int
+	DurationSec          float64
+	// Retries, Replans, Recalibrations and Fallbacks count the
+	// executor's recovery actions; RecoverySec is the time they took:
+	// failed attempts, backoff waits and recalibrations.
+	Retries, Replans, Recalibrations, Fallbacks int
+	RecoverySec                                 float64
+}
+
+// Add returns the sum of c and d.
+func (c Cut) Add(d Cut) Cut {
+	c.Size += d.Size
+	c.Served += d.Served
+	c.Failed += d.Failed
+	c.DurationSec += d.DurationSec
+	c.Retries += d.Retries
+	c.Replans += d.Replans
+	c.Recalibrations += d.Recalibrations
+	c.Fallbacks += d.Fallbacks
+	c.RecoverySec += d.RecoverySec
+	return c
 }
 
 // SojournP returns the p-th percentile sojourn time, or 0 when
@@ -205,6 +223,8 @@ type state struct {
 	onePlan  [1]int
 	oneReq   [1]Request
 
+	// cut accumulates the batch being served until recordCut closes it.
+	cut Cut
 	res Result
 }
 
@@ -423,8 +443,6 @@ func (s *state) run() error {
 	}
 	s.res.MakespanSec = s.now()
 	s.res.BusySec = s.drv.Clock()
-	s.res.IdleSec = s.idle
-	s.res.FinalHead = s.drv.Position()
 	s.res.MaxQueueDepth = s.queue.MaxDepth()
 	s.root.AttrInt("served", s.res.Served).AttrInt("failed", s.res.Failed).
 		AttrInt("rejected", s.res.Rejected).End(s.res.MakespanSec)
@@ -537,11 +555,12 @@ func (s *state) serveIncremental(batch []Request) error {
 	return nil
 }
 
-// recordCut accounts one cut batch: how many requests it grew to and
-// how long its service span took.
+// recordCut closes the cut batch recordExec accumulated: how many
+// requests it grew to and how long its service span took.
 func (s *state) recordCut(size int, elapsed float64) {
-	s.res.Batches++
-	s.res.BatchDurations = append(s.res.BatchDurations, elapsed)
+	s.cut.Size, s.cut.DurationSec = size, elapsed
+	s.res.Cuts = append(s.res.Cuts, s.cut)
+	s.cut = Cut{}
 	if s.hBatchSec == nil {
 		s.hBatchSec = s.histogram("batch_seconds")
 		s.hBatchSz = s.histogram("batch_size")
@@ -578,9 +597,9 @@ func indexOfSegment(pending []Request, seg int) int {
 	return -1
 }
 
-// recordExec folds one execution's outcomes into the result and the
-// metrics: per-request sojourn and service times for the served, the
-// failure split, and the executor's recovery counters.
+// recordExec folds one execution's outcomes into the result, the open
+// cut and the metrics: per-request sojourn and service times for the
+// served, the failure split, and the executor's recovery counters.
 func (s *state) recordExec(batch []Request, er *sim.ExecResult, dispatch float64) {
 	// Map each served/failed segment occurrence back to its request,
 	// FIFO per segment (duplicates are legal in a stream). The map
@@ -622,6 +641,7 @@ func (s *state) recordExec(batch []Request, er *sim.ExecResult, dispatch float64
 			rs.End(completion)
 		}
 		s.res.Served++
+		s.cut.Served++
 		s.res.Sojourn.Add(sojourn)
 		s.res.SojournTimes = append(s.res.SojournTimes, sojourn)
 		s.res.Service.Add(service)
@@ -637,15 +657,17 @@ func (s *state) recordExec(batch []Request, er *sim.ExecResult, dispatch float64
 	}
 	for range er.Failed {
 		s.res.Failed++
+		s.cut.Failed++
 		if s.cFailed == nil {
 			s.cFailed = s.counter("failed_total")
 		}
 		s.cFailed.Inc()
 	}
-	s.res.Retries += er.Retries
 	s.res.Replans += er.Replans
-	s.res.Recalibrations += er.Recalibrations
-	s.res.Fallbacks += er.Fallbacks
-	s.res.RecoverySec += er.RecoverySec
+	s.cut.Retries += er.Retries
+	s.cut.Replans += er.Replans
+	s.cut.Recalibrations += er.Recalibrations
+	s.cut.Fallbacks += er.Fallbacks
+	s.cut.RecoverySec += er.RecoverySec
 	clear(s.bySeg)
 }

@@ -7,12 +7,8 @@ import (
 	"testing"
 
 	"serpentine/internal/core"
-	"serpentine/internal/drive"
 	"serpentine/internal/fault"
-	"serpentine/internal/geometry"
-	"serpentine/internal/locate"
 	"serpentine/internal/obs"
-	"serpentine/internal/sim"
 	"serpentine/internal/workload"
 )
 
@@ -40,7 +36,7 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 			cfg:      Config{Policy: FixedWindow, WindowSec: 600},
 			arrivals: nil,
 			check: func(t *testing.T, r *Result) {
-				if r.Served != 0 || r.Batches != 0 || r.MakespanSec != 0 {
+				if r.Served != 0 || len(r.Cuts) != 0 || r.MakespanSec != 0 {
 					t.Fatalf("idle server did work: %+v", r)
 				}
 				// The idle summary is NaN-free zeros.
@@ -61,8 +57,8 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 				{ID: 0, Segment: 100000, ArrivalSec: 10},
 			},
 			check: func(t *testing.T, r *Result) {
-				if r.Served != 1 || r.Batches != 1 {
-					t.Fatalf("served=%d batches=%d, want 1/1", r.Served, r.Batches)
+				if r.Served != 1 || len(r.Cuts) != 1 {
+					t.Fatalf("served=%d batches=%d, want 1/1", r.Served, len(r.Cuts))
 				}
 				// The request waits from t=10 to the t=600 boundary
 				// before dispatch, so its sojourn exceeds 590 s.
@@ -82,8 +78,8 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 				if r.Served != 2 {
 					t.Fatalf("served=%d, want 2", r.Served)
 				}
-				if r.Batches != 1 {
-					t.Fatalf("batches=%d, want 1 — the boundary arrival must join the t=600 cut", r.Batches)
+				if len(r.Cuts) != 1 {
+					t.Fatalf("batches=%d, want 1 — the boundary arrival must join the t=600 cut", len(r.Cuts))
 				}
 			},
 		},
@@ -95,8 +91,8 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 				{ID: 1, Segment: 200000, ArrivalSec: 600.001},
 			},
 			check: func(t *testing.T, r *Result) {
-				if r.Served != 2 || r.Batches != 2 {
-					t.Fatalf("served=%d batches=%d, want 2 served in 2 batches", r.Served, r.Batches)
+				if r.Served != 2 || len(r.Cuts) != 2 {
+					t.Fatalf("served=%d batches=%d, want 2 served in 2 batches", r.Served, len(r.Cuts))
 				}
 			},
 		},
@@ -140,8 +136,8 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 				if r.Served != 4 {
 					t.Fatalf("served=%d, want 4", r.Served)
 				}
-				if r.Batches != 2 {
-					t.Fatalf("batches=%d, want 2 (singleton, then the quiesced three)", r.Batches)
+				if len(r.Cuts) != 2 {
+					t.Fatalf("batches=%d, want 2 (singleton, then the quiesced three)", len(r.Cuts))
 				}
 			},
 		},
@@ -154,8 +150,8 @@ func TestBatchingWindowEdgeCases(t *testing.T) {
 				{ID: 2, Segment: 300000, ArrivalSec: 0},
 			},
 			check: func(t *testing.T, r *Result) {
-				if r.Served != 3 || r.Batches != 2 {
-					t.Fatalf("served=%d batches=%d, want 3 served in 2 batches", r.Served, r.Batches)
+				if r.Served != 3 || len(r.Cuts) != 2 {
+					t.Fatalf("served=%d batches=%d, want 3 served in 2 batches", r.Served, len(r.Cuts))
 				}
 			},
 		},
@@ -204,81 +200,6 @@ func TestRunRejectsNegativeConfig(t *testing.T) {
 				t.Fatalf("config %+v accepted", c.cfg)
 			}
 		})
-	}
-}
-
-// TestZeroArrivalEquivalentToBatchChain pins the serving layer to the
-// closed-batch experiment it generalizes: with every request already
-// queued at time zero and batches cut at the chain's batch size, the
-// server must reproduce BatchChain's executed-mode run bit for bit —
-// same per-batch durations, same total, same final head position.
-func TestZeroArrivalEquivalentToBatchChain(t *testing.T) {
-	const (
-		serial    = int64(1)
-		batchSize = 24
-		batches   = 4
-		seed      = int64(7)
-	)
-	tape, err := geometry.Generate(geometry.DLT4000(), serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := locate.FromKeyPoints(tape.KeyPoints())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	chain, err := sim.BatchChain(sim.ChainConfig{
-		Model:     model,
-		Scheduler: core.NewLOSS(),
-		BatchSize: batchSize,
-		Batches:   batches,
-		Warmup:    1,
-		Seed:      seed,
-		Drive:     drive.New(tape),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The same request stream, all arrived at t=0: the generator
-	// draws per batch exactly as the chain does.
-	gen := workload.NewUniform(model.Segments(), seed)
-	var arrivals []Request
-	for b := 0; b < batches; b++ {
-		for _, seg := range gen.Batch(batchSize) {
-			arrivals = append(arrivals, Request{ID: len(arrivals), Segment: seg})
-		}
-	}
-	res := run(t, Config{
-		Serial:    serial,
-		Scheduler: core.NewLOSS(),
-		Policy:    QuiesceThenReplan,
-		QueueCap:  len(arrivals),
-		MaxBatch:  batchSize,
-	}, arrivals)
-
-	if res.Served != batchSize*batches {
-		t.Fatalf("served=%d, want %d", res.Served, batchSize*batches)
-	}
-	if res.Batches != batches {
-		t.Fatalf("batches=%d, want %d", res.Batches, batches)
-	}
-	if res.FinalHead != chain.FinalHead {
-		t.Fatalf("final head %d, chain %d", res.FinalHead, chain.FinalHead)
-	}
-	// BatchChain's TotalSec covers the post-warmup batches; the
-	// server's per-batch durations must match it exactly (same float
-	// operations in the same order — byte-identical, not approximate).
-	var total float64
-	for _, d := range res.BatchDurations[1:] {
-		total += d
-	}
-	if total != chain.TotalSec {
-		t.Fatalf("measured batch time %v, chain %v — executed paths diverged", total, chain.TotalSec)
-	}
-	if res.IdleSec != 0 {
-		t.Fatalf("zero-arrival run accounted %g s idle", res.IdleSec)
 	}
 }
 

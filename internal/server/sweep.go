@@ -179,8 +179,8 @@ func WriteOnline(w io.Writer, cells []SweepCell) error {
 				util = r.BusySec / r.MakespanSec * 100
 			}
 			meanBatch := 0.0
-			if r.Batches > 0 {
-				meanBatch = float64(r.Served+r.Failed) / float64(r.Batches)
+			if len(r.Cuts) > 0 {
+				meanBatch = float64(r.Served+r.Failed) / float64(len(r.Cuts))
 			}
 			if _, err := fmt.Fprintf(w, "%-18s %-6s %9.1f %9.1f %9.1f %8.1f %6.1f %7.1f %6d %6d %7d %8.2f\n",
 				c.Policy, c.Alg, r.SojournP(50), r.SojournP(95), r.SojournP(99),

@@ -3,10 +3,14 @@ package server
 import (
 	"bytes"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"serpentine/internal/core"
+	"serpentine/internal/fault"
 	"serpentine/internal/obs"
+	"serpentine/internal/workload"
 )
 
 // smallSweep is a sweep config small enough for the test suite but
@@ -95,5 +99,50 @@ func TestSweepCellOrderMatchesSpec(t *testing.T) {
 				i++
 			}
 		}
+	}
+}
+
+// TestCutsPartition checks the per-cut records against the run's
+// totals under every policy with faults armed: each cut's outcomes
+// partition its size, the cuts partition the served and failed
+// requests, and their re-plans plus the incremental ones are the
+// replan column WriteOnline prints.
+func TestCutsPartition(t *testing.T) {
+	arrivals, err := PoissonStream(120.0/3600, 60, 9, workload.NewUniform(segmentSpace, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.Config{TransientRate: 0.2, OvershootRate: 0.1, LostRate: 0.05, MediaRate: 0.05, Seed: 11}
+	failed, replans := 0, 0
+	for _, policy := range AllPolicies() {
+		r := run(t, Config{Policy: policy, Scheduler: core.NewSLTF(), Faults: faults}, arrivals)
+		var sum Cut
+		for i, c := range r.Cuts {
+			if c.Served+c.Failed != c.Size {
+				t.Fatalf("%s cut %d: %d served + %d failed != size %d", policy, i, c.Served, c.Failed, c.Size)
+			}
+			sum = sum.Add(c)
+		}
+		if sum.Size != r.Served+r.Failed || sum.Served != r.Served || sum.Failed != r.Failed {
+			t.Fatalf("%s: cuts sum to %d (%d served, %d failed), run served %d and failed %d",
+				policy, sum.Size, sum.Served, sum.Failed, r.Served, r.Failed)
+		}
+		var buf bytes.Buffer
+		if err := WriteOnline(&buf, []SweepCell{{Policy: policy, Alg: r.Alg, Result: r}}); err != nil {
+			t.Fatal(err)
+		}
+		row := strings.Fields(strings.Split(buf.String(), "\n")[2])
+		printed, err := strconv.Atoi(row[10])
+		if err != nil {
+			t.Fatalf("%s: replan column %q: %v", policy, row[10], err)
+		}
+		if want := sum.Replans + r.IncrementalReplans; printed != want {
+			t.Fatalf("%s: WriteOnline prints %d replans, cuts sum to %d", policy, printed, want)
+		}
+		failed += sum.Failed
+		replans += sum.Replans
+	}
+	if failed == 0 || replans == 0 {
+		t.Fatalf("fault mix too tame: %d failed, %d replans over every policy", failed, replans)
 	}
 }

@@ -73,13 +73,13 @@ func (p *Placement) validate(l *Library) error {
 			if !ok {
 				return fmt.Errorf("tertiary: replica %d of %s on unknown tape %d", i+1, id, r.Tape)
 			}
-			if r.Start < 0 || r.Start+r.segments() > tape.Segments() {
+			if r.Start < 0 || r.Start+r.Len() > tape.Segments() {
 				return fmt.Errorf("tertiary: replica %d of %s extent [%d,%d) outside tape %d",
-					i+1, id, r.Start, r.Start+r.segments(), r.Tape)
+					i+1, id, r.Start, r.Start+r.Len(), r.Tape)
 			}
-			if r.segments() != primary.segments() {
+			if r.Len() != primary.Len() {
 				return fmt.Errorf("tertiary: replica %d of %s is %d segments, primary is %d",
-					i+1, id, r.segments(), primary.segments())
+					i+1, id, r.Len(), primary.Len())
 			}
 			if seen[r.Tape] {
 				return fmt.Errorf("tertiary: replica %d of %s shares tape %d with another copy", i+1, id, r.Tape)

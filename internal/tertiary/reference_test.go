@@ -98,7 +98,7 @@ func refRun(l *Library, requests []Request) ([]Completion, Metrics, error) {
 		if lat > metrics.MaxLatency {
 			metrics.MaxLatency = lat
 		}
-		metrics.BytesRead += int64(c.Object.segments()) * l.cfg.Profile.SegmentBytes
+		metrics.BytesRead += int64(c.Object.Len()) * l.cfg.Profile.SegmentBytes
 	}
 	if metrics.Served > 0 {
 		metrics.MeanLatency = latSum / float64(metrics.Served)
@@ -159,7 +159,7 @@ func refServeBatch(l *Library, d *refDriveState, serial int64, start float64, ba
 
 	byLen := make(map[int][]pending)
 	for _, p := range batch {
-		byLen[p.obj.segments()] = append(byLen[p.obj.segments()], p)
+		byLen[p.obj.Len()] = append(byLen[p.obj.Len()], p)
 	}
 	var lens []int
 	for k := range byLen {

@@ -899,10 +899,10 @@ func (s *runState) serve(d *driveState, cart int, now float64) (bool, error) {
 	// map iteration). Nearly every real batch is a single class —
 	// catalogs store fixed-size objects — so that case skips the
 	// grouping machinery entirely.
-	rl0 := batch[0].obj.segments()
+	rl0 := batch[0].obj.Len()
 	single := true
 	for i := 1; i < len(batch); i++ {
-		if batch[i].obj.segments() != rl0 {
+		if batch[i].obj.Len() != rl0 {
 			single = false
 			break
 		}
@@ -914,7 +914,7 @@ func (s *runState) serve(d *driveState, cart int, now float64) (bool, error) {
 	} else {
 		byLen := make(map[int][]pending)
 		for _, p := range batch {
-			byLen[p.obj.segments()] = append(byLen[p.obj.segments()], p)
+			byLen[p.obj.Len()] = append(byLen[p.obj.Len()], p)
 		}
 		lens := make([]int, 0, len(byLen))
 		for k := range byLen {
@@ -1206,7 +1206,7 @@ func (s *runState) finish() {
 		if lat > s.m.MaxLatency {
 			s.m.MaxLatency = lat
 		}
-		s.m.BytesRead += int64(s.object(t).segments()) * s.cfg.Profile.SegmentBytes
+		s.m.BytesRead += int64(s.object(t).Len()) * s.cfg.Profile.SegmentBytes
 	}
 	if s.m.Served > 0 {
 		s.m.MeanLatency = latSum / float64(s.m.Served)

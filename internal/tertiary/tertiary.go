@@ -43,7 +43,8 @@ type Object struct {
 	Segments int
 }
 
-func (o Object) segments() int {
+// Len is the extent length in segments: Segments, with 0 meaning 1.
+func (o Object) Len() int {
 	if o.Segments <= 0 {
 		return 1
 	}
@@ -446,9 +447,9 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 		if !ok {
 			return nil, fmt.Errorf("tertiary: object %s on unknown tape %d", o.ID, o.Tape)
 		}
-		if o.Start < 0 || o.Start+o.segments() > tape.Segments() {
+		if o.Start < 0 || o.Start+o.Len() > tape.Segments() {
 			return nil, fmt.Errorf("tertiary: object %s extent [%d,%d) outside tape %d",
-				o.ID, o.Start, o.Start+o.segments(), o.Tape)
+				o.ID, o.Start, o.Start+o.Len(), o.Tape)
 		}
 	}
 	if err := cfg.Placement.validate(l); err != nil {
@@ -492,7 +493,7 @@ func (l *Library) RefetchSec(o Object) float64 {
 	}
 	model := l.models[ci]
 	cost := model.LocateTime(0, o.Start)
-	for k := 0; k < o.segments(); k++ {
+	for k := 0; k < o.Len(); k++ {
 		cost += model.ReadTime(o.Start + k)
 	}
 	return cost
