@@ -19,6 +19,8 @@ BENCH22_OUT ?= BENCH_PR22.json
 BENCH22_BASELINE ?= BENCH_PR22_BASELINE.txt
 BENCH26_OUT ?= BENCH_PR26.json
 BENCH26_BASELINE ?= BENCH_PR26_BASELINE.txt
+BENCH29_OUT ?= BENCH_PR29.json
+BENCH29_BASELINE ?= BENCH_PR29_BASELINE.txt
 
 # End-to-end benchmarks for the dispatch-loop perf pass: a full
 # library sweep cell, the online server's steady-state loop, and the
@@ -40,7 +42,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 FUZZTIME ?= 30s
 
-.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 bench-pr21 bench-pr22 bench-pr26 bench-snapshot profile fuzz-smoke lint vulncheck cover results slo clean
+.PHONY: verify test vet fmt race bench bench-json bench-pr6 bench-pr13 bench-pr14 bench-pr17 bench-pr21 bench-pr22 bench-pr26 bench-pr29 bench-snapshot profile fuzz-smoke lint vulncheck cover results slo clean
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the sweep runner and the parallel simulator plus the packages
@@ -164,6 +166,18 @@ bench-pr26:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkLibrarySweepCell$$' -benchtime 200x -count 5 -benchmem ./internal/tertiary | tee $(BENCH_TXT)
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee -a $(BENCH_TXT)
 	$(GO) run ./cmd/benchjson -baseline $(BENCH26_BASELINE) < $(BENCH_TXT) > $(BENCH26_OUT)
+	rm -f $(BENCH_TXT)
+
+# Regenerate the committed evidence for the fleet's per-request
+# bookkeeping: the fleet, tier and emission ladder plus the SLO
+# engine's replay of a fixed event log (BenchmarkSLOIngest), with the
+# capture from the parent revision, which kept one sample slice per
+# rolling window and copied every folded event, embedded under
+# "baseline". GOMAXPROCS=1 and -count 5 as for bench-pr17.
+bench-pr29:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(LADDER_BENCH)' -benchtime 20x -count 5 -benchmem ./internal/fleet ./internal/hsm | tee $(BENCH_TXT)
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkSLOIngest$$' -count 5 -benchmem ./internal/obs | tee -a $(BENCH_TXT)
+	$(GO) run ./cmd/benchjson -baseline $(BENCH29_BASELINE) < $(BENCH_TXT) > $(BENCH29_OUT)
 	rm -f $(BENCH_TXT)
 
 # Run the benchmark for one second per workload and check its 18

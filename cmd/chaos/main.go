@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -39,7 +40,7 @@ func main() {
 		rateList  = flag.String("rates", "0,0.5,1,2,4", "comma-separated fault-rate multipliers")
 		batch     = flag.Int("batch", 96, "requests per batch")
 		batches   = flag.Int("batches", 12, "chained batches per cell")
-		warmup    = flag.Int("warmup", 2, "warmup batches excluded from statistics")
+		warmup    = flag.Int("warmup", 2, "warmup batches excluded from statistics (0 = the default, 2)")
 		readLen   = flag.Int("readlen", 1, "segments transferred per request")
 		seed      = flag.Int64("seed", 1, "request-generation and fault seed")
 		workers   = flag.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS)")
@@ -96,8 +97,7 @@ func main() {
 	}
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	fmt.Fprintf(w, "# chaos: %d-request batches, %d measured batches/cell, base mix transient=%g overshoot=%g lost=%g media=%g, seed %d\n\n",
-		*batch, *batches-*warmup, *transient, *overshoot, *lost, *media, *seed)
+	writeHeader(w, cfg)
 	if err := server.WriteChaos(w, cells); err != nil {
 		log.Fatal(err)
 	}
@@ -113,4 +113,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// writeHeader prints the sweep's shape as ChaosSweep ran it: zero
+// sizes and an all-zero fault mix select their defaults, so the header
+// reads the resolved configuration, not the flags.
+func writeHeader(w io.Writer, cfg server.ChaosConfig) {
+	r := cfg.Resolved()
+	fmt.Fprintf(w, "# chaos: %d-request batches, %d measured batches/cell, base mix transient=%g overshoot=%g lost=%g media=%g, seed %d\n\n",
+		r.BatchSize, r.Batches-r.Warmup, r.Base.TransientRate, r.Base.OvershootRate, r.Base.LostRate, r.Base.MediaRate, r.Seed)
 }

@@ -383,10 +383,7 @@ func (d *Drive) read(n int) (float64, error) {
 
 // doRead executes the physical transfer of n validated segments.
 func (d *Drive) doRead(n int) float64 {
-	t := 0.0
-	for i := 0; i < n; i++ {
-		t += d.truth.ReadTime(d.pos + i)
-	}
+	t := d.truth.ReadSpan(d.pos, n)
 	if d.pos+n < d.tape.Segments() {
 		d.pos += n
 	} else {
@@ -405,11 +402,8 @@ func (d *Drive) doRead(n int) float64 {
 // deterministically.
 func (d *Drive) readMedia(good int) (float64, error) {
 	bad := d.pos + good
-	t := 0.0
-	for k := 0; k < good; k++ {
-		t += d.truth.ReadTime(d.pos + k)
-	}
-	t += d.truth.ReadTime(bad)
+	// The good prefix and the attempt on the bad segment, in order.
+	t := d.truth.ReadSpan(d.pos, good+1)
 	d.pos = bad
 	d.clock += t
 	d.stats.SegmentsRead += good

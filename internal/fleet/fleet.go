@@ -59,13 +59,14 @@ type StoreConfig struct {
 // copyGroup is one shard's copies of an object: the shard index, the
 // object's cache slot there (its index in the shard library's
 // Objects(), which the staging tier indexes residency by), and the
-// cartridge serials holding the copies, in copy order. The first group
-// of an object's directory entry is the shard holding copy 0 — the
-// primary shard.
+// indexes of the cartridges holding the copies in the shard library
+// (Library.Cartridge), in copy order, which the runner's cartridge
+// probes take. The first group of an object's directory entry is the
+// shard holding copy 0 — the primary shard.
 type copyGroup struct {
-	shard   int
-	slot    int
-	serials []int64
+	shard int
+	slot  int
+	carts []int
 }
 
 // Fleet is a built cluster: per-shard base libraries sharing their
@@ -173,6 +174,7 @@ func New(cfg StoreConfig) (*Fleet, error) {
 					Start:    o*strides[tk] + k*cfg.ObjectSegments,
 					Segments: cfg.ObjectSegments,
 				}
+				ci := slices.Index(f.tapes[sk], obj.Tape)
 				gi := -1
 				for j := range groups {
 					if groups[j].shard == sk {
@@ -183,7 +185,7 @@ func New(cfg StoreConfig) (*Fleet, error) {
 				if gi < 0 {
 					// First copy on this shard: the shard's catalog
 					// entry.
-					groups = append(groups, copyGroup{shard: sk, serials: []int64{obj.Tape}})
+					groups = append(groups, copyGroup{shard: sk, carts: []int{ci}})
 					if err := catalogs[sk].Put(obj); err != nil {
 						return nil, err
 					}
@@ -191,7 +193,7 @@ func New(cfg StoreConfig) (*Fleet, error) {
 				}
 				// A later copy landing on a shard that already has
 				// one: a same-shard replica behind its catalog entry.
-				groups[gi].serials = append(groups[gi].serials, obj.Tape)
+				groups[gi].carts = append(groups[gi].carts, ci)
 				if reps == nil {
 					reps = make(map[int][]tertiary.Object, 1)
 				}
@@ -360,33 +362,47 @@ type decision struct {
 	unroutable bool
 }
 
-// routeName renders the decision for the request's wide event.
-func (d decision) routeName() string {
+// route is the decision's route for the request's wide event.
+func (d decision) route() tertiary.Route {
 	switch {
 	case d.unroutable:
-		return "unroutable"
+		return tertiary.RouteUnroutable
 	case d.cross:
-		return "cross-shard"
+		return tertiary.RouteCrossShard
 	case d.affinity:
-		return "affinity"
+		return tertiary.RouteAffinity
 	}
-	return "routed"
+	return tertiary.RouteRouted
 }
 
 // foldRecords merges the shards' terminal records, each sorted by
 // (Done, Seq), k-way in (Done, Shard, Seq) order, a total order since
 // (Shard, Seq) is unique: on equal Done (±0 alike) the lowest shard's
 // head goes first. The one walk feeds both post-run consumers: dst,
-// when non-nil, gets each entry's wide event (built by event, keeping
-// its per-shard Seq) with labels attached, and health, when non-nil,
-// scores each entry under "shard=N" and, when a drive served or failed
-// it, "shard=N/drive=D", in the terminal-time order it requires.
-func foldRecords(recs [][]tertiary.Terminal, event func(shard int, t *tertiary.Terminal) obs.Event,
+// when non-nil, gets each entry's wide event, built in place in the
+// ring's slot by event (keeping its per-shard Seq), with labels
+// attached, and health, when non-nil, scores each entry under
+// "shard=N" and, when a drive served or failed it, "shard=N/drive=D",
+// in the terminal-time order it requires. Each key is resolved to its
+// windows once, at its first observation. The run's events share one
+// copy of labels.
+func foldRecords(recs [][]tertiary.Terminal, event func(shard int, t *tertiary.Terminal, ev *obs.Event),
 	dst *obs.EventRing, labels []obs.Label, health *obs.HealthTracker) {
 	heads := make([]int, len(recs))
-	keys := make([][]string, len(recs)) // shard key, then drive d's at d+1, each rendered once
+	keys := make([][]obs.HealthKey, len(recs)) // shard key, then drive d's at d+1
+	if len(labels) > 0 {
+		labels = slices.Clip(slices.Clone(labels))
+	} else {
+		labels = nil
+	}
+	var s int
+	var t *tertiary.Terminal
+	fill := func(ev *obs.Event) {
+		event(s, t, ev)
+		ev.Labels = labels
+	}
 	for {
-		s := -1
+		s = -1
 		for k, rec := range recs {
 			if heads[k] < len(rec) && (s < 0 || rec[heads[k]].Done < recs[s][heads[s]].Done) {
 				s = k
@@ -395,35 +411,32 @@ func foldRecords(recs [][]tertiary.Terminal, event func(shard int, t *tertiary.T
 		if s < 0 {
 			return
 		}
-		t := &recs[s][heads[s]]
+		t = &recs[s][heads[s]]
 		heads[s]++
-		if dst != nil {
-			ev := event(s, t)
-			if len(labels) > 0 {
-				ev.Labels = append([]obs.Label(nil), labels...)
-			}
-			dst.Add(ev)
-		}
+		dst.Fill(fill)
 		if health == nil {
 			continue
 		}
 		ks, good := keys[s], t.Outcome == tertiary.OutcomeServed
 		if ks == nil {
-			ks = []string{"shard=" + strconv.Itoa(s)}
+			ks = []obs.HealthKey{health.Key(shardKey(s))}
 		}
-		health.Observe(ks[0], t.Done, good)
+		ks[0].Observe(t.Done, good)
 		if d := int(t.Drive) + 1; d > 0 {
 			for len(ks) <= d {
-				ks = append(ks, "")
+				ks = append(ks, obs.HealthKey{})
 			}
-			if ks[d] == "" {
-				ks[d] = ks[0] + "/drive=" + strconv.Itoa(d-1)
+			if ks[d] == (obs.HealthKey{}) {
+				ks[d] = health.Key(shardKey(s) + "/drive=" + strconv.Itoa(d-1))
 			}
-			health.Observe(ks[d], t.Done, good)
+			ks[d].Observe(t.Done, good)
 		}
 		keys[s] = ks
 	}
 }
+
+// shardKey is shard s's health key.
+func shardKey(s int) string { return "shard=" + strconv.Itoa(s) }
 
 // Run serves the stream through the routing tier: every shard's event
 // loop advances in lockstep with the arrival clock, the router scores
@@ -521,7 +534,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			if d.unroutable {
 				m.Unroutable++
 			}
-			if err := tiers[d.shard].OfferRouted(stream[i], d.slot, d.routeName()); err != nil {
+			if err := tiers[d.shard].OfferRouted(stream[i], d.slot, d.route()); err != nil {
 				return nil, Metrics{}, fmt.Errorf("fleet: shard %d: %w", d.shard, err)
 			}
 			res[d.shard].Routed++
@@ -573,7 +586,7 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		for s, r := range runners {
 			recs[s] = r.Terminals()
 		}
-		foldRecords(recs, func(s int, t *tertiary.Terminal) obs.Event { return runners[s].Event(t) },
+		foldRecords(recs, func(s int, t *tertiary.Terminal, ev *obs.Event) { runners[s].Event(t, ev) },
 			cfg.Events, cfg.Labels, cfg.Health)
 	}
 	cfg.Reg.Counter("fleet_offered_total", cfg.Labels...).Add(int64(m.Offered))
@@ -622,12 +635,12 @@ func (f *Fleet) route(rt *routing, ordinal int, req tertiary.Request) (decision,
 	for gi, g := range groups {
 		r := rt.runners[g.shard]
 		alive, mounted := false, false
-		for _, serial := range g.serials {
-			if r.CartridgeLost(serial) {
+		for _, ci := range g.carts {
+			if r.CartridgeLost(ci) {
 				continue
 			}
 			alive = true
-			if r.Mounted(serial) {
+			if r.Mounted(ci) {
 				mounted = true
 			}
 		}

@@ -492,7 +492,7 @@ func TestRouteAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.tiers[d.shard].OfferRouted(req, d.slot, d.routeName()); err != nil {
+		if err := rt.tiers[d.shard].OfferRouted(req, d.slot, d.route()); err != nil {
 			t.Fatal(err)
 		}
 	}

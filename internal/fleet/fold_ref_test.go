@@ -173,7 +173,7 @@ func FuzzFleetFoldEquivalence(f *testing.F) {
 			}
 			slices.SortStableFunc(recs[s], func(a, b tertiary.Terminal) int { return cmp.Compare(a.Done, b.Done) })
 		}
-		event := func(s int, t *tertiary.Terminal) obs.Event { return logs[s][t.Seq-1] }
+		event := func(s int, t *tertiary.Terminal, ev *obs.Event) { *ev = logs[s][t.Seq-1] }
 		got, want := obs.NewEventRing(len(data)), obs.NewEventRing(len(data))
 		tracker, refTracker := obs.NewHealthTracker(10, 100), obs.NewHealthTracker(10, 100)
 		foldRecords(recs, event, got, labels, tracker)

@@ -46,13 +46,13 @@ func TestTierHitEvents(t *testing.T) {
 	if err := tier.AdvanceTo(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.OfferRouted(stream[0], tier.lib.Slot(stream[0].ObjectID), "routed"); err != nil {
+	if err := tier.OfferRouted(stream[0], tier.lib.Slot(stream[0].ObjectID), tertiary.RouteRouted); err != nil {
 		t.Fatal(err)
 	}
 	if err := tier.AdvanceTo(50000); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.OfferRouted(stream[1], tier.lib.Slot(stream[1].ObjectID), "affinity"); err != nil {
+	if err := tier.OfferRouted(stream[1], tier.lib.Slot(stream[1].ObjectID), tertiary.RouteAffinity); err != nil {
 		t.Fatal(err)
 	}
 	if _, m, err := tier.Finish(); err != nil {

@@ -262,9 +262,14 @@ func (t *Tier) AdvanceTo(ts float64) error {
 // install queue and applies the installs due by now. Fetches are
 // recorded at batch dispatch time with Done timestamps that may lie
 // ahead; after AdvanceTo(now) every fetch with Done <= now has been
-// recorded, so the applied set is exact.
+// recorded, so the applied set is exact. An idle tier, with nothing
+// recorded since the last harvest and no install due, returns at once:
+// the fleet advances every shard's tier at every arrival instant.
 func (t *Tier) absorb(now float64) {
 	rec := t.runner.Terminals()
+	if t.harvested == len(rec) && (len(t.installs) == 0 || t.installs[0].at > now) {
+		return
+	}
 	for i := t.harvested; i < len(rec); i++ {
 		e := &rec[i]
 		if e.Outcome != tertiary.OutcomeServed || e.Cache {
@@ -354,7 +359,7 @@ func (t *Tier) syncCacheCounters() {
 // nondecreasing in arrival time, like the Runner's. Offer looks the
 // object's ID up in the catalog once; everything after it goes by slot.
 func (t *Tier) Offer(req tertiary.Request) error {
-	return t.OfferRouted(req, t.lib.Slot(req.ObjectID), "")
+	return t.OfferRouted(req, t.lib.Slot(req.ObjectID), tertiary.RouteNone)
 }
 
 // OfferRouted is Offer for a caller that has already resolved the
@@ -364,7 +369,7 @@ func (t *Tier) Offer(req tertiary.Request) error {
 // the tier for a hit, by the library for a miss) and nothing else. The
 // slot keys the cache and is passed on to the runner, which rejects a
 // slot that does not hold the request's object.
-func (t *Tier) OfferRouted(req tertiary.Request, slot int, route string) error {
+func (t *Tier) OfferRouted(req tertiary.Request, slot int, route tertiary.Route) error {
 	if t.cache == nil {
 		return t.runner.OfferRouted(req, slot, route)
 	}
@@ -389,7 +394,7 @@ func (t *Tier) OfferRouted(req tertiary.Request, slot int, route string) error {
 
 // hit completes the request for the object in slot off the staging
 // disk.
-func (t *Tier) hit(req tertiary.Request, slot int, route string) error {
+func (t *Tier) hit(req tertiary.Request, slot int, route tertiary.Route) error {
 	transfer := float64(t.objBytes(t.objs[slot])) / diskBytesPerSec
 	svc := diskLatencySec + transfer
 	done := req.Arrival + svc

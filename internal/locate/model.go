@@ -362,6 +362,21 @@ func (m *Model) ReadTime(lbn int) float64 {
 	return m.view.SectionOf(lbn).ReadSec
 }
 
+// ReadSpan returns the time to read the n segments from lbn on: their
+// ReadTimes summed one segment at a time in order, so the sum is
+// bit-identical to that loop, with each section looked up once per run
+// of its segments instead of once per segment.
+func (m *Model) ReadSpan(lbn, n int) float64 {
+	t := 0.0
+	for end := lbn + n; lbn < end; {
+		s := m.view.SectionOf(lbn)
+		for stop := min(end, s.StartLBN+s.Count); lbn < stop; lbn++ {
+			t += s.ReadSec
+		}
+	}
+	return t
+}
+
 // referenceReadTime recomputes ReadTime from the geometry.
 func (m *Model) referenceReadTime(lbn int) float64 {
 	p := m.view.Place(lbn)

@@ -262,6 +262,33 @@ func TestReadTimeMatchesTransferRate(t *testing.T) {
 	}
 }
 
+// TestReadSpanMatchesPerSegmentSum pins ReadSpan bit for bit against
+// the per-segment ReadTime loop it replaces, on spans that start and
+// end mid-section, cross several sections, or stop at the last
+// segment.
+func TestReadSpanMatchesPerSegmentSum(t *testing.T) {
+	_, m := dltModel(t, 1)
+	rng := rand48.New(7)
+	check := func(lbn, n int) {
+		t.Helper()
+		want := 0.0
+		for i := 0; i < n; i++ {
+			want += m.ReadTime(lbn + i)
+		}
+		if got := m.ReadSpan(lbn, n); got != want {
+			t.Fatalf("ReadSpan(%d, %d) = %v, per-segment sum %v", lbn, n, got, want)
+		}
+	}
+	check(0, 0)
+	check(0, 1)
+	check(m.Segments()-1, 1)
+	check(m.Segments()-2000, 2000)
+	for i := 0; i < 500; i++ {
+		n := rng.Intn(3000)
+		check(rng.Intn(m.Segments()-n), n)
+	}
+}
+
 func TestRewindTime(t *testing.T) {
 	tape, m := dltModel(t, 1)
 	v := tape.View()

@@ -140,6 +140,24 @@ func (r *EventRing) Add(ev Event) {
 	r.r.add(ev)
 }
 
+// Fill records one event built in place: fill writes every field of
+// the slot the event takes, which may still hold the event it evicts.
+// Like Add, the ring numbers an event fill leaves without a sequence
+// number. Fill holds the ring's lock while fill runs, so fill must not
+// call back into the ring.
+func (r *EventRing) Fill(fill func(*Event)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ev := r.r.slot()
+	fill(ev)
+	if ev.Seq == 0 {
+		ev.Seq = r.r.total
+	}
+}
+
 // Events returns the retained events, oldest first.
 func (r *EventRing) Events() []Event {
 	if r == nil {

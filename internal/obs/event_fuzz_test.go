@@ -62,8 +62,9 @@ func FuzzWideEventRing(f *testing.F) {
 }
 
 // FuzzSLOWindow drives one objective's engine with an arbitrary
-// outcome sequence on a nondecreasing clock and checks: window totals
-// never exceed what was recorded, the SLI stays in [0,1] (1 on empty,
+// outcome sequence on a nondecreasing clock and checks after every op:
+// each window's Total and Bad equal a brute count of the recorded
+// samples with at > now-len, the SLI stays in [0,1] (1 on empty,
 // never NaN), the budget is never negative, and burn rates are
 // non-negative.
 func FuzzSLOWindow(f *testing.F) {
@@ -80,6 +81,7 @@ func FuzzSLOWindow(f *testing.F) {
 		}
 		now := 0.0
 		var recorded int64
+		var samples []sloSample
 		for _, op := range ops {
 			now += float64(op % 16)
 			if op%5 == 0 {
@@ -87,6 +89,7 @@ func FuzzSLOWindow(f *testing.F) {
 			} else {
 				e.Record("standard", now, op%3 != 0, float64(op))
 				recorded++
+				samples = append(samples, sloSample{at: now, bad: op%3 == 0})
 			}
 			for _, os := range e.Status() {
 				if os.Total != recorded {
@@ -96,6 +99,18 @@ func FuzzSLOWindow(f *testing.F) {
 					t.Fatalf("budget remaining %g < 0", os.BudgetRemaining)
 				}
 				for _, ws := range os.Windows {
+					var total, bad int64
+					for _, smp := range samples {
+						if smp.at > now-ws.WindowSec {
+							total++
+							if smp.bad {
+								bad++
+							}
+						}
+					}
+					if ws.Total != total || ws.Bad != bad {
+						t.Fatalf("window %gs holds %d/%d total/bad, brute count %d/%d", ws.WindowSec, ws.Total, ws.Bad, total, bad)
+					}
 					if ws.Total > recorded || ws.Total < 0 {
 						t.Fatalf("window %gs holds %d of %d recorded", ws.WindowSec, ws.Total, recorded)
 					}

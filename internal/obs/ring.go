@@ -20,15 +20,21 @@ func newRing[T any](limit int) ring[T] {
 }
 
 // add stores v, evicting the oldest value when full.
-func (r *ring[T]) add(v T) {
+func (r *ring[T]) add(v T) { *r.slot() = v }
+
+// slot claims the next value's slot, evicting the oldest value when
+// full, and returns it for the caller to overwrite: it holds the
+// evicted value, or the zero value.
+func (r *ring[T]) slot() *T {
 	r.total++
-	if len(r.buf) < r.limit {
-		r.buf = append(r.buf, v)
-		return
+	if n := len(r.buf); n < r.limit {
+		r.buf = r.buf[:n+1]
+		return &r.buf[n]
 	}
 	r.dropped++
-	r.buf[r.next] = v
+	v := &r.buf[r.next]
 	r.next = (r.next + 1) % len(r.buf)
+	return v
 }
 
 // snapshot returns a copy of the retained values, oldest first.

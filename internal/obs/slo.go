@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -90,49 +91,79 @@ type sloSample struct {
 	bad bool
 }
 
-// slidingWindow counts good/bad outcomes inside a rolling
-// virtual-time window. Samples append in nondecreasing time order and
-// evict from the head as the window advances; compaction clears the
-// vacated prefix so the backing array never pins evicted samples
-// (the stale-tail retention class the admission queue once had).
-type slidingWindow struct {
-	lenSec  float64
+// window is one rolling virtual-time window over a windowSet's sample
+// log: the samples from head on with at > now-lenSec, counted.
+type window struct {
+	lenSec float64
+	head   int
+	total  int64
+	bad    int64
+}
+
+// windowSet counts good/bad outcomes of one stream in several rolling
+// virtual-time windows at once. Each sample is appended once to the
+// shared log; every window keeps its own head cursor, total and bad
+// count over it, and evicts from its head as the clock advances.
+// Every window of a set advances to the same nondecreasing clock, so a
+// window's head is the first sample with at > now-lenSec, and the
+// longest window's head is the lowest. The log compacts at that head,
+// dropping only samples no window holds, and clears the vacated tail
+// so the backing array never pins evicted samples (the stale-tail
+// retention class the admission queue once had).
+type windowSet struct {
 	samples []sloSample
-	head    int
-	total   int64
-	bad     int64
+	w       []window
+	longest int // index of the longest window in w
 }
 
-func (w *slidingWindow) add(at float64, bad bool) {
-	w.samples = append(w.samples, sloSample{at: at, bad: bad})
-	w.total++
-	if bad {
-		w.bad++
-	}
-}
-
-// advance evicts samples that fell out of the (now-lenSec, now]
-// window.
-func (w *slidingWindow) advance(now float64) {
-	cut := now - w.lenSec
-	for w.head < len(w.samples) && w.samples[w.head].at <= cut {
-		if w.samples[w.head].bad {
-			w.bad--
+func newWindowSet(lens []float64) *windowSet {
+	ws := &windowSet{w: make([]window, len(lens))}
+	for i, l := range lens {
+		ws.w[i].lenSec = l
+		if l > lens[ws.longest] {
+			ws.longest = i
 		}
-		w.total--
-		w.head++
 	}
-	if w.head > len(w.samples)/2 && w.head > 16 {
-		n := copy(w.samples, w.samples[w.head:])
-		clear(w.samples[n:len(w.samples)])
-		w.samples = w.samples[:n]
-		w.head = 0
+	return ws
+}
+
+func (ws *windowSet) add(at float64, bad bool) {
+	ws.samples = append(ws.samples, sloSample{at: at, bad: bad})
+	for i := range ws.w {
+		ws.w[i].total++
+		if bad {
+			ws.w[i].bad++
+		}
+	}
+}
+
+// advance evicts, from every window, the samples that fell out of its
+// (now-lenSec, now] range.
+func (ws *windowSet) advance(now float64) {
+	for i := range ws.w {
+		w := &ws.w[i]
+		cut := now - w.lenSec
+		for w.head < len(ws.samples) && ws.samples[w.head].at <= cut {
+			if ws.samples[w.head].bad {
+				w.bad--
+			}
+			w.total--
+			w.head++
+		}
+	}
+	if h := ws.w[ws.longest].head; h > len(ws.samples)/2 && h > 16 {
+		n := copy(ws.samples, ws.samples[h:])
+		clear(ws.samples[n:len(ws.samples)])
+		ws.samples = ws.samples[:n]
+		for i := range ws.w {
+			ws.w[i].head -= h
+		}
 	}
 }
 
 // sli is the window's good fraction; an empty window reports 1 (no
 // evidence of badness is budget intact, never NaN).
-func (w *slidingWindow) sli() float64 {
+func (w *window) sli() float64 {
 	if w.total == 0 {
 		return 1
 	}
@@ -142,7 +173,7 @@ func (w *slidingWindow) sli() float64 {
 // objState is one objective's rolling state.
 type objState struct {
 	obj      Objective
-	windows  []*slidingWindow
+	set      *windowSet
 	cumTotal int64
 	cumBad   int64
 	firing   []bool // parallel to the engine's rules
@@ -152,9 +183,11 @@ type objState struct {
 // safe for concurrent use; a nil engine no-ops on every method, so
 // emission points need no enabled/disabled branches.
 type SLOEngine struct {
-	mu      sync.Mutex
-	windows []float64
-	rules   []BurnRule
+	mu    sync.Mutex
+	rules []BurnRule
+	// ruleWin holds each rule's short and long window index in every
+	// objective's window set, resolved once when the engine is built.
+	ruleWin [][2]int
 	objs    []*objState
 	now     float64
 	alerts  []Alert
@@ -198,7 +231,10 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 		}
 	}
 	sort.Float64s(ws)
-	e := &SLOEngine{windows: ws, rules: rules}
+	e := &SLOEngine{rules: rules, ruleWin: make([][2]int, len(rules))}
+	for ri, r := range rules {
+		e.ruleWin[ri] = [2]int{slices.Index(ws, r.ShortSec), slices.Index(ws, r.LongSec)}
+	}
 	for _, o := range cfg.Objectives {
 		if o.Name == "" {
 			return nil, fmt.Errorf("obs: objective with empty name")
@@ -206,33 +242,26 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 		if o.Target <= 0 || o.Target >= 1 {
 			return nil, fmt.Errorf("obs: objective %q target %g must be in (0,1)", o.Name, o.Target)
 		}
-		st := &objState{obj: o, firing: make([]bool, len(rules))}
-		for _, w := range ws {
-			st.windows = append(st.windows, &slidingWindow{lenSec: w})
-		}
+		st := &objState{obj: o, set: newWindowSet(ws), firing: make([]bool, len(rules))}
 		e.objs = append(e.objs, st)
 	}
 	return e, nil
 }
 
-// window returns the objective's window of the given length.
-func (st *objState) window(lenSec float64) *slidingWindow {
-	for _, w := range st.windows {
-		if w.lenSec == lenSec {
-			return w
-		}
-	}
-	return nil
-}
-
 // burn is the window's budget burn rate relative to the objective's
 // target: bad fraction over the sustainable bad fraction. An empty
 // window burns nothing.
-func burn(w *slidingWindow, target float64) float64 {
-	if w == nil || w.total == 0 {
+func burn(w *window, target float64) float64 {
+	if w.total == 0 {
 		return 0
 	}
 	return (float64(w.bad) / float64(w.total)) / (1 - target)
+}
+
+// ruleBurns are rule ri's short and long window burn rates for st.
+func (e *SLOEngine) ruleBurns(st *objState, ri int) (short, long float64) {
+	rw := e.ruleWin[ri]
+	return burn(&st.set.w[rw[0]], st.obj.Target), burn(&st.set.w[rw[1]], st.obj.Target)
 }
 
 // ObserveEvent records one terminal wide event against every matching
@@ -267,10 +296,8 @@ func (e *SLOEngine) Record(class string, at float64, good bool, sojournSec float
 		if bad {
 			st.cumBad++
 		}
-		for _, w := range st.windows {
-			w.add(at, bad)
-			w.advance(e.now)
-		}
+		st.set.add(at, bad)
+		st.set.advance(e.now)
 	}
 	e.evaluateLocked()
 }
@@ -289,9 +316,7 @@ func (e *SLOEngine) Advance(now float64) {
 	}
 	e.now = now
 	for _, st := range e.objs {
-		for _, w := range st.windows {
-			w.advance(now)
-		}
+		st.set.advance(now)
 	}
 	e.evaluateLocked()
 }
@@ -301,8 +326,7 @@ func (e *SLOEngine) Advance(now float64) {
 func (e *SLOEngine) evaluateLocked() {
 	for _, st := range e.objs {
 		for ri, r := range e.rules {
-			short := burn(st.window(r.ShortSec), st.obj.Target)
-			long := burn(st.window(r.LongSec), st.obj.Target)
+			short, long := e.ruleBurns(st, ri)
 			firing := short >= r.Burn && long >= r.Burn
 			if firing == st.firing[ri] {
 				continue
@@ -386,18 +410,19 @@ func (e *SLOEngine) Status() []ObjectiveStatus {
 		if os.BudgetRemaining < 0 {
 			os.BudgetRemaining = 0
 		}
-		for _, w := range st.windows {
+		for i := range st.set.w {
+			w := &st.set.w[i]
 			os.Windows = append(os.Windows, WindowStatus{
 				WindowSec: w.lenSec, Total: w.total, Bad: w.bad,
 				SLI: w.sli(), Burn: burn(w, st.obj.Target),
 			})
 		}
 		for ri, r := range e.rules {
+			short, long := e.ruleBurns(st, ri)
 			os.Rules = append(os.Rules, RuleStatus{
 				Rule: r.Name, Threshold: r.Burn,
-				ShortBurn: burn(st.window(r.ShortSec), st.obj.Target),
-				LongBurn:  burn(st.window(r.LongSec), st.obj.Target),
-				Firing:    st.firing[ri],
+				ShortBurn: short, LongBurn: long,
+				Firing: st.firing[ri],
 			})
 		}
 		out = append(out, os)
@@ -503,7 +528,7 @@ type HealthTracker struct {
 	mu      sync.Mutex
 	windows []float64
 	now     float64
-	keys    map[string][]*slidingWindow
+	keys    map[string]*windowSet
 }
 
 // NewHealthTracker builds a tracker over the given window lengths
@@ -512,7 +537,36 @@ func NewHealthTracker(windowsSec ...float64) *HealthTracker {
 	if len(windowsSec) == 0 {
 		windowsSec = []float64{DefaultSLOWindows[0], DefaultSLOWindows[1]}
 	}
-	return &HealthTracker{windows: windowsSec, keys: make(map[string][]*slidingWindow)}
+	return &HealthTracker{windows: windowsSec, keys: make(map[string]*windowSet)}
+}
+
+// HealthKey is one key of a tracker, resolved once (HealthTracker.Key)
+// so a caller scoring many outcomes under it skips the string lookup
+// per observation. The zero HealthKey, a nil tracker's, no-ops.
+type HealthKey struct {
+	h   *HealthTracker
+	set *windowSet
+}
+
+// Key resolves key to its windows, creating them on first use: from
+// then on the key is tracked (Keys lists it) and scores 1 until
+// observed.
+func (h *HealthTracker) Key(key string) HealthKey {
+	if h == nil {
+		return HealthKey{}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return HealthKey{h, h.setLocked(key)}
+}
+
+func (h *HealthTracker) setLocked(key string) *windowSet {
+	ws := h.keys[key]
+	if ws == nil {
+		ws = newWindowSet(h.windows)
+		h.keys[key] = ws
+	}
+	return ws
 }
 
 // Observe scores one outcome for key at virtual time at, creating the
@@ -523,21 +577,26 @@ func (h *HealthTracker) Observe(key string, at float64, good bool) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ws := h.keys[key]
-	if ws == nil {
-		ws = make([]*slidingWindow, len(h.windows))
-		for i, l := range h.windows {
-			ws[i] = &slidingWindow{lenSec: l}
-		}
-		h.keys[key] = ws
+	h.observeLocked(h.setLocked(key), at, good)
+}
+
+// Observe scores one outcome for the key at virtual time at, exactly
+// as HealthTracker.Observe under its name does.
+func (k HealthKey) Observe(at float64, good bool) {
+	if k.h == nil {
+		return
 	}
+	k.h.mu.Lock()
+	defer k.h.mu.Unlock()
+	k.h.observeLocked(k.set, at, good)
+}
+
+func (h *HealthTracker) observeLocked(ws *windowSet, at float64, good bool) {
 	if at > h.now {
 		h.now = at
 	}
-	for _, w := range ws {
-		w.add(at, !good)
-		w.advance(h.now)
-	}
+	ws.add(at, !good)
+	ws.advance(h.now)
 }
 
 // Advance moves the tracker's clock forward, expiring old samples.
@@ -552,9 +611,7 @@ func (h *HealthTracker) Advance(now float64) {
 	}
 	h.now = now
 	for _, ws := range h.keys {
-		for _, w := range ws {
-			w.advance(now)
-		}
+		ws.advance(now)
 	}
 }
 
@@ -566,10 +623,14 @@ func (h *HealthTracker) Score(key string) float64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	ws := h.keys[key]
+	if ws == nil {
+		return 1
+	}
+	ws.advance(h.now)
 	score := 1.0
-	for _, w := range h.keys[key] {
-		w.advance(h.now)
-		if s := w.sli(); s < score {
+	for i := range ws.w {
+		if s := ws.w[i].sli(); s < score {
 			score = s
 		}
 	}

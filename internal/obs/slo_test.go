@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -62,22 +63,32 @@ func TestSLOWindowEviction(t *testing.T) {
 	}
 }
 
-// TestSLOWindowCompactionClearsPrefix exercises the head compaction
-// path (head > len/2 and > 16) and checks the vacated prefix holds no
-// stale samples.
+// TestSLOWindowCompactionClearsPrefix exercises the log compaction
+// path (the longest window's head past len/2 and 16) and checks that
+// the shorter window's head moves with it and that the vacated tail
+// holds no stale samples.
 func TestSLOWindowCompactionClearsPrefix(t *testing.T) {
-	w := &slidingWindow{lenSec: 10}
+	ws := newWindowSet([]float64{5, 10})
 	for i := 0; i < 64; i++ {
-		w.add(float64(i), i%2 == 0)
+		ws.add(float64(i), i%2 == 0)
 	}
-	w.advance(60) // evicts at <= 50: 51 samples, well past the compaction threshold
-	if w.head != 0 {
-		t.Fatalf("head %d after compaction, want 0", w.head)
+	// The 10 s window evicts at <= 50 (51 samples, well past the
+	// compaction threshold), the 5 s window at <= 55.
+	ws.advance(60)
+	if len(ws.samples) != 13 {
+		t.Fatalf("log holds %d samples after compaction, want 13 (t=51..63)", len(ws.samples))
 	}
-	if w.total != 13 {
-		t.Fatalf("window holds %d samples, want 13 (t=51..63)", w.total)
+	long, short := &ws.w[1], &ws.w[0]
+	if long.head != 0 || long.total != 13 || long.bad != 6 {
+		t.Fatalf("10 s window head %d total %d bad %d, want 0/13/6", long.head, long.total, long.bad)
 	}
-	tail := w.samples[len(w.samples):cap(w.samples)]
+	if short.head != 5 || short.total != 8 || short.bad != 4 {
+		t.Fatalf("5 s window head %d total %d bad %d, want 5/8/4", short.head, short.total, short.bad)
+	}
+	if ws.samples[short.head].at != 56 {
+		t.Fatalf("5 s window starts at t=%g, want 56", ws.samples[short.head].at)
+	}
+	tail := ws.samples[len(ws.samples):cap(ws.samples)]
 	for i, s := range tail {
 		if s != (sloSample{}) {
 			t.Fatalf("vacated slot %d still holds %+v", i, s)
@@ -215,9 +226,117 @@ func TestHealthTrackerScore(t *testing.T) {
 	}
 	var nilTracker *HealthTracker
 	nilTracker.Observe("x", 0, true)
+	nilTracker.Key("x").Observe(0, false)
 	nilTracker.Advance(1)
 	if nilTracker.Score("x") != 1 || nilTracker.Keys() != nil {
 		t.Fatal("nil tracker is not a no-op")
+	}
+}
+
+// healthObs is one step of a health table case: an observation, or
+// with key "" an Advance to at.
+type healthObs struct {
+	key  string
+	at   float64
+	good bool
+}
+
+// bruteScore is the score's definition: over the samples observed
+// under key with at > now-len, the worst good fraction across the
+// windows, 1 for an empty window.
+func bruteScore(windows []float64, steps []healthObs, key string, now float64) float64 {
+	score := 1.0
+	for _, l := range windows {
+		var total, bad int
+		for _, o := range steps {
+			if o.key == key && o.at > now-l {
+				total++
+				if !o.good {
+					bad++
+				}
+			}
+		}
+		if total > 0 {
+			score = min(score, 1-float64(bad)/float64(total))
+		}
+	}
+	return score
+}
+
+// TestHealthScoreTable checks HealthTracker.Score against its brute
+// count after every step of each case, keys scored by name and by
+// resolved HealthKey alike, on both windows of the default pair and
+// on unsorted and repeated window lengths.
+func TestHealthScoreTable(t *testing.T) {
+	cases := []struct {
+		name    string
+		windows []float64
+		steps   []healthObs
+		want    map[string]float64 // final scores
+	}{
+		{"empty", []float64{10, 100}, nil, map[string]float64{"a": 1}},
+		{"short window worst", []float64{10, 100}, []healthObs{
+			{"a", 0, true}, {"a", 1, true}, {"a", 2, true}, {"a", 50, false},
+		}, map[string]float64{"a": 0}},
+		{"long window worst", []float64{10, 100}, []healthObs{
+			{"a", 0, false}, {"a", 1, false}, {"a", 50, true},
+		}, map[string]float64{"a": 0.33333333333333337}}, // 1 - 2/3, rounded twice
+		{"expired by advance", []float64{10, 100}, []healthObs{
+			{"a", 0, false}, {"", 200, false},
+		}, map[string]float64{"a": 1}},
+		{"eviction at the window edge", []float64{10}, []healthObs{
+			{"a", 0, false}, {"a", 10, true},
+		}, map[string]float64{"a": 1}},
+		{"keys independent", []float64{100, 10}, []healthObs{
+			{"a", 0, false}, {"b", 5, true}, {"b", 6, false}, {"a", 7, true},
+		}, map[string]float64{"a": 0.5, "b": 0.5}},
+		{"repeated length", []float64{10, 10}, []healthObs{
+			{"a", 0, true}, {"a", 3, false}, {"a", 12, true},
+		}, map[string]float64{"a": 0.5}},
+		{"past compaction", []float64{5, 50}, func() []healthObs {
+			var out []healthObs
+			for i := 0; i < 100; i++ {
+				out = append(out, healthObs{"a", float64(i), i%4 != 0})
+			}
+			return out
+		}(), map[string]float64{"a": 0.76}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			byName := NewHealthTracker(tc.windows...)
+			byKey := NewHealthTracker(tc.windows...)
+			keys := map[string]HealthKey{}
+			now := 0.0
+			for i, o := range tc.steps {
+				now = max(now, o.at)
+				if o.key == "" {
+					byName.Advance(o.at)
+					byKey.Advance(o.at)
+				} else {
+					byName.Observe(o.key, o.at, o.good)
+					k, ok := keys[o.key]
+					if !ok {
+						k = byKey.Key(o.key)
+						keys[o.key] = k
+					}
+					k.Observe(o.at, o.good)
+				}
+				for key := range tc.want {
+					want := bruteScore(tc.windows, tc.steps[:i+1], key, now)
+					if got := byName.Score(key); got != want {
+						t.Fatalf("step %d: %s scores %g, brute count %g", i, key, got, want)
+					}
+					if got := byKey.Score(key); got != want {
+						t.Fatalf("step %d: %s scores %g through its HealthKey, brute count %g", i, key, got, want)
+					}
+				}
+			}
+			for key, want := range tc.want {
+				if got := byName.Score(key); got != want {
+					t.Fatalf("%s final score %g, want %g", key, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -264,5 +383,41 @@ func TestHistogramQuantileSaturation(t *testing.T) {
 	empty := newHistogram()
 	if got := empty.Quantile(99); got != 0 {
 		t.Fatalf("empty p99 = %g, want 0", got)
+	}
+}
+
+// TestHealthTrackerConcurrentKeys scores one tracker from several
+// goroutines at once, through resolved keys and by name, while another
+// reads scores: run under -race, it checks that a HealthKey takes the
+// tracker's lock. Every outcome lands: each key ends with all its
+// samples in the window.
+func TestHealthTrackerConcurrentKeys(t *testing.T) {
+	h := NewHealthTracker(1e9)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			k := h.Key("shard=0")
+			for i := 0; i < 200; i++ {
+				k.Observe(float64(i), i%2 == 0)
+				h.Observe("shard=1", float64(i), true)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			h.Score("shard=0")
+			h.Advance(float64(i))
+		}
+	}()
+	wg.Wait()
+	if got := h.Score("shard=0"); got != 0.5 {
+		t.Fatalf("shard=0 scores %g after 800 outcomes, half bad; want 0.5", got)
+	}
+	if got := h.Score("shard=1"); got != 1 {
+		t.Fatalf("shard=1 scores %g, want 1", got)
 	}
 }

@@ -85,6 +85,38 @@ func (c ChaosCell) P99CompletionSec() float64 {
 	return stats.PercentileOrZero(c.Completions, 99)
 }
 
+// Resolved returns cfg with every zero field that selects a default
+// replaced by that default: the experiment ChaosSweep runs. A report
+// of the sweep's shape (batch size, measured batches, fault mix) reads
+// it, not the raw configuration.
+func (cfg ChaosConfig) Resolved() ChaosConfig {
+	if cfg.Serial == 0 {
+		cfg.Serial = 1
+	}
+	if cfg.Schedulers == nil {
+		cfg.Schedulers = core.All(12)
+	}
+	if cfg.Rates == nil {
+		cfg.Rates = []float64{0, 0.5, 1, 2, 4}
+	}
+	if !cfg.Base.Enabled() {
+		cfg.Base = fault.Default(0)
+	}
+	if cfg.BatchSize == 0 {
+		cfg.BatchSize = 96
+	}
+	if cfg.Batches == 0 {
+		cfg.Batches = 12
+	}
+	if cfg.Warmup == 0 {
+		cfg.Warmup = 2
+	}
+	if cfg.ReadLen == 0 {
+		cfg.ReadLen = 1
+	}
+	return cfg
+}
+
 // ChaosSweep runs every (scheduler, rate) cell of the experiment. A
 // cell is one Run of the chained stream: Batches × BatchSize requests,
 // all arriving at time zero, served by the quiesce policy in cuts of
@@ -103,40 +135,11 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 	case cfg.ReadLen < 0:
 		return nil, fmt.Errorf("server: chaos read length %d", cfg.ReadLen)
 	}
-	serial := cfg.Serial
-	if serial == 0 {
-		serial = 1
-	}
-	scheds := cfg.Schedulers
-	if scheds == nil {
-		scheds = core.All(12)
-	}
-	rates := cfg.Rates
-	if rates == nil {
-		rates = []float64{0, 0.5, 1, 2, 4}
-	}
-	base := cfg.Base
-	if !base.Enabled() {
-		base = fault.Default(0)
-	}
-	batch := cfg.BatchSize
-	if batch == 0 {
-		batch = 96
-	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 12
-	}
-	warmup := cfg.Warmup
-	if warmup == 0 {
-		warmup = 2
-	}
+	cfg = cfg.Resolved()
+	serial, scheds, rates, base := cfg.Serial, cfg.Schedulers, cfg.Rates, cfg.Base
+	batch, batches, warmup, readLen := cfg.BatchSize, cfg.Batches, cfg.Warmup, cfg.ReadLen
 	if warmup >= batches {
 		return nil, fmt.Errorf("server: chaos warmup %d leaves none of %d batches measured", warmup, batches)
-	}
-	readLen := cfg.ReadLen
-	if readLen == 0 {
-		readLen = 1
 	}
 
 	cart, err := cartridgeFor(serial)

@@ -18,8 +18,8 @@ func testQueue(serials ...int64) (*batchQueue, []int) {
 func qpending(q *batchQueue, cart, start int, arrival float64) pending {
 	return pending{
 		req:  Request{ObjectID: "x", Arrival: arrival},
-		obj:  Object{Tape: q.serials[cart], Start: start},
-		cart: cart,
+		ext:  extent{tape: q.serials[cart], start: int32(start)},
+		cart: int32(cart),
 	}
 }
 
@@ -33,7 +33,7 @@ func TestBatchQueueTakePreservesArrivalOrder(t *testing.T) {
 		t.Fatalf("len %d, want 6", q.len())
 	}
 	got := q.take(nil, 0, 2)
-	if len(got) != 2 || got[0].obj.Start != 0 || got[1].obj.Start != 20 {
+	if len(got) != 2 || got[0].ext.start != 0 || got[1].ext.start != 20 {
 		t.Fatalf("take(tape 100, 2) = %+v", got)
 	}
 	if q.len() != 4 {
@@ -42,7 +42,7 @@ func TestBatchQueueTakePreservesArrivalOrder(t *testing.T) {
 	// limit 0 drains the rest of the tape, appending after what dst
 	// already holds.
 	rest := q.take(got[:1], 0, 0)
-	if len(rest) != 2 || rest[0].obj.Start != 0 || rest[1].obj.Start != 40 {
+	if len(rest) != 2 || rest[0].ext.start != 0 || rest[1].ext.start != 40 {
 		t.Fatalf("take(tape 100, 0) = %+v", rest)
 	}
 	// A drained tape stays in the dense queue as an empty group: it
@@ -131,8 +131,8 @@ func TestBatchQueueCompaction(t *testing.T) {
 	if len(tq.reqs) != 40 {
 		t.Fatalf("backing slice holds %d entries, want the 40 live ones", len(tq.reqs))
 	}
-	if got := q.take(nil, 0, 0); len(got) != 40 || got[0].obj.Start != 60 {
-		t.Fatalf("post-compaction drain = %d entries starting %d", len(got), got[0].obj.Start)
+	if got := q.take(nil, 0, 0); len(got) != 40 || got[0].ext.start != 60 {
+		t.Fatalf("post-compaction drain = %d entries starting %d", len(got), got[0].ext.start)
 	}
 }
 
@@ -173,10 +173,13 @@ func BenchmarkBatchQueueTake(b *testing.B) {
 
 func BenchmarkBatchQueueSeedSplit(b *testing.B) {
 	q0, _ := testQueue(benchSerials...)
-	src := benchPendings(q0, 4096)
+	var src []refPending
+	for _, p := range benchPendings(q0, 4096) {
+		src = append(src, refPending{req: p.req, obj: p.ext.object(p.req.ObjectID)})
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		queue := append([]pending(nil), src...)
+		queue := append([]refPending(nil), src...)
 		for len(queue) > 0 {
 			serial := refPickTape(queue)
 			batch, rest := refSplitBatch(queue, len(queue), serial, 16)

@@ -54,7 +54,7 @@ func (s *runState) terminal(p *pending, out Outcome, drive int, done float64, at
 	s.rec = append(s.rec, Terminal{
 		Done:    done,
 		Seq:     int64(len(s.rec)) + 1,
-		Tape:    p.obj.Tape,
+		Tape:    p.ext.tape,
 		Attr:    attr,
 		Ref:     p.ref,
 		Drive:   int32(drive),
@@ -87,16 +87,18 @@ func (s *runState) object(t *Terminal) Object {
 	if t.Replica > 0 {
 		return s.cfg.Placement.Get(p.req.ObjectID)[t.Replica-1]
 	}
-	return p.obj
+	return p.ext.object(p.req.ObjectID)
 }
 
 func (s *runState) completion(t *Terminal) Completion {
 	return Completion{Request: s.request(t).req, Object: s.object(t), Done: t.Done, DriveID: int(t.Drive), Attribution: t.Attr}
 }
 
-func (s *runState) event(t *Terminal) obs.Event {
+// event projects the entry onto its wide event, written in place: every
+// field of *ev is overwritten, Labels with nil.
+func (s *runState) event(t *Terminal, ev *obs.Event) {
 	p, a := s.request(t), &t.Attr
-	return obs.Event{
+	*ev = obs.Event{
 		Seq:         t.Seq,
 		Shard:       s.cfg.Shard,
 		Object:      p.req.ObjectID,
@@ -105,7 +107,7 @@ func (s *runState) event(t *Terminal) obs.Event {
 		Class:       p.req.Class(),
 		Outcome:     t.Outcome.String(),
 		Cache:       t.Cache,
-		Route:       p.route,
+		Route:       p.route.String(),
 		Replica:     int(t.Replica),
 		ArrivalSec:  p.req.Arrival,
 		DoneSec:     t.Done,

@@ -32,15 +32,22 @@ type refDriveState struct {
 	busy    float64
 }
 
+// refPending is the seed implementation's queue entry: a request and
+// the catalog object it reads.
+type refPending struct {
+	req Request
+	obj Object
+}
+
 // refRun is the seed implementation's Run.
 func refRun(l *Library, requests []Request) ([]Completion, Metrics, error) {
-	queue := make([]pending, 0, len(requests))
+	queue := make([]refPending, 0, len(requests))
 	for _, r := range requests {
 		o, ok := l.catalog.Get(r.ObjectID)
 		if !ok {
 			return nil, Metrics{}, fmt.Errorf("tertiary: request for unknown object %q", r.ObjectID)
 		}
-		queue = append(queue, pending{req: r, obj: o})
+		queue = append(queue, refPending{req: r, obj: o})
 	}
 	sort.SliceStable(queue, func(i, j int) bool { return queue[i].req.Arrival < queue[j].req.Arrival })
 
@@ -107,7 +114,7 @@ func refRun(l *Library, requests []Request) ([]Completion, Metrics, error) {
 	return done, metrics, nil
 }
 
-func refPickTape(visible []pending) int64 {
+func refPickTape(visible []refPending) int64 {
 	count := make(map[int64]int)
 	oldest := make(map[int64]float64)
 	for _, p := range visible {
@@ -134,7 +141,7 @@ func refPickTape(visible []pending) int64 {
 	return best
 }
 
-func refSplitBatch(queue []pending, visible int, serial int64, limit int) (batch, rest []pending) {
+func refSplitBatch(queue []refPending, visible int, serial int64, limit int) (batch, rest []refPending) {
 	for i, p := range queue {
 		if i < visible && p.obj.Tape == serial && (limit <= 0 || len(batch) < limit) {
 			batch = append(batch, p)
@@ -145,7 +152,7 @@ func refSplitBatch(queue []pending, visible int, serial int64, limit int) (batch
 	return batch, rest
 }
 
-func refServeBatch(l *Library, d *refDriveState, serial int64, start float64, batch []pending) ([]Completion, float64, error) {
+func refServeBatch(l *Library, d *refDriveState, serial int64, start float64, batch []refPending) ([]Completion, float64, error) {
 	busy := 0.0
 	if d.mounted != serial {
 		if d.mounted != 0 {
@@ -157,7 +164,7 @@ func refServeBatch(l *Library, d *refDriveState, serial int64, start float64, ba
 	}
 	d.dev.ResetClock()
 
-	byLen := make(map[int][]pending)
+	byLen := make(map[int][]refPending)
 	for _, p := range batch {
 		byLen[p.obj.Len()] = append(byLen[p.obj.Len()], p)
 	}
@@ -178,7 +185,7 @@ func refServeBatch(l *Library, d *refDriveState, serial int64, start float64, ba
 	for _, rl := range lens {
 		group := byLen[rl]
 		reqs := make([]int, len(group))
-		byStart := make(map[int][]pending)
+		byStart := make(map[int][]refPending)
 		for i, p := range group {
 			reqs[i] = p.obj.Start
 			byStart[p.obj.Start] = append(byStart[p.obj.Start], p)

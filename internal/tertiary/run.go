@@ -275,9 +275,10 @@ func (s *runState) close() ([]Completion, Metrics, error) {
 	}
 	s.finish()
 	for i := 0; s.cfg.Events != nil && i < len(s.rec); i++ {
-		ev := s.event(&s.rec[i])
-		ev.Seq = 0
-		s.cfg.Events.Add(ev)
+		s.cfg.Events.Fill(func(ev *obs.Event) {
+			s.event(&s.rec[i], ev)
+			ev.Seq = 0
+		})
 	}
 	sort.Sort(byDoneSeq(s.rec))
 	return s.completions(), s.m, nil
@@ -317,7 +318,7 @@ func (l *Library) resolve(i int, r Request, slot int) (pending, bool, error) {
 	if r.Deadline == 0 && l.cfg.DeadlineSec > 0 {
 		r.Deadline = r.Arrival + l.cfg.DeadlineSec
 	}
-	return pending{req: r, obj: o, cart: ci, slot: int32(slot)}, r.Deadline > 0, nil
+	return pending{req: r, ext: extentOf(o), cart: int32(ci), slot: int32(slot)}, r.Deadline > 0, nil
 }
 
 // newRun validates the configuration (a Clone skips New's checks) and
@@ -425,7 +426,7 @@ func (s *runState) admit(until float64) {
 			s.unserved(&p, OutcomeShed, obs.EventNoDrive, p.req.Arrival)
 			continue
 		}
-		if s.lost(p.cart) {
+		if s.lost(int(p.cart)) {
 			if !s.redirect(&p) {
 				s.failRequests(1)
 				s.unserved(&p, OutcomeFailed, obs.EventNoDrive, p.req.Arrival)
@@ -531,12 +532,12 @@ func (s *runState) redirect(p *pending) bool {
 	reps := s.cfg.Placement.Get(p.req.ObjectID)
 	for {
 		p.replica++
-		if p.replica > len(reps) {
+		if int(p.replica) > len(reps) {
 			return false
 		}
 		o := reps[p.replica-1]
 		if ci := s.l.index[o.Tape]; !s.lost(ci) {
-			p.obj, p.cart = o, ci
+			p.ext, p.cart = extentOf(o), int32(ci)
 			return true
 		}
 	}
@@ -678,7 +679,7 @@ func (s *runState) handleRequeue(rq *requeueBatch) {
 		s.loadedBy[rq.cart] = onShelf
 	}
 	for _, p := range rq.ps {
-		if s.lost(p.cart) && !s.redirect(&p) {
+		if s.lost(int(p.cart)) && !s.redirect(&p) {
 			s.failRequests(1)
 			s.unserved(&p, OutcomeFailed, obs.EventNoDrive, s.now)
 			continue
@@ -899,10 +900,10 @@ func (s *runState) serve(d *driveState, cart int, now float64) (bool, error) {
 	// map iteration). Nearly every real batch is a single class —
 	// catalogs store fixed-size objects — so that case skips the
 	// grouping machinery entirely.
-	rl0 := batch[0].obj.Len()
+	rl0 := batch[0].ext.length()
 	single := true
 	for i := 1; i < len(batch); i++ {
-		if batch[i].obj.Len() != rl0 {
+		if batch[i].ext.length() != rl0 {
 			single = false
 			break
 		}
@@ -914,7 +915,7 @@ func (s *runState) serve(d *driveState, cart int, now float64) (bool, error) {
 	} else {
 		byLen := make(map[int][]pending)
 		for _, p := range batch {
-			byLen[p.obj.Len()] = append(byLen[p.obj.Len()], p)
+			byLen[p.ext.length()] = append(byLen[p.ext.length()], p)
 		}
 		lens := make([]int, 0, len(byLen))
 		for k := range byLen {
@@ -1041,7 +1042,8 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 	}
 	nSlots := 0
 	for _, p := range group {
-		if si, dup := s.slotOf[p.obj.Start]; dup {
+		start := int(p.ext.start)
+		if si, dup := s.slotOf[start]; dup {
 			s.slots[si] = append(s.slots[si], p)
 			continue
 		}
@@ -1049,8 +1051,8 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 			s.slots = append(s.slots, nil)
 		}
 		s.slots[nSlots] = append(s.slots[nSlots][:0], p)
-		s.slotOf[p.obj.Start] = int32(nSlots)
-		uniq = append(uniq, p.obj.Start)
+		s.slotOf[start] = int32(nSlots)
+		uniq = append(uniq, start)
 		nSlots++
 	}
 	s.uniq = uniq
@@ -1108,7 +1110,7 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 			}
 			if s.trace != nil {
 				rs := s.trace.Start("request", s.root, p.req.Arrival).
-					Attr("object", p.obj.ID).AttrInt("drive", d.id).
+					Attr("object", p.req.ObjectID).AttrInt("drive", d.id).
 					AttrFloat("queue_sec", attr.QueueSec).
 					AttrFloat("robot_sec", attr.RobotSec).
 					AttrFloat("mount_sec", attr.MountSec).
@@ -1116,8 +1118,8 @@ func (s *runState) serveClass(d *driveState, cart int, now, serveStart, c0, robo
 					AttrFloat("transfer_sec", attr.TransferSec).
 					AttrFloat("retry_sec", attr.RetrySec)
 				if p.replica > 0 {
-					rs.AttrInt("replica", p.replica)
-					s.trace.Start("replica-read", rs, now).AttrInt("replica", p.replica).End(done)
+					rs.AttrInt("replica", int(p.replica))
+					s.trace.Start("replica-read", rs, now).AttrInt("replica", int(p.replica)).End(done)
 				}
 				rs.End(done)
 			}

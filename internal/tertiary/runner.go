@@ -61,16 +61,16 @@ func (l *Library) StartRun() (*Runner, error) {
 // looks the object's ID up in the catalog; a caller that has its slot
 // already uses OfferRouted.
 func (r *Runner) Offer(req Request) error {
-	return r.OfferRouted(req, r.s.l.Slot(req.ObjectID), "")
+	return r.OfferRouted(req, r.s.l.Slot(req.ObjectID), RouteNone)
 }
 
 // OfferRouted is Offer for a caller that has already resolved the
 // object's slot (Library.Slot), carrying the routing tier's decision
-// for the request ("affinity", "cross-shard", ...): pure annotation,
+// for the request (RouteAffinity, RouteCrossShard, ...): pure annotation,
 // stamped onto the request's wide event and nothing else. The slot is
 // read off the catalog layout, not looked up again, and a slot that
 // does not hold the request's object is an error.
-func (r *Runner) OfferRouted(req Request, slot int, route string) error {
+func (r *Runner) OfferRouted(req Request, slot int, route Route) error {
 	s := r.s
 	if s.finished {
 		return fmt.Errorf("tertiary: offer after Finish")
@@ -159,8 +159,10 @@ func (r *Runner) Slot(t *Terminal) int { return int(r.s.request(t).slot) }
 func (r *Runner) Object(t *Terminal) Object { return r.s.object(t) }
 
 // Event projects an entry of the record onto its wide event, stamped
-// with the library's shard and the entry's Seq.
-func (r *Runner) Event(t *Terminal) obs.Event { return r.s.event(t) }
+// with the library's shard and the entry's Seq, writing every field of
+// *ev in place (Labels with nil): a caller fills a ring's slot
+// (EventRing.Fill) without copying the event.
+func (r *Runner) Event(t *Terminal, ev *obs.Event) { r.s.event(t, ev) }
 
 // RecordHit enters a staging-tier cache hit into the terminal record:
 // req for the catalog object in slot, routed as route, served off disk
@@ -168,13 +170,13 @@ func (r *Runner) Event(t *Terminal) obs.Event { return r.s.event(t) }
 // request's object. It draws the next emission ordinal, so hits and
 // the library's own outcomes share one sequence. The event loop never
 // sees the request, so no probe or metric changes.
-func (r *Runner) RecordHit(req Request, slot int, route string, done float64, attr Attribution) error {
+func (r *Runner) RecordHit(req Request, slot int, route Route, done float64, attr Attribution) error {
 	s := r.s
 	obj, err := s.l.object(req, slot)
 	if err != nil {
 		return err
 	}
-	s.hits = append(s.hits, pending{req: req, obj: obj, route: route, ref: int32(len(s.hits)), slot: -1})
+	s.hits = append(s.hits, pending{req: req, ext: extentOf(obj), route: route, ref: int32(len(s.hits)), slot: -1})
 	s.terminal(&s.hits[len(s.hits)-1], OutcomeServed, CacheDriveID, done, attr)
 	s.rec[len(s.rec)-1].Cache = true
 	return nil
@@ -190,22 +192,22 @@ func (r *Runner) QueueDepth() int {
 	return r.s.q.len() + len(r.s.arrivals) - r.s.next
 }
 
-// Mounted reports whether the cartridge is currently loaded in one of
-// the library's drives (a cartridge riding the robot's gripper after a
-// rescue is not). It is the affinity signal: a request routed to the
-// shard already holding its cartridge joins that cartridge's next
+// Mounted reports whether cartridge ci (Library.Cartridge) is
+// currently loaded in one of the library's drives (a cartridge riding
+// the robot's gripper after a rescue is not); false for an index
+// outside the library. It is the affinity signal: a request routed to
+// the shard already holding its cartridge joins that cartridge's next
 // batch without an exchange.
-func (r *Runner) Mounted(serial int64) bool {
-	ci, ok := r.s.l.index[serial]
-	return ok && r.s.loadedBy[ci] >= 0
+func (r *Runner) Mounted(ci int) bool {
+	return ci >= 0 && ci < len(r.s.loadedBy) && r.s.loadedBy[ci] >= 0
 }
 
-// CartridgeLost reports whether the robot has permanently lost the
-// cartridge. A router consults it to steer requests at shards that
-// still hold a live copy.
-func (r *Runner) CartridgeLost(serial int64) bool {
-	ci, ok := r.s.l.index[serial]
-	return ok && r.s.lost(ci)
+// CartridgeLost reports whether the robot has permanently lost
+// cartridge ci (Library.Cartridge); false for an index outside the
+// library. A router consults it to steer requests at shards that still
+// hold a live copy.
+func (r *Runner) CartridgeLost(ci int) bool {
+	return ci >= 0 && ci < len(r.s.loadedBy) && r.s.lost(ci)
 }
 
 // Headroom is the library's live capacity fraction — live drives over

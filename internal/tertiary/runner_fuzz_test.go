@@ -231,8 +231,9 @@ type probes struct {
 func runnerProbes(r *Runner, serials []int64) probes {
 	p := probes{Now: r.Now(), Depth: r.QueueDepth(), Headroom: r.Headroom(), Completed: r.Completed()}
 	for _, serial := range serials {
-		p.Mounted = append(p.Mounted, r.Mounted(serial))
-		p.Lost = append(p.Lost, r.CartridgeLost(serial))
+		ci := r.s.l.Cartridge(serial)
+		p.Mounted = append(p.Mounted, r.Mounted(ci))
+		p.Lost = append(p.Lost, r.CartridgeLost(ci))
 	}
 	return p
 }

@@ -156,10 +156,10 @@ func TestRunnerProbes(t *testing.T) {
 		t.Fatalf("queue depth after drain %d, want 0", d)
 	}
 	o, _ := lib.catalog.Get(req.ObjectID)
-	if !r.Mounted(o.Tape) {
+	if !r.Mounted(lib.Cartridge(o.Tape)) {
 		t.Errorf("cartridge %d not reported mounted after serving", o.Tape)
 	}
-	if r.CartridgeLost(o.Tape) {
+	if r.CartridgeLost(lib.Cartridge(o.Tape)) {
 		t.Errorf("fault-free run reports cartridge %d lost", o.Tape)
 	}
 	if _, _, err := r.Finish(); err != nil {
@@ -184,10 +184,10 @@ func TestRunnerErrors(t *testing.T) {
 	other := (slot + 1) % len(lib.Objects())
 	for _, bad := range []int{-1, other, len(lib.Objects())} {
 		req := Request{ObjectID: stream[0].ObjectID, Arrival: 1}
-		if err := r.OfferRouted(req, bad, ""); err == nil {
+		if err := r.OfferRouted(req, bad, RouteNone); err == nil {
 			t.Errorf("offer at slot %d for the object in slot %d accepted", bad, slot)
 		}
-		if err := r.RecordHit(req, bad, "", 2, Attribution{}); err == nil {
+		if err := r.RecordHit(req, bad, RouteNone, 2, Attribution{}); err == nil {
 			t.Errorf("hit at slot %d for the object in slot %d accepted", bad, slot)
 		}
 	}

@@ -499,6 +499,17 @@ func (l *Library) RefetchSec(o Object) float64 {
 	return cost
 }
 
+// Cartridge returns the serial's cartridge index, its position in
+// Config.Tapes, and -1 for a serial outside the library. The runner's
+// cartridge probes (Runner.Mounted, Runner.CartridgeLost) take it, so
+// a router that resolves its copies once reads them without a lookup.
+func (l *Library) Cartridge(serial int64) int {
+	if ci, ok := l.index[serial]; ok {
+		return ci
+	}
+	return -1
+}
+
 // Tapes returns the cartridge serials in the library.
 func (l *Library) Tapes() []int64 {
 	out := append([]int64(nil), l.serials...)
@@ -517,25 +528,68 @@ func (l *Library) tape(serial int64) (*geometry.Tape, bool) {
 
 // pending is one unserved request resolved against the catalog.
 // replica is the copy currently targeted: 0 is the catalog primary,
-// k > 0 the k-th placement replica (obj is kept in sync). rescueSec
+// k > 0 the k-th placement replica (ext is kept in sync). rescueSec
 // accumulates virtual time lost to aborted serve attempts — batches
 // cut short by a drive death, reads redirected to a replica after a
 // media failure — attributed separately from queueing when the
 // request finally completes.
+//
+// A run copies pendings on every offer, queue push, batch take and
+// cache hit, so the entry is kept narrow and holds one pointer, the
+// request's ID: the copy's extent stands in for its Object, whose ID
+// is the request's (Library.object checks it, Placement.Put sets it).
 type pending struct {
 	req Request
-	obj Object
-	// cart is obj.Tape's index in the library's cartridge list.
-	cart      int
-	replica   int
+	ext extent
+	// cart is ext.tape's index in the library's cartridge list.
+	cart      int32
+	replica   int32
 	rescueSec float64
-	// route is the routing tier's decision for the request
-	// ("affinity", "cross-shard", ...), carried through to the wide
-	// event; "" outside a fleet.
-	route string
 	// ref is the request's index in the run's arrivals: what its
 	// terminal record entry names it by. slot is its catalog object's
 	// slot (Library.Slot).
 	ref  int32
 	slot int32
+	// route is the routing tier's decision for the request, carried
+	// through to the wide event; RouteNone outside a fleet.
+	route Route
 }
+
+// extent is where one copy of an object lies: an Object without its
+// ID. Catalog and placement validation bound every extent by its
+// tape's segment count, so start and segs fit 32 bits.
+type extent struct {
+	tape  int64
+	start int32
+	segs  int32 // Object.Segments: 0 means 1
+}
+
+func extentOf(o Object) extent {
+	return extent{tape: o.Tape, start: int32(o.Start), segs: int32(o.Segments)}
+}
+
+// object is the copy as the Object of the request for id.
+func (e extent) object(id string) Object {
+	return Object{ID: id, Tape: e.tape, Start: int(e.start), Segments: int(e.segs)}
+}
+
+// length is the extent length in segments (Object.Len).
+func (e extent) length() int { return max(int(e.segs), 1) }
+
+// Route is the routing tier's decision for a request, the one-byte
+// form of the wide event's Route string.
+type Route uint8
+
+// The routes a fleet stamps; RouteNone is a request outside a fleet.
+const (
+	RouteNone Route = iota
+	RouteRouted
+	RouteAffinity
+	RouteCrossShard
+	RouteUnroutable
+)
+
+var routeNames = [...]string{"", "routed", "affinity", "cross-shard", "unroutable"}
+
+// String is the route's wide-event name, "" for RouteNone.
+func (r Route) String() string { return routeNames[r] }
