@@ -82,13 +82,13 @@ func main() {
 	}
 
 	var reg *obs.Registry
-	switch *metrics {
-	case "":
-	case "prom", "json":
+	if *metrics != "" {
 		reg = obs.NewRegistry()
 		cfg.Reg = reg
-	default:
-		log.Fatalf("unknown -metrics format %q (want prom or json)", *metrics)
+		// Dumping the still empty registry checks the format up front.
+		if err := reg.WriteFormat(io.Discard, *metrics); err != nil {
+			log.Fatalf("bad -metrics: %v", err)
+		}
 	}
 
 	cells, err := server.ChaosSweep(cfg)
@@ -103,13 +103,7 @@ func main() {
 	}
 	if reg != nil {
 		fmt.Fprintln(w, "# metrics")
-		switch *metrics {
-		case "prom":
-			err = reg.WriteProm(w)
-		case "json":
-			err = reg.WriteJSON(w)
-		}
-		if err != nil {
+		if err := reg.WriteFormat(w, *metrics); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -97,24 +97,6 @@ func main() {
 	}
 	if *listen != "" {
 		w.Flush()
-		// Replay every cell's spans into one live tracer in spec order
-		// — the same order at any worker count — so /tracez shows the
-		// deterministic timeline, then keep serving until interrupted.
-		n := 0
-		for _, c := range cells {
-			n += len(c.Spans)
-		}
-		tracer := obs.NewTracer(n)
-		for _, c := range cells {
-			for _, s := range c.Spans {
-				tracer.Record(s)
-			}
-		}
-		addr, err := obs.Serve(*listen, obs.MuxConfig{Reg: reg, Tracer: tracer})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("introspection on http://%s (/metrics /statusz /tracez /debug/pprof); ^C to exit", addr)
-		select {}
+		log.Fatal(obs.ServeReplay(*listen, reg, cells, func(c tertiary.Cell) []obs.Span { return c.Spans }))
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -95,13 +96,13 @@ func main() {
 		}
 	}
 	var reg *obs.Registry
-	switch *metrics {
-	case "":
-	case "prom", "json":
+	if *metrics != "" {
 		reg = obs.NewRegistry()
 		cfg.Reg = reg
-	default:
-		log.Fatalf("unknown -metrics format %q (want prom or json)", *metrics)
+		// Dumping the still empty registry checks the format up front.
+		if err := reg.WriteFormat(io.Discard, *metrics); err != nil {
+			log.Fatalf("bad -metrics: %v", err)
+		}
 	}
 	if *listen != "" {
 		if reg == nil {
@@ -122,38 +123,14 @@ func main() {
 	if err := server.WriteOnline(w, cells); err != nil {
 		log.Fatal(err)
 	}
-	if reg != nil && *metrics != "" {
+	if *metrics != "" {
 		fmt.Fprintln(w, "# metrics")
-		switch *metrics {
-		case "prom":
-			err = reg.WriteProm(w)
-		case "json":
-			err = reg.WriteJSON(w)
-		}
-		if err != nil {
+		if err := reg.WriteFormat(w, *metrics); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if *listen != "" {
 		w.Flush()
-		// Replay every cell's spans into one live tracer in spec order
-		// — the same order at any worker count — so /tracez shows the
-		// deterministic timeline, then keep serving until interrupted.
-		n := 0
-		for _, c := range cells {
-			n += len(c.Spans)
-		}
-		tracer := obs.NewTracer(n)
-		for _, c := range cells {
-			for _, s := range c.Spans {
-				tracer.Record(s)
-			}
-		}
-		addr, err := obs.Serve(*listen, obs.MuxConfig{Reg: reg, Tracer: tracer})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("introspection on http://%s (/metrics /statusz /tracez /debug/pprof); ^C to exit", addr)
-		select {}
+		log.Fatal(obs.ServeReplay(*listen, reg, cells, func(c server.SweepCell) []obs.Span { return c.Spans }))
 	}
 }

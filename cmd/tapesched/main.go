@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -46,12 +47,12 @@ func main() {
 	flag.Parse()
 
 	var reg *obs.Registry
-	switch *metrics {
-	case "":
-	case "prom", "json":
+	if *metrics != "" {
 		reg = obs.NewRegistry()
-	default:
-		log.Fatalf("unknown -metrics format %q (want prom or json)", *metrics)
+		// Dumping the still empty registry checks the format up front.
+		if err := reg.WriteFormat(io.Discard, *metrics); err != nil {
+			log.Fatalf("bad -metrics: %v", err)
+		}
 	}
 
 	reqs, err := readRequests(flag.Args())
@@ -199,13 +200,7 @@ func main() {
 	}
 	if reg != nil {
 		fmt.Fprintln(w, "# metrics")
-		switch *metrics {
-		case "prom":
-			err = reg.WriteProm(w)
-		case "json":
-			err = reg.WriteJSON(w)
-		}
-		if err != nil {
+		if err := reg.WriteFormat(w, *metrics); err != nil {
 			log.Fatal(err)
 		}
 	}

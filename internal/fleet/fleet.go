@@ -31,12 +31,11 @@ import (
 )
 
 // StoreConfig describes the cluster-wide store the fleet is built
-// over. Cartridge t (serial 3000+t, the single-library sweeps'
-// numbering) lives on shard t mod Shards; copy k of object (t, o)
-// lives on cartridge (t+k) mod TapeCount at the same catalog slot,
-// offset k extents in — every copy on a distinct cartridge, and with
-// Replicas > 1 usually on a distinct shard. A zero count selects its
-// default; a negative one is an error.
+// over, laid out by tertiary.BuildStore as every sweep's store is:
+// cartridge t (serial 3000+t) lives on shard t mod Shards, and copy k
+// of object (t, o) on cartridge (t+k) mod TapeCount — every copy on a
+// distinct cartridge, and with Replicas > 1 usually on a distinct
+// shard. A zero count selects its default; a negative one is an error.
 type StoreConfig struct {
 	// Profile is the drive/cartridge format; zero value selects the
 	// DLT4000.
@@ -51,8 +50,8 @@ type StoreConfig struct {
 	Objects        int
 	ObjectSegments int
 	// Replicas is the copy count per object; 0 and 1 mean no
-	// replication. Must not exceed TapeCount, and the catalog stride
-	// must fit Replicas copies.
+	// replication. Must not exceed TapeCount, and every cartridge's
+	// stride must fit Replicas copies.
 	Replicas int
 }
 
@@ -70,7 +69,7 @@ type copyGroup struct {
 }
 
 // Fleet is a built cluster: per-shard base libraries sharing their
-// read-only stores, per-shard replica placements, and the routing
+// read-only stores and same-shard replica placements, and the routing
 // directory mapping every object to the shards holding its copies and
 // its cache slot on each. Routing looks a request's ID up once, in
 // index (keyed by the IDs New wrote); the shard and slot it picks carry
@@ -79,17 +78,14 @@ type copyGroup struct {
 // immutable after New; Run clones per-shard libraries for each run, so
 // one Fleet serves concurrent runs (the sweep's cells).
 type Fleet struct {
-	cfg        StoreConfig
-	bases      []*tertiary.Library
-	placements []*tertiary.Placement
-	tapes      [][]int64
-	index      map[string]int // object ID -> position in dir
-	dir        [][]copyGroup
+	bases []*tertiary.Library
+	index map[string]int // object ID -> position in dir
+	dir   [][]copyGroup
 }
 
-// New builds the fleet store: generates every cartridge, deals them
-// across shards, builds each shard's catalog and same-shard replica
-// placement, and indexes every object's copies for the routing tier.
+// New builds the fleet store — tertiary.BuildStore lays the cartridges,
+// catalogs and same-shard replica placements out — and indexes every
+// object's copies for the routing tier.
 func New(cfg StoreConfig) (*Fleet, error) {
 	if cfg.Shards < 0 || cfg.TapeCount < 0 || cfg.Objects < 0 || cfg.ObjectSegments < 0 || cfg.Replicas < 0 {
 		return nil, fmt.Errorf("fleet: negative shard, cartridge, object, segment or replica count (%d, %d, %d, %d, %d)",
@@ -110,129 +106,32 @@ func New(cfg StoreConfig) (*Fleet, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 1
 	}
-	if cfg.Profile.Tracks == 0 {
-		cfg.Profile = geometry.DLT4000()
+	st, err := tertiary.BuildStore(cfg.Profile, cfg.Shards, cfg.TapeCount, cfg.Objects, cfg.ObjectSegments, cfg.Replicas)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	if cfg.Shards > cfg.TapeCount {
-		return nil, fmt.Errorf("fleet: %d shards need at least as many cartridges, have %d", cfg.Shards, cfg.TapeCount)
-	}
-	if cfg.Replicas > cfg.TapeCount {
-		return nil, fmt.Errorf("fleet: replication factor %d exceeds %d cartridges", cfg.Replicas, cfg.TapeCount)
-	}
-
-	// Strides are per cartridge: each generated tape has its own
-	// segment count (serial-seeded manufacturing variation), exactly
-	// as the single-library sweeps lay their stores out. Copy k of an
-	// object sits at slot k inside the holding tape's own stride, so
-	// every copy fits whatever that tape's length turned out to be.
-	strides := make([]int, cfg.TapeCount)
-	for t := 0; t < cfg.TapeCount; t++ {
-		tape, err := geometry.Generate(cfg.Profile, int64(3000+t))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: tape %d: %w", 3000+t, err)
-		}
-		strides[t] = tape.Segments() / cfg.Objects
-		if strides[t] < cfg.Replicas*cfg.ObjectSegments {
-			return nil, fmt.Errorf("fleet: %d objects × %d copies of %d segments overflow tape %d",
-				cfg.Objects, cfg.Replicas, cfg.ObjectSegments, 3000+t)
-		}
-	}
-
 	f := &Fleet{
-		cfg:        cfg,
-		bases:      make([]*tertiary.Library, cfg.Shards),
-		placements: make([]*tertiary.Placement, cfg.Shards),
-		tapes:      make([][]int64, cfg.Shards),
-		index:      make(map[string]int, cfg.TapeCount*cfg.Objects),
-		dir:        make([][]copyGroup, 0, cfg.TapeCount*cfg.Objects),
-	}
-	serial := func(t int) int64 { return int64(3000 + t) }
-	for t := 0; t < cfg.TapeCount; t++ {
-		s := t % cfg.Shards
-		f.tapes[s] = append(f.tapes[s], serial(t))
-	}
-
-	catalogs := make([]*tertiary.Catalog, cfg.Shards)
-	for s := range catalogs {
-		catalogs[s] = tertiary.NewCatalog()
+		bases: st.Shards,
+		index: make(map[string]int, cfg.TapeCount*cfg.Objects),
+		dir:   make([][]copyGroup, 0, cfg.TapeCount*cfg.Objects),
 	}
 	for t := 0; t < cfg.TapeCount; t++ {
 		for o := 0; o < cfg.Objects; o++ {
-			// The sweeps' naming, so a one-shard fleet's catalog is
-			// identical to tertiary.Sweep's.
+			// One group per shard holding a copy, in the order the
+			// copies reach the shards, each listing its cartridges in
+			// copy order.
 			id := tertiary.SweepObjectID(t, o)
 			var groups []copyGroup
-			// reps collects, per shard, the same-shard replica extents
-			// behind the shard's catalog copy.
-			var reps map[int][]tertiary.Object
-			for k := 0; k < cfg.Replicas; k++ {
-				tk := (t + k) % cfg.TapeCount
-				sk := tk % cfg.Shards
-				obj := tertiary.Object{
-					ID:       id,
-					Tape:     serial(tk),
-					Start:    o*strides[tk] + k*cfg.ObjectSegments,
-					Segments: cfg.ObjectSegments,
-				}
-				ci := slices.Index(f.tapes[sk], obj.Tape)
-				gi := -1
-				for j := range groups {
-					if groups[j].shard == sk {
-						gi = j
-						break
-					}
-				}
+			for _, c := range st.Copies(len(f.dir)) {
+				gi := slices.IndexFunc(groups, func(g copyGroup) bool { return g.shard == c.Shard })
 				if gi < 0 {
-					// First copy on this shard: the shard's catalog
-					// entry.
-					groups = append(groups, copyGroup{shard: sk, carts: []int{ci}})
-					if err := catalogs[sk].Put(obj); err != nil {
-						return nil, err
-					}
-					continue
+					gi = len(groups)
+					groups = append(groups, copyGroup{shard: c.Shard, slot: f.bases[c.Shard].Slot(id)})
 				}
-				// A later copy landing on a shard that already has
-				// one: a same-shard replica behind its catalog entry.
-				groups[gi].carts = append(groups[gi].carts, ci)
-				if reps == nil {
-					reps = make(map[int][]tertiary.Object, 1)
-				}
-				reps[sk] = append(reps[sk], tertiary.Object{
-					Tape: obj.Tape, Start: obj.Start, Segments: obj.Segments,
-				})
-			}
-			for _, g := range groups {
-				if rs := reps[g.shard]; len(rs) > 0 {
-					if f.placements[g.shard] == nil {
-						f.placements[g.shard] = tertiary.NewPlacement()
-					}
-					if err := f.placements[g.shard].Put(id, rs...); err != nil {
-						return nil, err
-					}
-				}
+				groups[gi].carts = append(groups[gi].carts, c.Cartridge)
 			}
 			f.index[id] = len(f.dir)
 			f.dir = append(f.dir, groups)
-		}
-	}
-
-	for s := 0; s < cfg.Shards; s++ {
-		base, err := tertiary.New(tertiary.Config{
-			Profile:   cfg.Profile,
-			Tapes:     f.tapes[s],
-			Placement: f.placements[s],
-		}, catalogs[s])
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %d store: %w", s, err)
-		}
-		f.bases[s] = base
-		for slot, o := range base.Objects() {
-			groups := f.dir[f.index[o.ID]]
-			for j := range groups {
-				if groups[j].shard == s {
-					groups[j].slot = slot
-				}
-			}
 		}
 	}
 	return f, nil
@@ -483,13 +382,11 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			lc.Seed += int64(s) * 97
 		}
 		lib := f.bases[s].Clone(tertiary.Config{
-			Profile:     f.cfg.Profile,
-			Tapes:       f.tapes[s],
 			Drives:      drives,
 			BatchLimit:  cfg.BatchLimit,
 			QueueCap:    cfg.QueueCap,
 			Lifecycle:   lc,
-			Placement:   f.placements[s],
+			Placement:   f.bases[s].Config().Placement,
 			DeadlineSec: cfg.DeadlineSec,
 			Reg:         cfg.Reg,
 			Labels:      shardLabels(cfg.Labels, s),

@@ -91,6 +91,58 @@ func TestSingleShardFleetEquivalence(t *testing.T) {
 	}
 }
 
+// TestSingleShardFleetOutageEquivalence extends the foundation to
+// replicas under cartridge loss: a one-shard, 2-replica fleet serves
+// the store tertiary.OutageSweep's R=2 cells serve, so with the
+// grids aligned — same shape, seed, stream, lifecycle and serving
+// knobs — its shard reproduces the outage cell's metrics bit for bit.
+func TestSingleShardFleetOutageEquivalence(t *testing.T) {
+	const (
+		tapeCount = 4
+		objects   = 64
+		rate      = 240
+		loss      = 0.05
+		seed      = 7
+	)
+	want, err := tertiary.OutageSweep(tertiary.OutageConfig{
+		TapeCount:         tapeCount,
+		Objects:           objects,
+		MTTFsSec:          []float64{0},
+		MTTRsSec:          []float64{600},
+		Replicas:          []int{2},
+		CartridgeLossRate: loss,
+		RatePerHour:       rate,
+		Seed:              seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Sweep(SweepConfig{
+		TapeCount:    tapeCount,
+		Objects:      objects,
+		Replicas:     2,
+		RatesPerHour: []float64{rate},
+		ShardCounts:  []int{1},
+		Routers:      []Router{PassThrough{}},
+		Lifecycle:    fault.LifecycleConfig{CartridgeLossRate: loss},
+		Seed:         seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(want) != 1 {
+		t.Fatalf("cell counts: fleet %d, outage %d", len(got), len(want))
+	}
+	if want[0].Metrics.LostCartridges == 0 || want[0].Metrics.ReplicaReads == 0 {
+		t.Fatalf("outage cell lost %d cartridges, read %d replicas: loss path not exercised",
+			want[0].Metrics.LostCartridges, want[0].Metrics.ReplicaReads)
+	}
+	if got[0].PerShard[0] != want[0].Metrics {
+		t.Errorf("fleet shard diverges from the outage cell:\nfleet:  %+v\noutage: %+v",
+			got[0].PerShard[0], want[0].Metrics)
+	}
+}
+
 // TestFleetConservation checks the partition invariant across shard
 // counts and routers: Served+Failed+Rejected+Shed summed over shards
 // equals the offered stream, and each shard's partition equals what
@@ -467,10 +519,8 @@ func TestRouteAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := &routing{policy: Affinity{}, seed: 1}
-	for s, base := range fl.bases {
-		lib := base.Clone(tertiary.Config{
-			Profile: fl.cfg.Profile, Tapes: fl.tapes[s], Drives: 2, Placement: fl.placements[s],
-		})
+	for _, base := range fl.bases {
+		lib := base.Clone(tertiary.Config{Drives: 2, Placement: base.Config().Placement})
 		tier, err := hsm.NewTier(lib, hsm.Config{CapacityBytes: 64 << 20})
 		if err != nil {
 			t.Fatal(err)

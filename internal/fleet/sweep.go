@@ -2,52 +2,22 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"serpentine/internal/fault"
 	"serpentine/internal/grid"
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
-	"serpentine/internal/rand48"
 	"serpentine/internal/tertiary"
-	"serpentine/internal/workload"
 )
 
-// Stream builds one cell's request stream: Poisson arrivals, Zipf
-// object popularity, and a mount-locality knob — with probability
-// locality a request re-targets the previous request's cartridge
-// (keeping its Zipf-drawn object ordinal), modeling runs of requests
-// against the working set already mounted. At locality 0 the
-// re-target coin is never drawn and the stream is byte-identical to
-// the single-library sweeps' for the same seed and store shape, which
-// is what lets a one-shard fleet cell reproduce a tertiary.Sweep cell
-// exactly.
+// Stream builds one cell's request stream: tertiary.LocalityStream,
+// Poisson arrivals and Zipf object popularity with the mount-locality
+// knob. At locality 0 it is the single-library sweeps' stream for the
+// same seed and store shape, which is what lets a one-shard fleet cell
+// reproduce a tertiary.Sweep cell exactly.
 func Stream(ratePerHour float64, n int, seed int64, tapeCount, objects int, locality float64) ([]tertiary.Request, error) {
-	if locality < 0 || locality >= 1 || math.IsNaN(locality) {
-		return nil, fmt.Errorf("fleet: locality %g outside [0,1)", locality)
-	}
-	arrivals, err := workload.PoissonArrivals(ratePerHour/3600, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	pick := workload.NewZipf(tapeCount*objects, seed+1, 0.8, 1)
-	var coin *rand48.Source
-	if locality > 0 {
-		coin = rand48.New(seed + 2)
-	}
-	prevTape := -1
-	stream := make([]tertiary.Request, n)
-	for i := range stream {
-		flat := pick.Batch(1)[0]
-		tape, obj := flat/objects, flat%objects
-		if coin != nil && prevTape >= 0 && coin.Drand48() < locality {
-			tape = prevTape
-		}
-		prevTape = tape
-		stream[i] = tertiary.Request{ObjectID: tertiary.SweepObjectID(tape, obj), Arrival: arrivals[i]}
-	}
-	return stream, nil
+	return tertiary.LocalityStream(ratePerHour, n, seed, tapeCount, objects, locality)
 }
 
 // SweepConfig describes the fleet experiment: one cluster-wide store

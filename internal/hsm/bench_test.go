@@ -13,10 +13,11 @@ import (
 // 32 MB LRU cache with prefetch, where the harvest, installs and
 // evictions run on every request.
 func BenchmarkTierSweepCell(b *testing.B) {
-	base, err := tertiary.SweepStore(geometry.DLT4000(), 4, 512, 32, 0, 0)
+	st, err := tertiary.BuildStore(geometry.DLT4000(), 1, 4, 512, 32, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	base := st.Shards[0]
 	stream, err := tertiary.SweepStream(90, 4000, 1000010, 4, 512)
 	if err != nil {
 		b.Fatal(err)

@@ -128,12 +128,11 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	if n <= 0 {
 		n = 400
 	}
-	profile := geometry.DLT4000()
-	base, err := tertiary.SweepStore(profile, tapeCount, objects, objSegs, 0, 0)
+	st, err := tertiary.BuildStore(geometry.DLT4000(), 1, tapeCount, objects, objSegs, 1)
 	if err != nil {
 		return nil, err
 	}
-	serials := base.Tapes()
+	base := st.Shards[0]
 
 	// The size-0 baseline is policy-independent: one spec per rate,
 	// not one per policy.
@@ -178,8 +177,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 				obs.L("policy", sp.policy))
 		}
 		lib := base.Clone(tertiary.Config{
-			Profile:    profile,
-			Tapes:      serials,
 			Drives:     drives,
 			BatchLimit: limit,
 			Reg:        p.Reg,

@@ -28,11 +28,11 @@ func prefetchStore(t *testing.T) *tertiary.Library {
 
 func sweepStore(t *testing.T, objects int) *tertiary.Library {
 	t.Helper()
-	base, err := tertiary.SweepStore(geometry.DLT4000(), 4, objects, 16, 0, 0)
+	st, err := tertiary.BuildStore(geometry.DLT4000(), 1, 4, objects, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return base
+	return st.Shards[0]
 }
 
 func cloneFor(base *tertiary.Library, cfg tertiary.Config) *tertiary.Library {

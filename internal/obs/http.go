@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -202,4 +203,29 @@ func Serve(addr string, cfg MuxConfig) (string, error) {
 		_ = srv.Serve(ln)
 	}()
 	return ln.Addr().String(), nil
+}
+
+// ServeReplay replays every cell's spans into one tracer in cell order
+// — the same order at any worker count, so /tracez shows the
+// deterministic timeline — serves it with reg on addr (see Serve),
+// logs the bound address, and blocks for the life of the process. It
+// returns only when addr cannot be bound. The sweep commands call it
+// behind their -listen flag, after the sweep.
+func ServeReplay[C any](addr string, reg *Registry, cells []C, spans func(C) []Span) error {
+	n := 0
+	for _, c := range cells {
+		n += len(spans(c))
+	}
+	tracer := NewTracer(n)
+	for _, c := range cells {
+		for _, s := range spans(c) {
+			tracer.Record(s)
+		}
+	}
+	bound, err := Serve(addr, MuxConfig{Reg: reg, Tracer: tracer})
+	if err != nil {
+		return err
+	}
+	log.Printf("introspection on http://%s (/metrics /statusz /tracez /debug/pprof); ^C to exit", bound)
+	select {}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,6 +99,21 @@ func TestIntrospectionToleratesNils(t *testing.T) {
 				t.Fatalf("nil /statusz invalid JSON: %v\n%s", err, body)
 			}
 		}
+	}
+}
+
+// TestServeReplayBindFailure pins ServeReplay's one return: an
+// address it cannot bind (here, one already taken) is an error, not a
+// block.
+func TestServeReplayBindFailure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot bind a local listener: %v", err)
+	}
+	defer ln.Close()
+	cells := [][]Span{{{Name: "run"}}}
+	if err := ServeReplay(ln.Addr().String(), NewRegistry(), cells, func(c []Span) []Span { return c }); err == nil {
+		t.Fatal("ServeReplay on a taken address returned nil")
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -247,6 +248,33 @@ func TestWriteJSON(t *testing.T) {
 	for _, want := range []string{`"served_total": 2`, `"count":1`, `"p99":1.5`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("WriteJSON missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestWriteFormat pins the -metrics switch: "prom" and "json" render
+// exactly WriteProm and WriteJSON, and any other name is an error that
+// writes nothing.
+func TestWriteFormat(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("served_total", L("shard", "1")).Add(2)
+	r.Histogram("svc_seconds").Observe(1.5)
+	for format, write := range map[string]func(io.Writer) error{"prom": r.WriteProm, "json": r.WriteJSON} {
+		var got, want strings.Builder
+		if err := r.WriteFormat(&got, format); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("WriteFormat %q differs from its writer:\n%s\nwant:\n%s", format, got.String(), want.String())
+		}
+	}
+	for _, format := range []string{"", "xml", "PROM", "json "} {
+		var sb strings.Builder
+		if err := r.WriteFormat(&sb, format); err == nil || sb.Len() != 0 {
+			t.Errorf("WriteFormat %q: err = %v, wrote %d bytes", format, err, sb.Len())
 		}
 	}
 }

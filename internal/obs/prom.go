@@ -107,6 +107,19 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// WriteFormat dumps the registry in the named format: "prom"
+// (WriteProm) or "json" (WriteJSON). Any other name is an error, and
+// nothing is written.
+func (r *Registry) WriteFormat(w io.Writer, format string) error {
+	switch format {
+	case "prom":
+		return r.WriteProm(w)
+	case "json":
+		return r.WriteJSON(w)
+	}
+	return fmt.Errorf("obs: unknown metrics format %q (want prom or json)", format)
+}
+
 // WriteJSON dumps the registry as a flat expvar-style JSON object:
 // every counter and gauge keyed by its series identity, and per
 // histogram the count, sum, mean and exact p50/p95/p99. Keys render

@@ -54,7 +54,7 @@ func buildBenchCell(b *testing.B, drives, batchLimit, requests int) benchCell {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := sweepStream(240, requests, 12345, tapeCount, objects)
+	stream, err := SweepStream(240, requests, 12345, tapeCount, objects)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,16 +126,17 @@ func (r *problemRecorder) Schedule(p *core.Problem) (core.Plan, error) {
 }
 
 // BenchmarkAutoLibraryMix replays the batches one library run really
-// schedules through core.NewAuto(): the SweepStore library with 2
+// schedules through core.NewAuto(): the sweeps' store with 2
 // drives and batch limit 16 under a 150/h stream, where about half of
 // the batches go to OPT (n <= 10) and half to LOSS (n = 11..16). One
 // op schedules the whole recorded mix once; ns/batch is the mean cost
 // of one Schedule call over it.
 func BenchmarkAutoLibraryMix(b *testing.B) {
-	base, err := SweepStore(geometry.DLT4000(), 4, 512, 32, 0, 0)
+	st, err := BuildStore(geometry.DLT4000(), 1, 4, 512, 32, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	base := st.Shards[0]
 	rec := &problemRecorder{}
 	lib := base.Clone(Config{
 		Profile:    geometry.DLT4000(),

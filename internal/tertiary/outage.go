@@ -32,8 +32,9 @@ type OutageConfig struct {
 	MTTRsSec []float64
 	// Replicas are the replication factors to sweep; nil selects
 	// {1, 2}. Factor R places R-1 extra copies of every object on the
-	// R-1 cartridges following its primary's, so R must not exceed
-	// TapeCount, and the catalog stride must fit R copies.
+	// R-1 cartridges following its primary's (see BuildStore), so R
+	// must not exceed TapeCount, and every cartridge's stride must fit
+	// R copies.
 	Replicas []int
 	// CartridgeLossRate, BadSpotRate and RobotStallRate arm the
 	// non-drive lifecycle classes in every cell.
@@ -120,59 +121,20 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 		if r < 1 {
 			return nil, fmt.Errorf("tertiary: outage replication factor %d < 1", r)
 		}
-		if r > tapeCount {
-			return nil, fmt.Errorf("tertiary: replication factor %d exceeds %d cartridges", r, tapeCount)
-		}
-		if r > maxR {
-			maxR = r
-		}
+		maxR = max(maxR, r)
 	}
 
-	// Build the store once. Replica r of object (t, o) lives on tape
-	// (t+r) mod T at the same stride slot, offset r extents in — so
-	// every copy of an object occupies a distinct cartridge and no two
-	// objects' copies collide.
-	const objSegs = 32
-	profile := geometry.DLT4000()
-	base, err := SweepStore(profile, tapeCount, objects, objSegs, 0, 0)
+	// Build the store once, at the largest factor (see BuildStore for
+	// the layout); a cell at factor r keeps each object's first r-1
+	// replicas.
+	st, err := BuildStore(geometry.DLT4000(), 1, tapeCount, objects, 32, maxR)
 	if err != nil {
 		return nil, err
 	}
-	serials := base.Tapes()
-	for _, serial := range serials {
-		if stride := base.tapes[base.index[serial]].Segments() / objects; stride < maxR*objSegs {
-			return nil, fmt.Errorf("tertiary: outage: %d objects × %d copies of %d segments overflow tape %d",
-				objects, maxR, objSegs, serial)
-		}
-	}
-	// One placement per distinct replication factor, validated against
-	// the shared store.
-	placements := make(map[int]*Placement)
+	base := st.Shards[0]
+	placements := make(map[int]*Placement, len(replicas))
 	for _, r := range replicas {
-		if r == 1 || placements[r] != nil {
-			continue
-		}
-		pl := NewPlacement()
-		for t := 0; t < tapeCount; t++ {
-			stride := base.tapes[base.index[serials[t]]].Segments() / objects
-			for o := 0; o < objects; o++ {
-				reps := make([]Object, r-1)
-				for k := 1; k < r; k++ {
-					reps[k-1] = Object{
-						Tape:     serials[(t+k)%tapeCount],
-						Start:    o*stride + k*objSegs,
-						Segments: objSegs,
-					}
-				}
-				if err := pl.Put(SweepObjectID(t, o), reps...); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := pl.validate(base); err != nil {
-			return nil, fmt.Errorf("tertiary: outage placement R=%d: %w", r, err)
-		}
-		placements[r] = pl
+		placements[r] = base.cfg.Placement.firstReplicas(r - 1)
 	}
 
 	type cellSpec struct {
@@ -196,7 +158,7 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 		// cells at one (MTTF, MTTR) coordinate replay the same
 		// arrivals and the same component-failure history.
 		seed := grid.Seed(cfg.Seed, sp.mttfIdx, sp.mttrIdx, 0)
-		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		stream, err := SweepStream(rate, n, seed, tapeCount, objects)
 		if err != nil {
 			return fmt.Errorf("tertiary: outage arrivals: %w", err)
 		}
@@ -211,8 +173,6 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 			lc.DriveMTTRSec = mttr
 		}
 		lib := base.Clone(Config{
-			Profile:     profile,
-			Tapes:       serials,
 			Drives:      drives,
 			BatchLimit:  limit,
 			Lifecycle:   lc,

@@ -128,3 +128,29 @@ func TestOutageSweepRejectsBadReplication(t *testing.T) {
 		t.Fatalf("a stride too short for 2 copies: err = %v, want the outage overflow error", err)
 	}
 }
+
+// TestOutageSweepLargeStore runs a store whose cartridges differ in
+// stride enough that a replica placed at its primary's stride would
+// run off the end of the shorter cartridge: every copy must sit inside
+// the stride of the cartridge holding it.
+func TestOutageSweepLargeStore(t *testing.T) {
+	cells, err := OutageSweep(OutageConfig{
+		Objects:  512,
+		Replicas: []int{1, 2},
+		MTTFsSec: []float64{0},
+		MTTRsSec: []float64{600},
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("got %d cells, want 2", len(cells))
+	}
+	for _, c := range cells {
+		m := c.Metrics
+		if got := m.Served + m.Failed + m.Rejected + m.Shed; got != c.Offered {
+			t.Fatalf("R=%d conservation broken: %d != %d offered", c.Replicas, got, c.Offered)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package tertiary
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Placement maps objects to additional replica extents on distinct
@@ -52,6 +53,19 @@ func (p *Placement) Get(id string) []Object {
 		return nil
 	}
 	return p.extra[id]
+}
+
+// firstReplicas returns a placement keeping each object's first n
+// replicas, sharing p's extents; nil when n is 0.
+func (p *Placement) firstReplicas(n int) *Placement {
+	if p == nil || n == 0 {
+		return nil
+	}
+	q := NewPlacement()
+	for id, reps := range p.extra {
+		q.extra[id] = slices.Clip(reps[:min(n, len(reps))])
+	}
+	return q
 }
 
 // validate checks every replica against the library's tapes and the

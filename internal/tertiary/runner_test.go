@@ -31,7 +31,7 @@ func buildTwinLibrary(t *testing.T, drives, batchLimit int) (*Library, []Request
 		BatchLimit: batchLimit,
 		Scheduler:  core.NewLOSS(),
 	})
-	stream, err := sweepStream(240, 200, 424242, tapes, objects)
+	stream, err := SweepStream(240, 200, 424242, tapes, objects)
 	if err != nil {
 		t.Fatal(err)
 	}

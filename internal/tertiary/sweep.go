@@ -3,13 +3,17 @@ package tertiary
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
 	"serpentine/internal/grid"
+	"serpentine/internal/locate"
 	"serpentine/internal/obs"
+	"serpentine/internal/rand48"
 	"serpentine/internal/workload"
 )
 
@@ -119,15 +123,11 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 
 	// Build the store once: the base library owns the tapes, locate
 	// models and catalog every cell shares read-only.
-	profile := cfg.Profile
-	if profile.Tracks == 0 {
-		profile = geometry.DLT4000()
-	}
-	base, err := SweepStore(profile, tapeCount, objects, objSegs, 0, 0)
+	st, err := BuildStore(cfg.Profile, 1, tapeCount, objects, objSegs, 1)
 	if err != nil {
 		return nil, err
 	}
-	serials := base.Tapes()
+	base := st.Shards[0]
 
 	type cellSpec struct {
 		rateIdx, driveIdx, limitIdx int
@@ -149,7 +149,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		// One seed per cell coordinate: stable under sweep-order and
 		// worker-count changes.
 		seed := grid.Seed(cfg.Seed, sp.rateIdx, sp.driveIdx, sp.limitIdx)
-		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		stream, err := SweepStream(rate, n, seed, tapeCount, objects)
 		if err != nil {
 			return fmt.Errorf("tertiary: sweep arrivals %g/h: %w", rate, err)
 		}
@@ -162,8 +162,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			lifecycle.Seed = seed + 5
 		}
 		lib := base.Clone(Config{
-			Profile:    profile,
-			Tapes:      serials,
 			Drives:     drives,
 			BatchLimit: limit,
 			QueueCap:   cfg.QueueCap,
@@ -196,14 +194,14 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 }
 
 // Clone returns a library sharing this library's read-only store —
-// tapes, locate models, catalog — under a different configuration.
-// The sweeps use it to give every cell its own registry, tracer and
-// knobs without regenerating the tapes; the fleet uses it to give
-// every cell's shards their own labels and span lanes. The
-// configuration's Profile and Tapes must describe the shared store:
-// they are not revalidated. The remaining knobs are validated when the
-// clone starts a run.
+// profile, tapes, locate models, catalog — under a different
+// configuration. The sweeps use it to give every cell its own
+// registry, tracer and knobs without regenerating the tapes; the fleet
+// uses it to give every cell's shards their own labels and span lanes.
+// The clone keeps the store's Profile and Tapes whatever cfg says; the
+// remaining knobs are validated when the clone starts a run.
 func (l *Library) Clone(cfg Config) *Library {
+	cfg.Profile, cfg.Tapes = l.cfg.Profile, l.cfg.Tapes
 	sched := cfg.Scheduler
 	if sched == nil {
 		sched = core.NewAuto()
@@ -219,71 +217,171 @@ func (l *Library) Clone(cfg Config) *Library {
 	}
 }
 
-// SweepStore builds the sweeps' shared synthetic store: tapeCount
-// cartridges (serials 3000+t, matching the sweeps' t<N>/o<M> object
-// naming) each holding `objects` extents of objSegs segments laid out
-// stride-aligned along the tape. The returned base library owns the
-// tapes, locate models and catalog; sweep cells Clone it with their
-// own knobs, registries and tracers. A zero profile selects the
-// DLT4000; mountSec/unmountSec pass through to the base Config (cells
-// normally override them in their Clone anyway). Exported so the
-// staging-tier sweep (hsm) can serve the exact store a library sweep
-// cell serves.
-func SweepStore(profile geometry.Params, tapeCount, objects, objSegs int, mountSec, unmountSec float64) (*Library, error) {
+// Store is the sweeps' synthetic store dealt across shard libraries,
+// as BuildStore lays it out.
+type Store struct {
+	// Shards holds one base library per shard: its cartridges and
+	// catalog, and in its Config().Placement the same-shard replicas
+	// behind the catalog entries. Runs Clone it.
+	Shards   []*Library
+	replicas int
+	copies   []StoreCopy
+}
+
+// StoreCopy is one copy of an object: the shard holding it and the
+// index of the copy's cartridge in that shard's library
+// (Library.Cartridge).
+type StoreCopy struct {
+	Shard, Cartridge int
+}
+
+// Copies returns object i's copies in copy order, copy 0 the primary;
+// object o of cartridge t is i = t·objects + o.
+func (st *Store) Copies(i int) []StoreCopy {
+	return st.copies[i*st.replicas : (i+1)*st.replicas]
+}
+
+// BuildStore lays out the sweeps' synthetic store; every library-level
+// sweep and the fleet serve a store it built. It generates each of
+// tapeCount cartridges (serial 3000+t) and its locate model once, and
+// deals cartridge t to shard t mod shards. Copy k of object o of
+// cartridge t, named SweepObjectID(t, o), is objSegs segments at
+// o·stride + k·objSegs on cartridge (t+k) mod tapeCount, stride being
+// the holding cartridge's segment count over objects: every copy of an
+// object on a distinct cartridge, and no two objects' extents
+// overlapping. The first copy on a shard is that shard's catalog entry,
+// later copies there its Placement replicas in copy order. A stride too
+// short for replicas copies is an error. A zero profile selects the
+// DLT4000.
+func BuildStore(profile geometry.Params, shards, tapeCount, objects, objSegs, replicas int) (*Store, error) {
 	if profile.Tracks == 0 {
 		profile = geometry.DLT4000()
 	}
-	catalog := NewCatalog()
-	serials := make([]int64, tapeCount)
-	for t := 0; t < tapeCount; t++ {
+	switch {
+	case shards < 1 || shards > tapeCount:
+		return nil, fmt.Errorf("tertiary: %d shards outside 1..%d, the cartridge count", shards, tapeCount)
+	case replicas < 1 || replicas > tapeCount:
+		return nil, fmt.Errorf("tertiary: replication factor %d outside 1..%d, the cartridge count", replicas, tapeCount)
+	case objects < 1 || objSegs < 1:
+		return nil, fmt.Errorf("tertiary: sweep store of %d objects of %d segments per cartridge", objects, objSegs)
+	}
+	tapes := make([]*geometry.Tape, tapeCount)
+	models := make([]*locate.Model, tapeCount)
+	strides := make([]int, tapeCount)
+	for t := range tapeCount {
 		serial := int64(3000 + t)
-		serials[t] = serial
-		tape, err := geometry.Generate(profile, serial)
-		if err != nil {
+		var err error
+		if tapes[t], models[t], err = loadCartridge(profile, serial); err != nil {
 			return nil, fmt.Errorf("tertiary: sweep tape %d: %w", serial, err)
 		}
-		stride := tape.Segments() / objects
-		if stride < objSegs {
-			return nil, fmt.Errorf("tertiary: sweep: %d objects of %d segments overflow tape %d", objects, objSegs, serial)
+		if strides[t] = tapes[t].Segments() / objects; strides[t] < replicas*objSegs {
+			return nil, fmt.Errorf("tertiary: sweep: %d objects × %d copies of %d segments overflow tape %d",
+				objects, replicas, objSegs, serial)
 		}
-		for o := 0; o < objects; o++ {
-			if err := catalog.Put(Object{
-				ID:       SweepObjectID(t, o),
-				Tape:     serial,
-				Start:    o * stride,
-				Segments: objSegs,
-			}); err != nil {
-				return nil, err
+	}
+
+	catalogs := make([]*Catalog, shards)
+	placements := make([]*Placement, shards)
+	for s := range catalogs {
+		catalogs[s] = NewCatalog()
+	}
+	st := &Store{
+		Shards:   make([]*Library, shards),
+		replicas: replicas,
+		copies:   make([]StoreCopy, 0, tapeCount*objects*replicas),
+	}
+	for t := range tapeCount {
+		for o := range objects {
+			id := SweepObjectID(t, o)
+			first := len(st.copies)
+			for k := range replicas {
+				tk := (t + k) % tapeCount
+				c := StoreCopy{Shard: tk % shards, Cartridge: tk / shards}
+				obj := Object{ID: id, Tape: int64(3000 + tk), Start: o*strides[tk] + k*objSegs, Segments: objSegs}
+				onShard := slices.ContainsFunc(st.copies[first:], func(p StoreCopy) bool { return p.Shard == c.Shard })
+				st.copies = append(st.copies, c)
+				if !onShard {
+					if err := catalogs[c.Shard].Put(obj); err != nil {
+						return nil, err
+					}
+					continue
+				}
+				if placements[c.Shard] == nil {
+					placements[c.Shard] = NewPlacement()
+				}
+				if err := placements[c.Shard].Put(id, obj); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	base, err := New(Config{Profile: profile, Tapes: serials, MountSec: mountSec, UnmountSec: unmountSec}, catalog)
-	if err != nil {
-		return nil, fmt.Errorf("tertiary: sweep store: %w", err)
+
+	for s := range shards {
+		cfg := Config{Profile: profile, Placement: placements[s]}
+		var ts []*geometry.Tape
+		var ms []*locate.Model
+		for t := s; t < tapeCount; t += shards {
+			cfg.Tapes = append(cfg.Tapes, int64(3000+t))
+			ts, ms = append(ts, tapes[t]), append(ms, models[t])
+		}
+		lib, err := newLibrary(cfg.withDefaults(), catalogs[s], ts, ms)
+		if err != nil {
+			return nil, fmt.Errorf("tertiary: sweep store shard %d: %w", s, err)
+		}
+		st.Shards[s] = lib
 	}
-	return base, nil
+	return st, nil
 }
 
-// SweepStream builds one sweep cell's request stream — Poisson
-// arrivals at ratePerHour, Zipf(0.8)-popular objects over the sweeps'
-// t<N>/o<M> naming — exported so the staging-tier sweep (hsm) can
-// replay the exact stream a library sweep cell serves.
+// SweepStore is BuildStore's one-library, unreplicated store, kept as
+// the entry point of the out-of-module benchmark harness. mountSec and
+// unmountSec set the base library's exchange times (0 selects the
+// defaults); the sweeps' cells set their own in their Clone.
+func SweepStore(profile geometry.Params, tapeCount, objects, objSegs int, mountSec, unmountSec float64) (*Library, error) {
+	st, err := BuildStore(profile, 1, tapeCount, objects, objSegs, 1)
+	if err != nil {
+		return nil, err
+	}
+	return st.Shards[0].Clone(Config{MountSec: mountSec, UnmountSec: unmountSec}), nil
+}
+
+// SweepStream builds one sweep cell's request stream: LocalityStream
+// at locality 0.
 func SweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int) ([]Request, error) {
-	return sweepStream(ratePerHour, n, seed, tapeCount, objects)
+	return LocalityStream(ratePerHour, n, seed, tapeCount, objects, 0)
 }
 
-// sweepStream builds one cell's request stream: Poisson arrivals,
-// Zipf-popular objects.
-func sweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int) ([]Request, error) {
+// LocalityStream builds one cell's request stream over the sweeps'
+// t<N>/o<M> naming: Poisson arrivals at ratePerHour, Zipf(0.8)-popular
+// objects, and a mount-locality knob — with probability locality a
+// request re-targets the previous request's cartridge (keeping its
+// Zipf-drawn object ordinal), modeling runs of requests against the
+// working set already mounted. At locality 0 the re-target coin is
+// never drawn, so every sweep at one seed and store shape replays the
+// same stream.
+func LocalityStream(ratePerHour float64, n int, seed int64, tapeCount, objects int, locality float64) ([]Request, error) {
+	if locality < 0 || locality >= 1 || math.IsNaN(locality) {
+		return nil, fmt.Errorf("tertiary: locality %g outside [0,1)", locality)
+	}
 	arrivals, err := workload.PoissonArrivals(ratePerHour/3600, n, seed)
 	if err != nil {
 		return nil, err
 	}
 	pick := workload.NewZipf(tapeCount*objects, seed+1, 0.8, 1)
+	var coin *rand48.Source
+	if locality > 0 {
+		coin = rand48.New(seed + 2)
+	}
+	prevTape := -1
 	stream := make([]Request, n)
 	for i := range stream {
 		flat := pick.Batch(1)[0]
-		stream[i] = Request{ObjectID: SweepObjectID(flat/objects, flat%objects), Arrival: arrivals[i]}
+		tape, obj := flat/objects, flat%objects
+		if coin != nil && prevTape >= 0 && coin.Drand48() < locality {
+			tape = prevTape
+		}
+		prevTape = tape
+		stream[i] = Request{ObjectID: SweepObjectID(tape, obj), Arrival: arrivals[i]}
 	}
 	return stream, nil
 }

@@ -2,6 +2,7 @@ package tertiary
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"serpentine/internal/geometry"
@@ -112,5 +113,85 @@ func TestSweepValidates(t *testing.T) {
 	cfg.ObjectSegments = 200
 	if _, err := Sweep(cfg); err == nil {
 		t.Fatal("overflowing store accepted")
+	}
+}
+
+// TestBuildStoreLayout checks the store layout over shard counts,
+// replication factors and object counts: every catalog and placement
+// extent lies inside its cartridge, no two extents on one cartridge
+// overlap, and each object's copies sit on the cartridges its copy
+// list names, the first copy on a shard being that shard's catalog
+// entry.
+func TestBuildStoreLayout(t *testing.T) {
+	const tapeCount, objSegs = 4, 32
+	for _, shards := range []int{1, 3} {
+		for _, replicas := range []int{1, 2, 3} {
+			for _, objects := range []int{64, 512} {
+				st, err := BuildStore(geometry.DLT4000(), shards, tapeCount, objects, objSegs, replicas)
+				if err != nil {
+					t.Fatalf("S=%d R=%d objects=%d: %v", shards, replicas, objects, err)
+				}
+				type extent struct {
+					id         string
+					start, end int
+				}
+				byTape := make(map[int64][]extent)
+				for s, lib := range st.Shards {
+					for _, o := range lib.Objects() {
+						byTape[o.Tape] = append(byTape[o.Tape], extent{o.ID, o.Start, o.Start + o.Len()})
+						for _, r := range lib.cfg.Placement.Get(o.ID) {
+							byTape[r.Tape] = append(byTape[r.Tape], extent{r.ID, r.Start, r.Start + r.Len()})
+						}
+					}
+					for _, serial := range lib.Tapes() {
+						if int(serial-3000)%shards != s {
+							t.Fatalf("S=%d: tape %d dealt to shard %d", shards, serial, s)
+						}
+					}
+				}
+				total := 0
+				for serial, exts := range byTape {
+					total += len(exts)
+					tape, err := geometry.Generate(geometry.DLT4000(), serial)
+					if err != nil {
+						t.Fatal(err)
+					}
+					slices.SortFunc(exts, func(a, b extent) int { return a.start - b.start })
+					for i, e := range exts {
+						if e.start < 0 || e.end > tape.Segments() {
+							t.Fatalf("S=%d R=%d objects=%d: %s [%d,%d) outside tape %d of %d segments",
+								shards, replicas, objects, e.id, e.start, e.end, serial, tape.Segments())
+						}
+						if i > 0 && e.start < exts[i-1].end {
+							t.Fatalf("S=%d R=%d objects=%d: tape %d: %s [%d,%d) overlaps %s [%d,%d)",
+								shards, replicas, objects, serial, e.id, e.start, e.end,
+								exts[i-1].id, exts[i-1].start, exts[i-1].end)
+						}
+					}
+				}
+				if want := tapeCount * objects * replicas; total != want {
+					t.Fatalf("S=%d R=%d objects=%d: %d extents, want %d", shards, replicas, objects, total, want)
+				}
+				for tp := range tapeCount {
+					for o := range objects {
+						id := SweepObjectID(tp, o)
+						seen := make(map[int]bool)
+						for k, c := range st.Copies(tp*objects + o) {
+							lib := st.Shards[c.Shard]
+							serial := int64(3000 + (tp+k)%tapeCount)
+							if lib.Cartridge(serial) != c.Cartridge {
+								t.Fatalf("%s copy %d: shard %d cartridge %d, want tape %d", id, k, c.Shard, c.Cartridge, serial)
+							}
+							if !seen[c.Shard] {
+								if o, ok := lib.catalog.Get(id); !ok || o.Tape != serial {
+									t.Fatalf("%s copy %d is not shard %d's catalog entry", id, k, c.Shard)
+								}
+							}
+							seen[c.Shard] = true
+						}
+					}
+				}
+			}
+		}
 	}
 }

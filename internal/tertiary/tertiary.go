@@ -403,6 +403,34 @@ type Library struct {
 // from its own key points, as the paper's Figure 9 shows it must be.
 func New(cfg Config, catalog *Catalog) (*Library, error) {
 	cfg = cfg.withDefaults()
+	tapes := make([]*geometry.Tape, len(cfg.Tapes))
+	models := make([]*locate.Model, len(cfg.Tapes))
+	for i, serial := range cfg.Tapes {
+		var err error
+		if tapes[i], models[i], err = loadCartridge(cfg.Profile, serial); err != nil {
+			return nil, err
+		}
+	}
+	return newLibrary(cfg, catalog, tapes, models)
+}
+
+// loadCartridge generates one cartridge and its locate model.
+func loadCartridge(profile geometry.Params, serial int64) (*geometry.Tape, *locate.Model, error) {
+	tape, err := geometry.Generate(profile, serial)
+	if err != nil {
+		return nil, nil, err
+	}
+	model, err := locate.FromKeyPoints(tape.KeyPoints())
+	if err != nil {
+		return nil, nil, err
+	}
+	return tape, model, nil
+}
+
+// newLibrary builds the library over already loaded cartridges, one
+// per serial in cfg.Tapes, and validates the catalog and the placement
+// against them. cfg must have its defaults resolved.
+func newLibrary(cfg Config, catalog *Catalog, tapes []*geometry.Tape, models []*locate.Model) (*Library, error) {
 	if len(cfg.Tapes) == 0 {
 		return nil, errors.New("tertiary: library needs at least one tape")
 	}
@@ -421,25 +449,15 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 		catalog: catalog,
 		serials: append([]int64(nil), cfg.Tapes...),
 		index:   make(map[int64]int, len(cfg.Tapes)),
-		tapes:   make([]*geometry.Tape, 0, len(cfg.Tapes)),
-		models:  make([]*locate.Model, 0, len(cfg.Tapes)),
+		tapes:   tapes,
+		models:  models,
 		sched:   sched,
 	}
 	for i, serial := range cfg.Tapes {
 		if _, dup := l.index[serial]; dup {
 			return nil, fmt.Errorf("tertiary: duplicate tape serial %d", serial)
 		}
-		tape, err := geometry.Generate(cfg.Profile, serial)
-		if err != nil {
-			return nil, err
-		}
-		model, err := locate.FromKeyPoints(tape.KeyPoints())
-		if err != nil {
-			return nil, err
-		}
 		l.index[serial] = i
-		l.tapes = append(l.tapes, tape)
-		l.models = append(l.models, model)
 	}
 	// Validate the catalog against the tapes.
 	for _, o := range catalog.All() {
